@@ -1,7 +1,8 @@
 """Card data for the 60-metric library.
 
-Pure data: each entry is a dict with the MetricCard fields. Evaluator
-dispatch lives in registry.py, so editing a card never touches code.
+Pure data: each entry is a MetricCard, validated when it is built.
+Evaluator dispatch lives in registry.py, so editing a card never touches
+code.
 
 Dimension marks follow the group-level mapping: every distribution metric
 serves the six distribution-driven dimensions and every correlation
@@ -9,6 +10,9 @@ coefficient serves the three correlation-driven ones.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from typing import Any
 
 DIMENSIONS = (
     "completeness",
@@ -59,6 +63,64 @@ _DIST_DIMS = (
 _CORR_DIMS = ("accuracy", "noisy_labels", "feature_importance")
 
 
+class RegistryError(ValueError):
+    """Unknown ids or invalid filter values."""
+
+
+@dataclass(frozen=True)
+class Applicability:
+    modalities: tuple[str, ...]
+    variable_types: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for m in self.modalities:
+            if m not in MODALITIES:
+                raise RegistryError(f"unknown modality {m!r}")
+        for v in self.variable_types:
+            if v not in VARIABLE_TYPES:
+                raise RegistryError(f"unknown variable type {v!r}")
+
+
+@dataclass(frozen=True)
+class MetricCard:
+    id: str
+    name: str
+    synonyms: tuple[str, ...]
+    summary: str
+    definition: str
+    value_range: str
+    interpretation: str
+    dimensions: tuple[str, ...]
+    group: str
+    references: tuple[str, ...]
+    example: str
+    relations: tuple[str, ...]
+    applicability: Applicability
+    prerequisites: tuple[str, ...]
+    pitfall_tags: tuple[str, ...]
+    pitfalls: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.group not in GROUPS:
+            raise RegistryError(f"{self.id}: unknown group {self.group!r}")
+        if not self.dimensions:
+            raise RegistryError(f"{self.id}: dimensions must be nonempty")
+        for d in self.dimensions:
+            if d not in DIMENSIONS:
+                raise RegistryError(f"{self.id}: unknown dimension {d!r}")
+        for t in self.pitfall_tags:
+            if t not in PITFALL_TAGS:
+                raise RegistryError(f"{self.id}: unknown pitfall tag {t!r}")
+
+    def as_dict(self) -> dict[str, Any]:
+        """The card as plain JSON data, tuples as lists, in field order."""
+        return asdict(self, dict_factory=_listed)
+
+
+def _listed(items: list[tuple[str, Any]]) -> dict[str, Any]:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+
+
 def _card(
     id: str,
     name: str,
@@ -78,28 +140,15 @@ def _card(
     prerequisites: tuple[str, ...] = (),
     pitfall_tags: tuple[str, ...] = (),
     pitfalls: tuple[str, ...] = (),
-) -> dict:
-    return {
-        "id": id,
-        "name": name,
-        "synonyms": synonyms,
-        "summary": summary,
-        "definition": definition,
-        "value_range": value_range,
-        "interpretation": interpretation,
-        "dimensions": dimensions,
-        "group": group,
-        "references": references,
-        "example": example,
-        "relations": relations,
-        "applicability": {"modalities": modalities, "variable_types": variable_types},
-        "prerequisites": prerequisites,
-        "pitfall_tags": pitfall_tags,
-        "pitfalls": pitfalls,
-    }
+) -> MetricCard:
+    return MetricCard(
+        id, name, synonyms, summary, definition, value_range, interpretation, dimensions,
+        group, references, example, relations, Applicability(modalities, variable_types),
+        prerequisites, pitfall_tags, pitfalls,
+    )
 
 
-CARDS: tuple[dict, ...] = (
+CARDS: tuple[MetricCard, ...] = (
     # --- measurement process: accuracy ---------------------------------------
     _card(
         "entropy",

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import time
-import warnings as _pywarnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -25,7 +24,6 @@ from . import registry as _registry
 from . import selection as _selection
 from . import structure as _struct
 from .datamodel import CategoricalCounts, ColumnSpec, Dataset, MISSING, take_records
-from .distribution import MetricWarning
 from .report import (
     DataLoadError,
     build_report,
@@ -316,14 +314,11 @@ def harness_rows(
 
     # the published ratio uses superclass occurrence counts (a record with
     # two superclasses counts toward both), so this row bypasses a column
-    with _pywarnings.catch_warnings(record=True) as caught:
-        _pywarnings.simplefilter("always")
-        try:
-            counts = bundle.counts()
-            gir = _struct.imbalance_ratio(counts)
-            err = None
-        except ValueError as exc:
-            gir, err = None, str(exc)
+    try:
+        gir, warns = _registry.captured(lambda: _struct.imbalance_ratio(bundle.counts()))
+        err = None
+    except _registry.EvaluationError as exc:
+        gir, warns, err = None, (), str(exc)
     rows.append(
         result_entry(
             "generalized_imbalance_ratio",
@@ -331,7 +326,7 @@ def harness_rows(
             "column:scp_codes",
             {"labeling": "diagnostic superclass occurrence counts"},
             gir,
-            [str(w.message) for w in caught if issubclass(w.category, MetricWarning)],
+            warns,
             error=err,
         )
     )
@@ -387,7 +382,7 @@ def run_harness(
     if len(recipes) != 3:
         raise HarnessError("the harness expects exactly 3 subset recipes")
     names = ("original", "subset_sex_imbalance", "subset_device_filter", "subset_class_imbalance")
-    bundles = [original.subset(range(original.dataset.n_records), "original")]
+    bundles = [original]
     subset_indices = []
     for name, recipe in zip(names[1:], recipes):
         idx = apply_recipe(original, recipe)

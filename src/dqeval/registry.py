@@ -2,7 +2,7 @@
 
 The registry is the single source of truth for the 60 metrics, their
 dimension and group mapping, applicability and pitfalls. Cards are data
-(cards.py); this module holds the types and the evaluator wiring.
+(cards.py); this module holds the evaluator wiring.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import math
 import warnings as _pywarnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,10 +20,12 @@ from . import correlation as _corr
 from . import distribution as _dist
 from . import measurement as _meas
 from . import structure as _struct
+from .cards import Applicability, MetricCard, RegistryError  # noqa: F401  (re-exported)
 from .datamodel import (
     MISSING,
     Binning,
     CategoricalCounts,
+    DataModelError,
     Dataset,
     RatingsMatrix,
     Sample,
@@ -39,9 +41,7 @@ PITFALL_TAGS = _cards.PITFALL_TAGS
 MODALITIES = _cards.MODALITIES
 VARIABLE_TYPES = _cards.VARIABLE_TYPES
 
-
-class RegistryError(ValueError):
-    """Unknown ids or invalid filter values."""
+T = TypeVar("T")
 
 
 class EvaluationError(ValueError):
@@ -61,75 +61,6 @@ class EvaluatorUnavailable(EvaluationError):
 
 
 @dataclass(frozen=True)
-class Applicability:
-    modalities: tuple[str, ...]
-    variable_types: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for m in self.modalities:
-            if m not in MODALITIES:
-                raise RegistryError(f"unknown modality {m!r}")
-        for v in self.variable_types:
-            if v not in VARIABLE_TYPES:
-                raise RegistryError(f"unknown variable type {v!r}")
-
-
-@dataclass(frozen=True)
-class MetricCard:
-    id: str
-    name: str
-    synonyms: tuple[str, ...]
-    summary: str
-    definition: str
-    value_range: str
-    interpretation: str
-    dimensions: tuple[str, ...]
-    group: str
-    references: tuple[str, ...]
-    example: str
-    relations: tuple[str, ...]
-    applicability: Applicability
-    prerequisites: tuple[str, ...]
-    pitfall_tags: tuple[str, ...]
-    pitfalls: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.group not in GROUPS:
-            raise RegistryError(f"{self.id}: unknown group {self.group!r}")
-        if not self.dimensions:
-            raise RegistryError(f"{self.id}: dimensions must be nonempty")
-        for d in self.dimensions:
-            if d not in DIMENSIONS:
-                raise RegistryError(f"{self.id}: unknown dimension {d!r}")
-        for t in self.pitfall_tags:
-            if t not in PITFALL_TAGS:
-                raise RegistryError(f"{self.id}: unknown pitfall tag {t!r}")
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "synonyms": list(self.synonyms),
-            "summary": self.summary,
-            "definition": self.definition,
-            "value_range": self.value_range,
-            "interpretation": self.interpretation,
-            "dimensions": list(self.dimensions),
-            "group": self.group,
-            "references": list(self.references),
-            "example": self.example,
-            "relations": list(self.relations),
-            "applicability": {
-                "modalities": list(self.applicability.modalities),
-                "variable_types": list(self.applicability.variable_types),
-            },
-            "prerequisites": list(self.prerequisites),
-            "pitfall_tags": list(self.pitfall_tags),
-            "pitfalls": list(self.pitfalls),
-        }
-
-
-@dataclass(frozen=True)
 class MetricResult:
     metric_id: str
     scope: str
@@ -138,42 +69,13 @@ class MetricResult:
     warnings: tuple[str, ...] = ()
 
 
-def _build_cards() -> tuple[MetricCard, ...]:
-    built = []
-    seen = set()
-    for raw in _cards.CARDS:
-        card = MetricCard(
-            id=raw["id"],
-            name=raw["name"],
-            synonyms=tuple(raw["synonyms"]),
-            summary=raw["summary"],
-            definition=raw["definition"],
-            value_range=raw["value_range"],
-            interpretation=raw["interpretation"],
-            dimensions=tuple(raw["dimensions"]),
-            group=raw["group"],
-            references=tuple(raw["references"]),
-            example=raw["example"],
-            relations=tuple(raw["relations"]),
-            applicability=Applicability(
-                tuple(raw["applicability"]["modalities"]),
-                tuple(raw["applicability"]["variable_types"]),
-            ),
-            prerequisites=tuple(raw["prerequisites"]),
-            pitfall_tags=tuple(raw["pitfall_tags"]),
-            pitfalls=tuple(raw["pitfalls"]),
-        )
-        if card.id in seen:
-            raise RegistryError(f"duplicate card id {card.id!r}")
-        seen.add(card.id)
-        built.append(card)
-    return tuple(built)
-
-
-_CARDS: tuple[MetricCard, ...] = _build_cards()
-_BY_ID: dict[str, MetricCard] = {c.id: c for c in _CARDS}
+_CARDS: tuple[MetricCard, ...] = _cards.CARDS
+_BY_ID: dict[str, MetricCard] = {}
 _SYNONYMS: dict[str, str] = {}
 for _c in _CARDS:
+    if _c.id in _BY_ID:
+        raise RegistryError(f"duplicate card id {_c.id!r}")
+    _BY_ID[_c.id] = _c
     for _s in _c.synonyms:
         _SYNONYMS.setdefault(_s.lower().replace(" ", "_").replace("-", "_"), _c.id)
 
@@ -270,7 +172,13 @@ def render_card(metric_id: str, format: str = "markdown") -> str:
 
 # --- evaluation dispatch -----------------------------------------------------
 
-Evaluator = Callable[[Dataset, dict, Dataset | None, int | None], tuple[Any, str, dict]]
+# (metric_id, ds, params, ds_b, seed) -> (value, scope, params_used)
+Evaluator = Callable[[str, Dataset, dict, Dataset | None, int | None], tuple[Any, str, dict]]
+# a typed parameter: (name, cast, default)
+Param = tuple[str, Callable[[Any], Any], Any]
+
+_NUMERIC = ("numerical", "ordinal", "datetime")
+_LABELS = ("categorical", "ordinal", "identifier")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -296,6 +204,23 @@ def _param_column(ds: Dataset, params: dict, key: str = "column", role: str | No
     return col
 
 
+def _arg(params: Mapping[str, Any], name: str, cast: Callable[[Any], Any], default: Any) -> Any:
+    """params[name] through cast, or default when it is absent or None."""
+    value = params.get(name)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise PrerequisiteError(
+            f"parameter {name!r} must be {cast.__name__}, got {value!r}"
+        ) from exc
+
+
+def _args(params: Mapping[str, Any], declared: Sequence[Param]) -> dict[str, Any]:
+    return {name: _arg(params, name, cast, default) for name, cast, default in declared}
+
+
 def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
     cols = params.get("rater_columns")
     if cols is None:
@@ -312,19 +237,159 @@ def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
     return RatingsMatrix(rows, rater_names=tuple(cols))
 
 
-def _numeric_pair(
-    ds: Dataset, params: dict, metric: str
-) -> tuple[tuple, tuple, str, dict]:
-    a_col = _param_column(ds, params, "column_a")
-    b_col = _param_column(ds, params, "column_b")
-    _require_vtype(ds, a_col, ("numerical", "ordinal", "datetime"), metric)
-    _require_vtype(ds, b_col, ("numerical", "ordinal", "datetime"), metric)
-    return (
-        ds.column(a_col),
-        ds.column(b_col),
-        f"pair:{a_col},{b_col}",
-        {"column_a": a_col, "column_b": b_col},
+# Runners, one per input shape. Each resolves and type-checks its columns,
+# reads the declared params, calls the kernel and echoes columns, params and
+# fixed notes in that order. Kernels are lambdas that look the kernel module's
+# function up at call time, so a patched module attribute (perfbench's tracer
+# wraps them) takes effect.
+
+
+def _column(
+    kernel: Callable[..., Any],
+    vtypes: tuple[str, ...],
+    *params: Param,
+    read: Callable[[Dataset, str], Any] = column_sample,
+    role: str | None = None,
+    notes: Mapping[str, Any] | None = None,
+) -> Evaluator:
+    """One column: kernel(read(ds, column), **params)."""
+
+    def ev(metric, ds, given, ds_b, seed):
+        col = _param_column(ds, given, "column", role)
+        _require_vtype(ds, col, vtypes, metric)
+        args = _args(given, params)
+        value = kernel(read(ds, col), **args)
+        return value, f"column:{col}", {"column": col, **args, **(notes or {})}
+
+    return ev
+
+
+def _pair(
+    kernel: Callable[..., Any],
+    vtypes: tuple[str, ...] | None,
+    *params: Param,
+    keys: tuple[str, str] = ("column_a", "column_b"),
+    read: Callable[[Dataset, str], Any] = Dataset.column,
+    notes: Mapping[str, Any] | None = None,
+) -> Evaluator:
+    """Two columns of one dataset: kernel(read(ds, a), read(ds, b), **params)."""
+
+    def ev(metric, ds, given, ds_b, seed):
+        cols = [_param_column(ds, given, key) for key in keys]
+        if vtypes:
+            for col in cols:
+                _require_vtype(ds, col, vtypes, metric)
+        args = _args(given, params)
+        value = kernel(*(read(ds, col) for col in cols), **args)
+        used = {**dict(zip(keys, cols)), **args, **(notes or {})}
+        return value, f"pair:{cols[0]},{cols[1]}", used
+
+    return ev
+
+
+def _samples(kernel: Callable[..., Any], *params: Param) -> Evaluator:
+    """Two numeric samples (see _two_numeric_samples): kernel(a, b, **params)."""
+
+    def ev(metric, ds, given, ds_b, seed):
+        samples, scope, used = _two_numeric_samples(ds, given, ds_b, metric)
+        args = _args(given, params)
+        return kernel(*samples, **args), scope, {**used, **args}
+
+    return ev
+
+
+def _raters(
+    kernel: Callable[..., Any],
+    *params: Param,
+    pair: bool = False,
+    vtypes: tuple[str, ...] | None = None,
+    notes: Mapping[str, Any] | None = None,
+) -> Evaluator:
+    """Rater columns (exactly 2 when pair, else >= 2): kernel(ratings, **params)."""
+
+    def ev(metric, ds, given, ds_b, seed):
+        cols = _annotation_columns(ds, given)
+        if pair:
+            _require(len(cols) == 2, f"{metric} needs exactly 2 rater columns, found {len(cols)}")
+        else:
+            _require(len(cols) >= 2, f"{metric} needs >= 2 rater columns")
+        if vtypes:
+            for col in cols:
+                _require_vtype(ds, col, vtypes, metric)
+        args = _args(given, params)
+        value = kernel(_ratings(ds, cols), **args)
+        scope = f"{'pair' if pair else 'columns'}:{','.join(cols)}"
+        return value, scope, {"rater_columns": cols, **args, **(notes or {})}
+
+    return ev
+
+
+# readers and kernel helpers for the table rows
+
+
+def _counts(ds: Dataset, col: str) -> CategoricalCounts:
+    counts = CategoricalCounts.from_values(ds.column(col))
+    _require(len(counts) >= 1, f"no categories present in column {col!r}")
+    return counts
+
+
+def _coded(ds: Dataset, col: str) -> list:
+    """Column values, ordinal categories replaced by their rank, missing as None."""
+    spec = ds.spec(col)
+    if spec.vtype != "ordinal":
+        return list(ds.column(col))
+    codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
+    return [codes[v] if v is not MISSING else None for v in ds.column(col)]
+
+
+def _complete(a: Sequence[Any], b: Sequence[Any]) -> list[tuple[Any, Any]]:
+    return [(x, y) for x, y in zip(a, b) if x is not MISSING and y is not MISSING]
+
+
+def _instrument(measured: Sequence[Any], reference: Sequence[Any]) -> dict[str, float]:
+    rows = _complete(measured, reference)
+    _require(len(rows) >= 2, "needs >= 2 complete measurement pairs")
+    measured, reference = zip(*rows)
+    return _meas.instrument_error(Sample(measured), Sample(reference))
+
+
+def _mask(values: Sequence[Any]) -> np.ndarray:
+    _require(all(v is not MISSING for v in values), "mask columns must be complete")
+    return np.array([bool(v) for v in values])
+
+
+def _resolution(widths: Sequence[Any], heights: Sequence[Any]) -> dict[str, list]:
+    value = _struct.resolution(_complete(widths, heights))
+    return {
+        "per_image": [list(s) for s in value["per_image"]],
+        "min": list(value["min"]),
+        "median": list(value["median"]),
+    }
+
+
+def _mean_std(s: Sample) -> dict[str, float]:
+    stats = _dist.summary_stats(s)
+    return {"mean": stats["mean"], "std": stats["std"]}
+
+
+def _correlation(kind: str, vtypes: tuple[str, ...]) -> Evaluator:
+    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes, read=_coded)
+
+
+def _split(
+    ds: Dataset, value_col: str, group_col: str, allow_k: bool = False
+) -> tuple[list[list], str, dict]:
+    """Raw values of value_col per group of group_col, groups in name order."""
+    groups, _ = group_by(ds, group_col)
+    keys = sorted(groups, key=str)
+    _require(len(keys) >= 2, f"group column {group_col!r} has fewer than 2 groups")
+    _require(
+        len(keys) == 2 or allow_k,
+        f"group column {group_col!r} has {len(keys)} groups; this metric compares exactly 2",
     )
+    vals = ds.column(value_col)
+    used = {"column": value_col, "group_column": group_col, "groups": [str(k) for k in keys]}
+    return [[vals[i] for i in groups[key]] for key in keys], f"groups:{group_col}", used
 
 
 def _two_numeric_samples(
@@ -337,42 +402,25 @@ def _two_numeric_samples(
     """
     if ds_b is not None:
         col = _param_column(ds, params, "column")
-        _require_vtype(ds, col, ("numerical", "ordinal", "datetime"), metric)
-        _require_vtype(ds_b, col, ("numerical", "ordinal", "datetime"), metric)
+        _require_vtype(ds, col, _NUMERIC, metric)
+        _require_vtype(ds_b, col, _NUMERIC, metric)
         scope = f"pair:{ds.dataset_id},{ds_b.dataset_id}"
-        return (
-            [column_sample(ds, col), column_sample(ds_b, col)],
-            scope,
-            {"column": col},
-        )
+        return [column_sample(ds, col), column_sample(ds_b, col)], scope, {"column": col}
     if params.get("group_column"):
         value_col = _param_column(ds, params, "column")
-        group_col = params["group_column"]
-        _require_vtype(ds, value_col, ("numerical", "ordinal", "datetime"), metric)
-        groups, _ = group_by(ds, group_col)
-        keys = sorted(groups, key=str)
-        if len(keys) < 2:
-            raise PrerequisiteError(f"group column {group_col!r} has fewer than 2 groups")
-        if len(keys) > 2 and not allow_k:
-            raise PrerequisiteError(
-                f"group column {group_col!r} has {len(keys)} groups; this metric compares exactly 2"
-            )
-        vals = ds.column(value_col)
+        _require_vtype(ds, value_col, _NUMERIC, metric)
+        parts, scope, used = _split(ds, value_col, params["group_column"], allow_k)
         samples = []
-        for key in keys:
-            picked = [vals[i] for i in groups[key] if vals[i] is not MISSING]
-            dropped = len(groups[key]) - len(picked)
-            samples.append(Sample(tuple(picked), dropped=dropped))
-        return (
-            samples,
-            f"groups:{group_col}",
-            {"column": value_col, "group_column": group_col, "groups": [str(k) for k in keys]},
-        )
+        for part in parts:
+            present = tuple(v for v in part if v is not MISSING)
+            samples.append(Sample(present, dropped=len(part) - len(present)))
+        return samples, scope, used
     if params.get("column_a") and params.get("column_b"):
-        a, b, scope, used = _numeric_pair(ds, params, metric)
-        sa = Sample(tuple(v for v in a if v is not MISSING), dropped=sum(v is MISSING for v in a))
-        sb = Sample(tuple(v for v in b if v is not MISSING), dropped=sum(v is MISSING for v in b))
-        return [sa, sb], scope, used
+        cols = [_param_column(ds, params, key) for key in ("column_a", "column_b")]
+        for col in cols:
+            _require_vtype(ds, col, _NUMERIC, metric)
+        samples = [column_sample(ds, col) for col in cols]
+        return samples, f"pair:{cols[0]},{cols[1]}", {"column_a": cols[0], "column_b": cols[1]}
     raise PrerequisiteError(
         "two-sample metric needs a second dataset, a group_column, or column_a/column_b"
     )
@@ -383,23 +431,16 @@ def _counts_pair(
 ) -> tuple[CategoricalCounts, CategoricalCounts, str, dict]:
     """Two categorical/binned distributions for divergences and chi-squared."""
     col = params.get("column")
-    if col is not None and ds.spec(col).vtype in ("categorical", "ordinal", "identifier"):
+    if col is not None and ds.spec(col).vtype in _LABELS:
         if ds_b is not None:
             ca = CategoricalCounts.from_values(ds.column(col))
             cb = CategoricalCounts.from_values(ds_b.column(col))
             return ca, cb, f"pair:{ds.dataset_id},{ds_b.dataset_id}", {"column": col}
         if params.get("group_column"):
-            groups, _ = group_by(ds, params["group_column"])
-            keys = sorted(groups, key=str)
-            if len(keys) != 2:
-                raise PrerequisiteError("divergences compare exactly 2 groups")
-            vals = ds.column(col)
-            ca = CategoricalCounts.from_values([vals[i] for i in groups[keys[0]]])
-            cb = CategoricalCounts.from_values([vals[i] for i in groups[keys[1]]])
-            used = {"column": col, "group_column": params["group_column"], "groups": [str(k) for k in keys]}
-            return ca, cb, f"groups:{params['group_column']}", used
+            (a, b), scope, used = _split(ds, col, params["group_column"])
+            return CategoricalCounts.from_values(a), CategoricalCounts.from_values(b), scope, used
         raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
-    bins = int(params.get("bins", 10))
+    bins = _arg(params, "bins", int, 10)
     samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
     ha, hb = pooled_histograms(samples[0], samples[1], Binning.equal_width(bins))
     used["bins"] = bins
@@ -407,21 +448,19 @@ def _counts_pair(
     return ha.counts, hb.counts, scope, used
 
 
-# individual evaluators: (ds, params, ds_b, seed) -> (value, scope, params_used)
+# bespoke evaluators: (metric, ds, params, ds_b, seed) -> (value, scope, params_used)
 
 
-def _ev_entropy(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
+def _ev_entropy(metric, ds, params, ds_b, seed):
     if params.get("column") and ds.spec(params["column"]).vtype in ("categorical", "ordinal"):
         col = params["column"]
         counts = CategoricalCounts.from_values(ds.column(col))
         value = _meas.shannon_entropy(counts)
         return value, f"column:{col}", {"column": col, "form": "shannon", "base": "e"}
     _require(ds.signals is not None, "entropy needs signals or a categorical column")
-    p = _meas.SampleEntropyParams(
-        m=int(params.get("m", 2)), r=float(params.get("r", 0.2))
-    )
-    max_records = params.get("max_records")
-    max_samples = params.get("max_samples")
+    p = _meas.SampleEntropyParams(m=_arg(params, "m", int, 2), r=_arg(params, "r", float, 0.2))
+    max_records = _arg(params, "max_records", int, None)
+    max_samples = _arg(params, "max_samples", int, None)
     indices = [i for i, blk in enumerate(ds.signals) if blk is not None]
     _require(bool(indices), "entropy: no records carry a signal")
     used: dict[str, Any] = {
@@ -430,19 +469,18 @@ def _ev_entropy(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | Non
         "r": p.r,
         "aggregation": "mean over channels then records",
     }
-    if max_records is not None and len(indices) > int(max_records):
+    if max_records is not None and len(indices) > max_records:
         rng = np.random.default_rng(seed)
-        indices = sorted(rng.choice(indices, size=int(max_records), replace=False))
-        used["max_records"] = int(max_records)
+        indices = sorted(rng.choice(indices, size=max_records, replace=False))
+        used["max_records"] = max_records
         used["seed"] = seed
     if max_samples is not None:
-        used["max_samples"] = int(max_samples)
+        used["max_samples"] = max_samples
     per_record = []
     for i in indices:
-        blk = ds.signals[i]
         chans = []
-        for ch in blk.samples:
-            series = ch[: int(max_samples)] if max_samples is not None else ch
+        for ch in ds.signals[i].samples:
+            series = ch[:max_samples] if max_samples is not None else ch
             if len(series) < p.m + 2:
                 continue
             v = _meas.sample_entropy(Sample(series), p)
@@ -454,186 +492,49 @@ def _ev_entropy(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | Non
     return float(np.mean(per_record)), "global", used
 
 
-def _ev_lod(ds, params, ds_b, seed):
-    col = _param_column(ds, params, "column")
-    _require_vtype(ds, col, ("numerical",), "limit_of_detection")
-    mult = float(params.get("multiplier", 3.3))
-    value = _meas.lod_loq(column_sample(ds, col), lod_multiplier=mult)["lod"]
-    return value, f"column:{col}", {"column": col, "multiplier": mult}
+def _repeated(by: str, kernel: Callable[[Any], float]) -> Evaluator:
+    """Repeated measures of value_column, by subject_column or condition_column."""
+
+    def ev(metric, ds, params, ds_b, seed):
+        v_col = _param_column(ds, params, "value_column")
+        _require_vtype(ds, v_col, ("numerical",), metric)
+        b_col = _param_column(ds, params, by)
+        rows = _complete(ds.column(v_col), ds.column(b_col))
+        _require(bool(rows), f"{metric}: no complete (value, {by.split('_')[0]}) rows")
+        if by == "condition_column":
+            rm = _meas.RepeatedMeasures(
+                subjects=(("all", tuple(v for v, _ in rows)),),
+                conditions=(tuple(c for _, c in rows),),
+            )
+        else:
+            groups: dict[Any, list[float]] = {}
+            for v, s in rows:
+                groups.setdefault(s, []).append(v)
+            by_name = sorted(groups.items(), key=lambda kv: str(kv[0]))
+            rm = _meas.RepeatedMeasures(subjects=tuple((s, tuple(g)) for s, g in by_name))
+        return kernel(rm), "global", {"value_column": v_col, by: b_col}
+
+    return ev
 
 
-def _ev_loq(ds, params, ds_b, seed):
-    col = _param_column(ds, params, "column")
-    _require_vtype(ds, col, ("numerical",), "limit_of_quantification")
-    mult = float(params.get("multiplier", 10.0))
-    value = _meas.lod_loq(column_sample(ds, col), loq_multiplier=mult)["loq"]
-    return value, f"column:{col}", {"column": col, "multiplier": mult}
-
-
-def _instrument_pairs(ds: Dataset, params: dict, metric: str):
-    m_col = _param_column(ds, params, "measured_column")
-    r_col = _param_column(ds, params, "reference_column")
-    _require_vtype(ds, m_col, ("numerical",), metric)
-    _require_vtype(ds, r_col, ("numerical",), metric)
-    mv, rv = ds.column(m_col), ds.column(r_col)
-    rows = [(a, b) for a, b in zip(mv, rv) if a is not MISSING and b is not MISSING]
-    _require(len(rows) >= 2, f"{metric} needs >= 2 complete measurement pairs")
-    measured = Sample(tuple(a for a, _ in rows))
-    reference = Sample(tuple(b for _, b in rows))
-    return measured, reference, f"pair:{m_col},{r_col}", {
-        "measured_column": m_col,
-        "reference_column": r_col,
-    }
-
-
-def _ev_systematic(ds, params, ds_b, seed):
-    m, r, scope, used = _instrument_pairs(ds, params, "systematic_error")
-    return _meas.instrument_error(m, r)["systematic"], scope, used
-
-
-def _ev_random(ds, params, ds_b, seed):
-    m, r, scope, used = _instrument_pairs(ds, params, "random_error")
-    return _meas.instrument_error(m, r)["random"], scope, used
-
-
-def _ev_bland_altman(ds, params, ds_b, seed):
-    a_col = _param_column(ds, params, "column_a")
-    b_col = _param_column(ds, params, "column_b")
-    _require_vtype(ds, a_col, ("numerical",), "bland_altman_cr")
-    _require_vtype(ds, b_col, ("numerical",), "bland_altman_cr")
-    av, bv = ds.column(a_col), ds.column(b_col)
-    pairs = [(x, y) for x, y in zip(av, bv) if x is not MISSING and y is not MISSING]
-    return (
-        _meas.bland_altman_cr(pairs),
-        f"pair:{a_col},{b_col}",
-        {"column_a": a_col, "column_b": b_col, "factor": 1.96},
-    )
-
-
-def _repeated_measures(ds: Dataset, params: dict, with_conditions: bool, metric: str):
-    v_col = _param_column(ds, params, "value_column")
-    _require_vtype(ds, v_col, ("numerical",), metric)
-    used = {"value_column": v_col}
-    vals = ds.column(v_col)
-    if with_conditions:
-        c_col = _param_column(ds, params, "condition_column")
-        used["condition_column"] = c_col
-        rows = [
-            (v, c)
-            for v, c in zip(vals, ds.column(c_col))
-            if v is not MISSING and c is not MISSING
-        ]
-        _require(bool(rows), f"{metric}: no complete (value, condition) rows")
-        rm = _meas.RepeatedMeasures(
-            subjects=(("all", tuple(v for v, _ in rows)),),
-            conditions=(tuple(c for _, c in rows),),
-        )
-        return rm, used
-    s_col = _param_column(ds, params, "subject_column")
-    used["subject_column"] = s_col
-    groups: dict[Any, list[float]] = {}
-    for v, s in zip(vals, ds.column(s_col)):
-        if v is not MISSING and s is not MISSING:
-            groups.setdefault(s, []).append(v)
-    _require(bool(groups), f"{metric}: no complete (value, subject) rows")
-    rm = _meas.RepeatedMeasures(
-        subjects=tuple((s, tuple(g)) for s, g in sorted(groups.items(), key=lambda kv: str(kv[0])))
-    )
-    return rm, used
-
-
-def _ev_repeatability_cv(ds, params, ds_b, seed):
-    rm, used = _repeated_measures(ds, params, False, "repeatability_cv")
-    return _meas.repeatability_cv(rm), "global", used
-
-
-def _ev_reproducibility(ds, params, ds_b, seed):
-    rm, used = _repeated_measures(ds, params, True, "reproducibility_variance")
-    return _meas.reproducibility_variance(rm), "global", used
-
-
-def _ev_cohens_kappa(ds, params, ds_b, seed):
-    cols = _annotation_columns(ds, params)
-    _require(
-        len(cols) == 2,
-        f"cohens_kappa needs exactly 2 rater columns, found {len(cols)}",
-    )
-    weights = params.get("weights", "none")
-    value = _meas.cohens_kappa(_ratings(ds, cols), weights=weights)
-    return value, f"pair:{cols[0]},{cols[1]}", {"rater_columns": cols, "weights": weights}
-
-
-def _ev_fleiss_kappa(ds, params, ds_b, seed):
-    cols = _annotation_columns(ds, params)
-    _require(len(cols) >= 2, "fleiss_kappa needs >= 2 rater columns")
-    value = _meas.fleiss_kappa(_ratings(ds, cols))
-    return value, f"columns:{','.join(cols)}", {"rater_columns": cols}
-
-
-def _ev_kendalls_w(ds, params, ds_b, seed):
-    cols = _annotation_columns(ds, params)
-    _require(len(cols) >= 2, "kendalls_w needs >= 2 rater columns")
-    value = _meas.kendalls_w(_ratings(ds, cols))
-    return value, f"columns:{','.join(cols)}", {"rater_columns": cols}
-
-
-def _ev_krippendorff(ds, params, ds_b, seed):
-    cols = _annotation_columns(ds, params)
-    _require(len(cols) >= 2, "krippendorff_alpha needs >= 2 rater columns")
-    level = params.get("level", "nominal")
-    value = _meas.krippendorff_alpha(_ratings(ds, cols), level=level)
-    return value, f"columns:{','.join(cols)}", {"rater_columns": cols, "level": level}
-
-
-def _mask_columns(ds: Dataset, params: dict, metric: str):
-    a_col = _param_column(ds, params, "column_a")
-    b_col = _param_column(ds, params, "column_b")
-    av, bv = ds.column(a_col), ds.column(b_col)
-    if any(v is MISSING for v in av) or any(v is MISSING for v in bv):
-        raise PrerequisiteError(f"{metric}: mask columns must be complete")
-    mask_a = np.array([bool(v) for v in av])
-    mask_b = np.array([bool(v) for v in bv])
-    return mask_a, mask_b, f"pair:{a_col},{b_col}", {"column_a": a_col, "column_b": b_col}
-
-
-def _ev_dice(ds, params, ds_b, seed):
-    a, b, scope, used = _mask_columns(ds, params, "dice_score")
-    return _meas.overlap(a, b, "dice"), scope, used
-
-
-def _ev_iou(ds, params, ds_b, seed):
-    a, b, scope, used = _mask_columns(ds, params, "intersection_over_union")
-    return _meas.overlap(a, b, "iou"), scope, used
-
-
-def _scoped_columns(ds: Dataset, params: dict) -> tuple[list[str] | None, str]:
-    cols = params.get("columns")
+def _ev_completeness(metric, ds, params, ds_b, seed):
     label = params.get("scope_label")
-    if cols is None:
-        return None, (f"columns:{label}" if label else "global")
-    for c in cols:
-        ds.spec(c)
-    return list(cols), f"columns:{label or ','.join(cols)}"
-
-
-def _ev_completeness(ds, params, ds_b, seed):
     if params.get("target") == "signals":
         _require(ds.signals is not None, "completeness of signals needs a signal payload")
         present = sum(1 for blk in ds.signals if blk is not None and blk.n_samples > 0)
-        label = params.get("scope_label")
         scope = f"columns:{label}" if label else "signals"
         return present / ds.n_records, scope, {"target": "signals"}
-    cols, scope = _scoped_columns(ds, params)
-    used: dict[str, Any] = {"target": "cells"}
-    if cols is not None:
-        used["columns"] = cols
-    return _meas.completeness(ds, cols), scope, used
+    cols = params.get("columns")
+    if cols is None:
+        scope = f"columns:{label}" if label else "global"
+        return _meas.completeness(ds), scope, {"target": "cells"}
+    value = _meas.completeness(ds, cols)
+    return value, f"columns:{label or ','.join(cols)}", {"target": "cells", "columns": list(cols)}
 
 
-def _ev_patient_completeness(ds, params, ds_b, seed):
+def _ev_patient_completeness(metric, ds, params, ds_b, seed):
     variable = params.get("variable")
-    pid = params.get("patient_column") or ds.role_column("patient_id")
-    _require(pid is not None, "patient_level_completeness needs a patient_id column")
+    pid = _param_column(ds, params, "patient_column", role="patient_id")
     value = _meas.patient_level_completeness(ds, pid, variable)
     used = {"patient_column": pid, "variable": variable or "signals"}
     label = params.get("scope_label")
@@ -641,13 +542,13 @@ def _ev_patient_completeness(ds, params, ds_b, seed):
     return value, scope, used
 
 
-def _ev_record_completeness(ds, params, ds_b, seed):
+def _ev_record_completeness(metric, ds, params, ds_b, seed):
     required = params.get("required", [])
     value = _meas.record_completeness(ds, required)
     return value, "global", {"required": list(required)}
 
 
-def _ev_syntactic(ds, params, ds_b, seed):
+def _ev_syntactic(metric, ds, params, ds_b, seed):
     col = _param_column(ds, params, "column")
     words = params.get("dictionary")
     if words is None and params.get("dictionary_file"):
@@ -660,53 +561,14 @@ def _ev_syntactic(ds, params, ds_b, seed):
     return value, f"column:{col}", {"column": col, "dictionary_size": len(set(map(str, words)))}
 
 
-def _ev_page_hinkley(ds, params, ds_b, seed):
-    col = _param_column(ds, params, "column")
-    _require_vtype(ds, col, ("numerical", "datetime"), "page_hinkley")
-    p = _struct.PageHinkleyParams(
-        delta=float(params.get("delta", 0.005)),
-        lam=float(params.get("lam", 50.0)),
-        direction=params.get("direction", "increase"),
-        alpha=float(params.get("alpha", 0.99)),
-    )
-    value = _struct.page_hinkley(column_sample(ds, col), p)
-    used = {"column": col, "delta": p.delta, "lam": p.lam, "direction": p.direction, "alpha": p.alpha}
-    return value, f"column:{col}", used
-
-
-def _ev_dataset_size(ds, params, ds_b, seed):
-    return _struct.dataset_size(ds), "global", {}
-
-
-def _ev_granularity(ds, params, ds_b, seed):
-    return _struct.granularity(ds), "global", {"role": "feature"}
-
-
-def _ev_sampling_frequency(ds, params, ds_b, seed):
+def _ev_sampling_frequency(metric, ds, params, ds_b, seed):
     value = _struct.sampling_frequency(ds)
     if isinstance(value, tuple):
         value = list(value)
     return value, "signals", {}
 
 
-def _ev_resolution(ds, params, ds_b, seed):
-    w_col = _param_column(ds, params, "width_column")
-    h_col = _param_column(ds, params, "height_column")
-    sizes = [
-        (w, h)
-        for w, h in zip(ds.column(w_col), ds.column(h_col))
-        if w is not MISSING and h is not MISSING
-    ]
-    value = _struct.resolution(sizes)
-    value = {
-        "per_image": [list(s) for s in value["per_image"]],
-        "min": list(value["min"]),
-        "median": list(value["median"]),
-    }
-    return value, f"pair:{w_col},{h_col}", {"width_column": w_col, "height_column": h_col}
-
-
-def _ev_label_granularity(ds, params, ds_b, seed):
+def _ev_label_granularity(metric, ds, params, ds_b, seed):
     hierarchy = params.get("hierarchy")
     if hierarchy is not None:
         return _struct.label_granularity(hierarchy), "global", {"source": "hierarchy"}
@@ -716,91 +578,45 @@ def _ev_label_granularity(ds, params, ds_b, seed):
     return _struct.label_granularity(labels), f"column:{col}", {"column": col, "source": "flat"}
 
 
-def _target_counts(ds: Dataset, params: dict, metric: str):
-    col = _param_column(ds, params, "column", role="target")
-    _require_vtype(ds, col, ("categorical", "ordinal", "identifier"), metric)
-    counts = CategoricalCounts.from_values(ds.column(col))
-    _require(len(counts) >= 1, f"{metric}: no class labels present")
-    return col, counts
-
-
-def _ev_imbalance_ratio(ds, params, ds_b, seed):
-    col, counts = _target_counts(ds, params, "generalized_imbalance_ratio")
-    return _struct.imbalance_ratio(counts), f"column:{col}", {"column": col}
-
-
-def _ev_imbalance_degree(ds, params, ds_b, seed):
-    col, counts = _target_counts(ds, params, "imbalance_degree")
-    distance = params.get("distance", "total_variation")
-    return (
-        _struct.imbalance_degree(counts, distance),
-        f"column:{col}",
-        {"column": col, "distance": distance},
-    )
-
-
-def _ev_lrid(ds, params, ds_b, seed):
-    col, counts = _target_counts(ds, params, "lr_imbalance_degree")
-    return _struct.lrid(counts), f"column:{col}", {"column": col}
-
-
-def _currency_eval(variant: str):
-    def ev(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
-        col = _param_column(ds, params, "timestamp_column", role="timestamp")
-        _require_vtype(ds, col, ("datetime", "numerical"), f"currency_{variant}")
+def _currency(variant: str, *params: Param) -> Evaluator:
+    def ev(metric, ds, given, ds_b, seed):
+        col = _param_column(ds, given, "timestamp_column", role="timestamp")
+        _require_vtype(ds, col, ("datetime", "numerical"), metric)
         stamps = [v for v in ds.column(col) if v is not MISSING]
         _require(bool(stamps), "currency: no timestamps present")
-        now = params.get("now")
+        now = _arg(given, "now", float, None)
         used: dict[str, Any] = {"timestamp_column": col, "variant": variant, "aggregate": "mean"}
         if now is None:
             now = max(stamps)
-            used["now"] = now
-            used["now_default"] = "newest timestamp"
+            used.update(now=now, now_default="newest timestamp")
         else:
-            now = float(now)
             used["now"] = now
-        kwargs: dict[str, Any] = {}
-        if variant == "li":
-            kwargs["shelf_life"] = float(params["shelf_life"]) if "shelf_life" in params else None
-            used["shelf_life"] = kwargs["shelf_life"]
-        elif variant == "ballou":
-            kwargs["volatility"] = float(params["volatility"]) if "volatility" in params else None
-            kwargs["s"] = float(params.get("s", 1.0))
-            used["volatility"] = kwargs["volatility"]
-            used["s"] = kwargs["s"]
-        elif variant == "hinrichs":
-            kwargs["update_rate"] = float(params["update_rate"]) if "update_rate" in params else None
-            used["update_rate"] = kwargs["update_rate"]
-        else:
-            kwargs["decline"] = float(params.get("decline", 1e-9))
-            used["decline"] = kwargs["decline"]
-        p = _struct.CurrencyParams(variant=variant, now=now, **kwargs)
-        values = [_struct.currency(ts, p) for ts in stamps]
-        return float(np.mean(values)), f"column:{col}", used
+        args = _args(given, params)
+        used.update(args)
+        p = _struct.CurrencyParams(variant=variant, now=now, **args)
+        return float(np.mean([_struct.currency(ts, p) for ts in stamps])), f"column:{col}", used
 
     return ev
 
 
-def _ev_duplicates(ds, params, ds_b, seed):
+def _ev_duplicates(metric, ds, params, ds_b, seed):
     keys = params.get("keys")
     value = _struct.prevalence_of_duplicates(ds, keys)
     used = {"keys": list(keys) if keys is not None else "all columns"}
     return value, "global", used
 
 
-def _ev_ess(ds, params, ds_b, seed):
+def _ev_ess(metric, ds, params, ds_b, seed):
     if "n" in params or "cluster_size" in params or "icc" in params:
-        value = _struct.effective_sample_size(
-            n=params.get("n", ds.n_records),
-            cluster_size=params.get("cluster_size"),
-            icc=params.get("icc"),
-        )
         used = {
             "form": "cluster",
             "n": params.get("n", ds.n_records),
             "cluster_size": params.get("cluster_size"),
             "icc": params.get("icc"),
         }
+        value = _struct.effective_sample_size(
+            n=used["n"], cluster_size=used["cluster_size"], icc=used["icc"]
+        )
         return value, "global", used
     w_col = params.get("weight_column") or ds.role_column("weight")
     _require(
@@ -812,95 +628,64 @@ def _ev_ess(ds, params, ds_b, seed):
     return value, f"column:{w_col}", {"form": "weighted", "weight_column": w_col}
 
 
-def _ev_littles(ds, params, ds_b, seed):
+def _ev_littles(metric, ds, params, ds_b, seed):
     cols = params.get("columns")
     if cols is None:
         cols = [c.name for c in ds.columns if c.vtype == "numerical"]
     _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
     for c in cols:
-        _require_vtype(ds, c, ("numerical",), "littles_test")
+        _require_vtype(ds, c, ("numerical",), metric)
+    args = _args(params, (("tol", float, 1e-6), ("max_iter", int, 200)))
     x = [[ds.column(c)[i] for c in cols] for i in range(ds.n_records)]
-    res = _struct.littles_mcar_test(
-        x, tol=float(params.get("tol", 1e-6)), max_iter=int(params.get("max_iter", 200))
-    )
+    res = _struct.littles_mcar_test(x, **args)
     for w in res.warnings:
         _pywarnings.warn(w, MetricWarning, stacklevel=2)
     value = {"statistic": res.statistic, "df": res.df, "p_value": res.p_value}
-    used = {"columns": list(cols), "tol": float(params.get("tol", 1e-6)), "max_iter": int(params.get("max_iter", 200))}
-    return value, f"columns:{','.join(cols)}", used
+    return value, f"columns:{','.join(cols)}", {"columns": list(cols), **args}
 
 
-def _stat_evaluator(key: str):
-    def ev(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
-        col = _param_column(ds, params, "column")
-        _require_vtype(ds, col, ("numerical", "ordinal", "datetime"), key)
-        stats = _dist.summary_stats(column_sample(ds, col))
-        used = {"column": col, "quantile_rule": "linear interpolation"}
-        if key == "range":
-            return stats["range"], f"column:{col}", {"column": col}
-        if key == "iqr":
-            return stats["iqr"], f"column:{col}", used
-        return {"mean": stats["mean"], "std": stats["std"]}, f"column:{col}", {"column": col, "std_ddof": 1}
-
-    return ev
+def _subsample(params: dict, used: dict, seed: int | None) -> int | None:
+    """The subsample size, echoed with the seed that draws it."""
+    size = _arg(params, "subsample", int, None)
+    if size is not None:
+        used.update(subsample=size, seed=seed)
+    return size
 
 
-def _ev_hill(ds, params, ds_b, seed):
-    col = _param_column(ds, params, "column")
-    _require_vtype(ds, col, ("categorical", "ordinal", "identifier"), "hill_numbers")
-    q = float(params.get("q", 2))
-    counts = CategoricalCounts.from_values(ds.column(col))
-    _require(len(counts) >= 1, "hill_numbers: no categories present")
-    return _dist.hill_number(counts, q), f"column:{col}", {"column": col, "q": q}
-
-
-def _ev_mmd(ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, "maximum_mean_discrepancy")
-    kernel = params.get("kernel", "rbf")
-    subsample = params.get("subsample")
+def _ev_mmd(metric, ds, params, ds_b, seed):
+    samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
+    kernel = used["kernel"] = params.get("kernel", "rbf")
+    subsample = _subsample(params, used, seed)
     rng = np.random.default_rng(seed)
     mats = [
         _dist._maybe_subsample(np.asarray(s.values, float).reshape(-1, 1), subsample, rng)
         for s in samples
     ]
-    used.update({"kernel": kernel})
-    if subsample is not None:
-        used["subsample"] = int(subsample)
-        used["seed"] = seed
     if kernel == "rbf":
-        bandwidth = params.get("bandwidth")
+        bandwidth = _arg(params, "bandwidth", float, None)
         if bandwidth is None:
             bandwidth = _dist.median_heuristic_bandwidth(mats[0], mats[1])
             used["bandwidth_rule"] = "median_heuristic"
         used["bandwidth"] = float(bandwidth)
         value = _dist.mmd(mats[0], mats[1], kernel="rbf", bandwidth=float(bandwidth))
     else:
-        degree = int(params.get("degree", 3))
-        coef = float(params.get("coef", 1.0))
-        used.update({"degree": degree, "coef": coef})
-        value = _dist.mmd(mats[0], mats[1], kernel="polynomial", degree=degree, coef=coef)
+        args = _args(params, (("degree", int, 3), ("coef", float, 1.0)))
+        used.update(args)
+        value = _dist.mmd(mats[0], mats[1], kernel="polynomial", **args)
     return value, scope, used
 
 
-def _ev_cohens_d(ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, "cohens_d")
-    return _dist.cohens_d(samples[0], samples[1]), scope, used
-
-
-def _ev_energy(ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, "energy_distance")
-    subsample = params.get("subsample")
-    if subsample is not None:
-        used["subsample"] = int(subsample)
-        used["seed"] = seed
+def _ev_energy(metric, ds, params, ds_b, seed):
+    samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
+    subsample = _subsample(params, used, seed)
     value = _dist.energy_distance(samples[0], samples[1], subsample=subsample, seed=seed)
     return value, scope, used
 
 
-def _divergence_evaluator(kind: str):
-    def ev(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
-        ca, cb, scope, used = _counts_pair(ds, params, ds_b, kind)
-        smoothing = params.get("smoothing", "default")
+def _divergence(kind: str) -> Evaluator:
+    def ev(metric, ds, params, ds_b, seed):
+        ca, cb, scope, used = _counts_pair(ds, params, ds_b, metric)
+        smoothing = _arg(params, "smoothing", str, "default")
         value = _dist.divergence(kind, ca, cb, smoothing=smoothing)
         used.update({"smoothing": smoothing, "eps": _dist.SMOOTH_EPS})
         return value, scope, used
@@ -908,14 +693,14 @@ def _divergence_evaluator(kind: str):
     return ev
 
 
-def _test_evaluator(kind: str):
-    def ev(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
+def _test(kind: str) -> Evaluator:
+    def ev(metric, ds, params, ds_b, seed):
         if kind == "chi_squared":
-            ca, cb, scope, used = _counts_pair(ds, params, ds_b, kind)
+            ca, cb, scope, used = _counts_pair(ds, params, ds_b, metric)
             outcome = _dist.two_sample_test("chi_squared", ca, cb)
         else:
             samples, scope, used = _two_numeric_samples(
-                ds, params, ds_b, kind, allow_k=(kind == "anderson_darling_k")
+                ds, params, ds_b, metric, allow_k=(kind == "anderson_darling_k")
             )
             outcome = _dist.two_sample_test(kind, samples[0], samples[1], others=samples[2:])
         for w in outcome.warnings:
@@ -959,141 +744,155 @@ def _embeddings_pair(ds, params, ds_b, metric):
     )
 
 
-def _ev_frechet(ds, params, ds_b, seed):
-    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, "frechet_inception_distance")
+def _ev_frechet(metric, ds, params, ds_b, seed):
+    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
     return _dist.frechet_gaussian(ea, eb), scope, used
 
 
-def _ev_kid(ds, params, ds_b, seed):
-    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, "kernel_inception_distance")
-    degree = int(params.get("degree", 3))
-    coef = float(params.get("coef", 1.0))
-    subsample = params.get("subsample")
-    used.update({"degree": degree, "coef": coef})
-    if subsample is not None:
-        used.update({"subsample": int(subsample), "seed": seed})
-    value = _dist.kid(ea, eb, degree=degree, coef=coef, subsample=subsample, seed=seed)
-    return value, scope, used
-
-
-def _ev_wasserstein(ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, "wasserstein_distance")
-    order = float(params.get("order", 1.0))
-    used["order"] = order
-    return _dist.wasserstein_1d(samples[0], samples[1], order=order), scope, used
-
-
-def _correlation_evaluator(kind: str):
-    numeric_only = kind == "pearson"
-
-    def ev(ds: Dataset, params: dict, ds_b: Dataset | None, seed: int | None):
-        a_col = _param_column(ds, params, "column_a")
-        b_col = _param_column(ds, params, "column_b")
-        allowed = ("numerical", "datetime") if numeric_only else ("numerical", "ordinal", "datetime")
-        _require_vtype(ds, a_col, allowed, kind)
-        _require_vtype(ds, b_col, allowed, kind)
-
-        def series(col: str):
-            spec = ds.spec(col)
-            if spec.vtype == "ordinal":
-                codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
-                return [codes[v] if v is not MISSING else None for v in ds.column(col)]
-            return list(ds.column(col))
-
-        value = _corr.correlation(kind, series(a_col), series(b_col))
-        return value, f"pair:{a_col},{b_col}", {"column_a": a_col, "column_b": b_col}
-
-    return ev
-
-
-def _ev_ccc(ds, params, ds_b, seed):
-    a, b, scope, used = _numeric_pair(ds, params, "concordance_cc")
-    value = _corr.concordance_cc(list(a), list(b))
-    used["moments"] = "population (1/n)"
-    return value, scope, used
-
-
-def _ev_icc(ds, params, ds_b, seed):
-    cols = _annotation_columns(ds, params)
-    _require(len(cols) >= 2, "icc needs >= 2 rater columns")
-    for c in cols:
-        _require_vtype(ds, c, ("numerical", "ordinal"), "icc")
-    value = _corr.icc(_ratings(ds, cols))
-    return value, f"columns:{','.join(cols)}", {"rater_columns": cols, "form": "two_way_random_single"}
-
-
-def _ev_cramers_v(ds, params, ds_b, seed):
-    a_col = _param_column(ds, params, "column_a")
-    b_col = _param_column(ds, params, "column_b")
-    _require_vtype(ds, a_col, ("categorical", "ordinal", "identifier"), "cramers_v")
-    _require_vtype(ds, b_col, ("categorical", "ordinal", "identifier"), "cramers_v")
-    bias = bool(params.get("bias_correction", False))
-    value = _corr.cramers_v(ds.column(a_col), ds.column(b_col), bias_correction=bias)
-    return value, f"pair:{a_col},{b_col}", {"column_a": a_col, "column_b": b_col, "bias_correction": bias}
+def _ev_kid(metric, ds, params, ds_b, seed):
+    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
+    args = _args(params, (("degree", int, 3), ("coef", float, 1.0)))
+    used.update(args)
+    subsample = _subsample(params, used, seed)
+    return _dist.kid(ea, eb, **args, subsample=subsample, seed=seed), scope, used
 
 
 _EVALUATORS: dict[str, Evaluator] = {
     "entropy": _ev_entropy,
-    "limit_of_detection": _ev_lod,
-    "limit_of_quantification": _ev_loq,
-    "systematic_error": _ev_systematic,
-    "random_error": _ev_random,
-    "bland_altman_cr": _ev_bland_altman,
-    "repeatability_cv": _ev_repeatability_cv,
-    "reproducibility_variance": _ev_reproducibility,
-    "cohens_kappa": _ev_cohens_kappa,
-    "fleiss_kappa": _ev_fleiss_kappa,
-    "kendalls_w": _ev_kendalls_w,
-    "krippendorff_alpha": _ev_krippendorff,
-    "dice_score": _ev_dice,
-    "intersection_over_union": _ev_iou,
+    "limit_of_detection": _column(
+        lambda s, multiplier: _meas.lod_loq(s, lod_multiplier=multiplier)["lod"],
+        ("numerical",),
+        ("multiplier", float, 3.3),
+    ),
+    "limit_of_quantification": _column(
+        lambda s, multiplier: _meas.lod_loq(s, loq_multiplier=multiplier)["loq"],
+        ("numerical",),
+        ("multiplier", float, 10.0),
+    ),
+    "systematic_error": _pair(
+        lambda m, r: _instrument(m, r)["systematic"],
+        ("numerical",),
+        keys=("measured_column", "reference_column"),
+    ),
+    "random_error": _pair(
+        lambda m, r: _instrument(m, r)["random"],
+        ("numerical",),
+        keys=("measured_column", "reference_column"),
+    ),
+    "bland_altman_cr": _pair(
+        lambda a, b: _meas.bland_altman_cr(_complete(a, b)), ("numerical",), notes={"factor": 1.96}
+    ),
+    "repeatability_cv": _repeated("subject_column", lambda rm: _meas.repeatability_cv(rm)),
+    "reproducibility_variance": _repeated(
+        "condition_column", lambda rm: _meas.reproducibility_variance(rm)
+    ),
+    "cohens_kappa": _raters(
+        lambda m, weights: _meas.cohens_kappa(m, weights=weights),
+        ("weights", str, "none"),
+        pair=True,
+    ),
+    "fleiss_kappa": _raters(lambda m: _meas.fleiss_kappa(m)),
+    "kendalls_w": _raters(lambda m: _meas.kendalls_w(m)),
+    "krippendorff_alpha": _raters(
+        lambda m, level: _meas.krippendorff_alpha(m, level=level), ("level", str, "nominal")
+    ),
+    "dice_score": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "dice"), None),
+    "intersection_over_union": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "iou"), None),
     "completeness": _ev_completeness,
     "patient_level_completeness": _ev_patient_completeness,
     "record_completeness": _ev_record_completeness,
     "syntactic_accuracy": _ev_syntactic,
-    "page_hinkley": _ev_page_hinkley,
-    "dataset_size": _ev_dataset_size,
-    "granularity": _ev_granularity,
+    "page_hinkley": _column(
+        lambda s, **p: _struct.page_hinkley(s, _struct.PageHinkleyParams(**p)),
+        ("numerical", "datetime"),
+        ("delta", float, 0.005),
+        ("lam", float, 50.0),
+        ("direction", str, "increase"),
+        ("alpha", float, 0.99),
+    ),
+    "dataset_size": lambda metric, ds, *_: (_struct.dataset_size(ds), "global", {}),
+    "granularity": lambda metric, ds, *_: (_struct.granularity(ds), "global", {"role": "feature"}),
     "sampling_frequency": _ev_sampling_frequency,
-    "resolution": _ev_resolution,
+    "resolution": _pair(_resolution, None, keys=("width_column", "height_column")),
     "label_granularity": _ev_label_granularity,
-    "generalized_imbalance_ratio": _ev_imbalance_ratio,
-    "imbalance_degree": _ev_imbalance_degree,
-    "lr_imbalance_degree": _ev_lrid,
-    "currency_ballou": _currency_eval("ballou"),
-    "currency_li": _currency_eval("li"),
-    "currency_hinrichs": _currency_eval("hinrichs"),
-    "currency_heinrich": _currency_eval("heinrich"),
+    "generalized_imbalance_ratio": _column(
+        lambda c: _struct.imbalance_ratio(c), _LABELS, read=_counts, role="target"
+    ),
+    "imbalance_degree": _column(
+        lambda c, distance: _struct.imbalance_degree(c, distance),
+        _LABELS,
+        ("distance", str, "total_variation"),
+        read=_counts,
+        role="target",
+    ),
+    "lr_imbalance_degree": _column(lambda c: _struct.lrid(c), _LABELS, read=_counts, role="target"),
+    "currency_ballou": _currency("ballou", ("volatility", float, None), ("s", float, 1.0)),
+    "currency_li": _currency("li", ("shelf_life", float, None)),
+    "currency_hinrichs": _currency("hinrichs", ("update_rate", float, None)),
+    "currency_heinrich": _currency("heinrich", ("decline", float, 1e-9)),
     "prevalence_of_duplicates": _ev_duplicates,
     "effective_sample_size": _ev_ess,
     "littles_test": _ev_littles,
     # informative_dropout intentionally has no evaluator
-    "range": _stat_evaluator("range"),
-    "interquartile_range": _stat_evaluator("iqr"),
-    "mean_std": _stat_evaluator("mean_std"),
-    "hill_numbers": _ev_hill,
+    "range": _column(lambda s: _dist.summary_stats(s)["range"], _NUMERIC),
+    "interquartile_range": _column(
+        lambda s: _dist.summary_stats(s)["iqr"],
+        _NUMERIC,
+        notes={"quantile_rule": "linear interpolation"},
+    ),
+    "mean_std": _column(_mean_std, _NUMERIC, notes={"std_ddof": 1}),
+    "hill_numbers": _column(
+        lambda c, q: _dist.hill_number(c, q), _LABELS, ("q", float, 2.0), read=_counts
+    ),
     "maximum_mean_discrepancy": _ev_mmd,
-    "cohens_d": _ev_cohens_d,
+    "cohens_d": _samples(lambda a, b: _dist.cohens_d(a, b)),
     "energy_distance": _ev_energy,
-    "kl_divergence": _divergence_evaluator("kl"),
-    "population_stability_index": _divergence_evaluator("psi"),
-    "jensen_shannon_divergence": _divergence_evaluator("js"),
-    "ks_test": _test_evaluator("ks"),
-    "epps_singleton": _test_evaluator("epps_singleton"),
-    "anderson_darling_k": _test_evaluator("anderson_darling_k"),
-    "chi_squared": _test_evaluator("chi_squared"),
+    "kl_divergence": _divergence("kl"),
+    "population_stability_index": _divergence("psi"),
+    "jensen_shannon_divergence": _divergence("js"),
+    "ks_test": _test("ks"),
+    "epps_singleton": _test("epps_singleton"),
+    "anderson_darling_k": _test("anderson_darling_k"),
+    "chi_squared": _test("chi_squared"),
     "frechet_inception_distance": _ev_frechet,
     "kernel_inception_distance": _ev_kid,
-    "mann_whitney_u": _test_evaluator("mann_whitney_u"),
-    "wasserstein_distance": _ev_wasserstein,
-    "pearson": _correlation_evaluator("pearson"),
-    "concordance_cc": _ev_ccc,
-    "goodman_kruskal_gamma": _correlation_evaluator("goodman_kruskal_gamma"),
-    "kendall_tau": _correlation_evaluator("kendall_tau"),
-    "spearman": _correlation_evaluator("spearman"),
-    "icc": _ev_icc,
-    "cramers_v": _ev_cramers_v,
+    "mann_whitney_u": _test("mann_whitney_u"),
+    "wasserstein_distance": _samples(
+        lambda a, b, order: _dist.wasserstein_1d(a, b, order=order), ("order", float, 1.0)
+    ),
+    "pearson": _correlation("pearson", ("numerical", "datetime")),
+    "concordance_cc": _pair(
+        lambda a, b: _corr.concordance_cc(list(a), list(b)),
+        _NUMERIC,
+        notes={"moments": "population (1/n)"},
+    ),
+    "goodman_kruskal_gamma": _correlation("goodman_kruskal_gamma", _NUMERIC),
+    "kendall_tau": _correlation("kendall_tau", _NUMERIC),
+    "spearman": _correlation("spearman", _NUMERIC),
+    "icc": _raters(
+        lambda m: _corr.icc(m),
+        vtypes=("numerical", "ordinal"),
+        notes={"form": "two_way_random_single"},
+    ),
+    "cramers_v": _pair(
+        lambda a, b, bias_correction: _corr.cramers_v(a, b, bias_correction=bias_correction),
+        _LABELS,
+        ("bias_correction", bool, False),
+    ),
 }
+
+def captured(fn: Callable[[], T]) -> tuple[T, tuple[str, ...]]:
+    """Call fn and return its result with the MetricWarnings it raised.
+
+    Input faults of the kernels and the data model surface as EvaluationError.
+    """
+    with _pywarnings.catch_warnings(record=True) as caught:
+        _pywarnings.simplefilter("always")
+        try:
+            out = fn()
+        except (MetricInputError, DataModelError) as exc:
+            raise EvaluationError(str(exc)) from exc
+    return out, tuple(str(w.message) for w in caught if issubclass(w.category, MetricWarning))
 
 
 def evaluate(
@@ -1107,20 +906,12 @@ def evaluate(
 
     Pure in (dataset, params, seed): repeated calls return identical
     results. Warnings raised by the underlying metric are collected into
-    MetricResult.warnings.
+    MetricResult.warnings. Input faults (unknown columns, mistyped
+    parameters, data the metric cannot use) raise EvaluationError.
     """
     c = card(metric_id)
     fn = _EVALUATORS.get(c.id)
     if fn is None:
         raise EvaluatorUnavailable("not implemented: no formula in source")
-    merged = dict(params or {})
-    with _pywarnings.catch_warnings(record=True) as caught:
-        _pywarnings.simplefilter("always")
-        try:
-            value, scope, used = fn(ds, merged, ds_b, seed)
-        except MetricInputError as exc:
-            raise EvaluationError(str(exc)) from exc
-    warns = tuple(
-        str(w.message) for w in caught if issubclass(w.category, MetricWarning)
-    )
+    (value, scope, used), warns = captured(lambda: fn(c.id, ds, dict(params or {}), ds_b, seed))
     return MetricResult(metric_id=c.id, scope=scope, params=used, value=value, warnings=warns)

@@ -222,6 +222,22 @@ def test_evaluate_accepts_explicit_row_plans(tmp_path, descriptor):
     assert [r["metric_id"] for r in report["results"]] == ["range"]
 
 
+def test_evaluate_records_an_unknown_column_as_an_error_row(tmp_path, descriptor):
+    sel = _selection_doc(tmp_path, [{"dimension": "variety", "metrics": ["range"]}])
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"range": {"column": "nope"}}))
+    out = tmp_path / "report.json"
+    res = runner.invoke(
+        cli,
+        ["evaluate", "--data", descriptor, "--selection", sel,
+         "--params", str(params), "--out", str(out)],
+    )
+    assert res.exit_code == 0, res.output
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert row["metric_id"] == "range"
+    assert "nope" in row["error"]
+
+
 def test_evaluate_missing_data_is_a_load_error(tmp_path, capsys):
     sel = _selection_doc(tmp_path, [])
     code = main(["evaluate", "--data", str(tmp_path / "none.json"), "--selection", sel,

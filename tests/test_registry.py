@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from dqeval.datamodel import ColumnSpec, Dataset, SignalBlock
+from dqeval.report import evaluate_row, report_json
 from dqeval.registry import (
     DIMENSIONS,
     GROUPS,
@@ -391,6 +394,86 @@ def test_every_evaluator_runs(metric_id, clinic, clinic_b):
     assert res.value is not None
 
 
+# Rows for evaluator paths the smoke parameters leave out: name -> (metric, params, use ds_b).
+SNAPSHOT_VARIANTS = {
+    "entropy_signals_seeded": ("entropy", {"max_records": 3, "max_samples": 80}, False),
+    "mmd_subsample_seeded": (
+        "maximum_mean_discrepancy", {"column": "age", "group_column": "sex", "subsample": 10}, False
+    ),
+    "energy_subsample_seeded": (
+        "energy_distance", {"column": "age", "group_column": "sex", "subsample": 10}, False
+    ),
+    "mmd_polynomial": (
+        "maximum_mean_discrepancy",
+        {"column": "age", "group_column": "sex", "kernel": "polynomial", "degree": 2},
+        False,
+    ),
+    "kl_binned": ("kl_divergence", {"column": "age", "group_column": "sex", "bins": 5}, False),
+    "currency_li_now": ("currency_li", {"shelf_life": 5000.0, "now": 2500}, False),
+    "currency_ballou_now": ("currency_ballou", {"volatility": 1e-3, "now": 2500.0}, False),
+    "completeness_signals": ("completeness", {"target": "signals"}, False),
+    "completeness_columns": (
+        "completeness", {"columns": ["age", "sex"], "scope_label": "x"}, False
+    ),
+    "ess_cluster": ("effective_sample_size", {"n": 120, "cluster_size": 4, "icc": 0.05}, False),
+    "ks_column_pair": ("ks_test", {"column_a": "bp_a", "column_b": "bp_b"}, False),
+    "mwu_column_pair": ("mann_whitney_u", {"column_a": "bp_a", "column_b": "bp_b"}, False),
+    "wasserstein_column_pair": (
+        "wasserstein_distance", {"column_a": "bp_a", "column_b": "bp_b", "order": 2}, False
+    ),
+    "energy_second_dataset": ("energy_distance", {"column": "age"}, True),
+    "kl_second_dataset": ("kl_divergence", {"column": "diagnosis"}, True),
+    "psi_binned_second_dataset": ("population_stability_index", {"column": "age"}, True),
+    "hill_q0": ("hill_numbers", {"column": "site", "q": 0}, False),
+    "cramers_v_bias_corrected": (
+        "cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": True}, False
+    ),
+    "krippendorff_interval": ("krippendorff_alpha", {"level": "interval"}, False),
+    "cohens_kappa_linear": (
+        "cohens_kappa", {"rater_columns": ["rater1", "rater3"], "weights": "linear"}, False
+    ),
+}
+
+SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "evaluator_snapshot.json")
+
+
+def _snapshot_rows(clinic, clinic_b) -> dict[str, str]:
+    """Every successful evaluator row as report_json text, keyed by row name."""
+    calls = {
+        c.id: (c.id, SMOKE_PARAMS.get(c.id, {}), c.id in NEEDS_SECOND_DATASET)
+        for c in all_cards()
+        if c.id != "informative_dropout"
+    }
+    calls.update(SNAPSHOT_VARIANTS)
+    rows = {}
+    for name, (metric_id, params, use_b) in calls.items():
+        row = evaluate_row(
+            clinic, metric_id, card(metric_id).dimensions[0], dict(params),
+            ds_b=clinic_b if use_b else None, seed=11,
+        )
+        assert "error" not in row, (name, row)
+        rows[name] = report_json(row)
+    return rows
+
+
+def _cards_digest() -> str:
+    h = hashlib.sha256()
+    for c in all_cards():
+        h.update(render_card(c.id).encode("utf-8"))
+        h.update(render_card(c.id, "json").encode("utf-8"))
+    return h.hexdigest()
+
+
+def test_evaluator_rows_and_cards_match_the_snapshot(clinic, clinic_b):
+    with open(SNAPSHOT, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    got = _snapshot_rows(clinic, clinic_b)
+    assert list(got) == list(expected["rows"])
+    for name, text in got.items():
+        assert text == report_json(expected["rows"][name]), name
+    assert _cards_digest() == expected["cards_sha256"]
+
+
 def test_unimplemented_metric_raises_evaluator_unavailable(clinic):
     with pytest.raises(EvaluatorUnavailable, match="not implemented: no formula in source"):
         evaluate("informative_dropout", clinic)
@@ -411,6 +494,25 @@ def test_missing_parameter_raises_prerequisite_error(clinic):
 def test_wrong_column_type_raises_applicability_error(clinic):
     with pytest.raises(ApplicabilityError, match="does not apply"):
         evaluate("limit_of_detection", clinic, {"column": "sex"})
+
+
+@pytest.mark.parametrize(
+    "metric_id, params",
+    [
+        ("range", {"column": "nope"}),
+        ("ks_test", {"column": "age", "group_column": "nope"}),
+        ("kl_divergence", {"column": "age", "group_column": "sex", "bins": 0}),
+        ("hill_numbers", {"column": "diagnosis", "q": "abc"}),
+        ("page_hinkley", {"column": "age", "lam": "x"}),
+        ("entropy", {"max_records": "a"}),
+    ],
+)
+def test_input_faults_become_error_rows(clinic, metric_id, params):
+    with pytest.raises(EvaluationError):
+        evaluate(metric_id, clinic, params)
+    row = evaluate_row(clinic, metric_id, "accuracy", params)
+    assert row["scope"] == "unresolved"
+    assert row["error"]
 
 
 def test_metric_input_errors_surface_as_evaluation_errors(clinic):
