@@ -40,6 +40,18 @@ def cli(ctx: click.Context, seed: int | None, verbose: bool) -> None:
     ctx.obj = {"seed": seed, "verbose": verbose}
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in path; anything else is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise click.UsageError(f"{what} must be a JSON object: {path}")
+    return doc
+
+
 def _note(ctx: click.Context, message: str) -> None:
     if ctx.obj.get("verbose"):
         click.echo(message, err=True)
@@ -154,13 +166,7 @@ def select_cmd(ctx, profile_path, interactive, mode, out_path) -> None:
     if interactive:
         profile = _interactive_profile()
     else:
-        try:
-            with open(profile_path, "r", encoding="utf-8") as fh:
-                profile = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read profile {profile_path}: {exc}")
-        if not isinstance(profile, dict):
-            raise click.UsageError("profile must be a JSON object of question: answer")
+        profile = _read_json(profile_path, "profile")
     try:
         sel = _selection.select_all(profile, mode=mode)
     except _selection.SelectionError as exc:
@@ -195,25 +201,19 @@ def _load_or_die(path: str):
 def evaluate_cmd(ctx, data_path, selection_path, params_path, out_path, md_path) -> None:
     """Compute every selected metric on a dataset; failures become rows."""
     ds = _load_or_die(data_path)
-    try:
-        with open(selection_path, "r", encoding="utf-8") as fh:
-            sel_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read selection {selection_path}: {exc}")
+    sel_doc = _read_json(selection_path, "selection")
     params_map: dict = {}
     rows_spec: list[dict] | None = None
     if params_path:
-        try:
-            with open(params_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read params {params_path}: {exc}")
-        if isinstance(loaded, dict) and "rows" in loaded:
+        loaded = _read_json(params_path, "params")
+        if "rows" in loaded:
             rows_spec = loaded["rows"]
-        elif isinstance(loaded, dict):
-            params_map = loaded
+            if not isinstance(rows_spec, list) or not all(
+                isinstance(row, dict) and "metric_id" in row for row in rows_spec
+            ):
+                raise click.UsageError("params rows must be a list of objects with a metric_id")
         else:
-            raise click.UsageError("params must be an object (metric_id -> params, or {rows: [...]})")
+            params_map = loaded
 
     seed = ctx.obj["seed"]
     results = []
@@ -259,6 +259,8 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
         recipe = json.loads(recipe_text)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"recipe is not valid JSON: {exc}")
+    if not isinstance(recipe, dict):
+        raise click.UsageError("recipe must be a JSON object")
     if recipe.get("seed") is None and ctx.obj["seed"] is not None:
         recipe["seed"] = ctx.obj["seed"]
 
@@ -292,8 +294,7 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     with open(os.path.join(out_dir, "indices.json"), "w", encoding="utf-8") as fh:
         json.dump(indices, fh)
         fh.write("\n")
-    with open(data_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(data_path, "descriptor")
     base = os.path.dirname(os.path.abspath(data_path))
     doc["table"]["path"] = os.path.join(base, doc["table"]["path"])
     if doc.get("signals"):
@@ -329,10 +330,7 @@ def compare_cmd(ctx, data_paths, metrics_csv, params_path, out_path) -> None:
         check_same_schema(ds_a, ds_b)
     except DataLoadError as exc:
         raise click.UsageError(str(exc))
-    params_map = {}
-    if params_path:
-        with open(params_path, "r", encoding="utf-8") as fh:
-            params_map = json.load(fh)
+    params_map = _read_json(params_path, "params") if params_path else {}
     metric_ids = [m.strip() for m in metrics_csv.split(",") if m.strip()]
     if not metric_ids:
         raise click.UsageError("no metric ids given")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from typing import Any, Iterator, Mapping, Sequence
 
 VTYPES = ("numerical", "categorical", "ordinal", "datetime", "identifier")
@@ -171,6 +172,24 @@ class RatingsMatrix:
         return tuple(row[j] for row in self.ratings)
 
 
+def parse_timestamp(value: Any) -> float:
+    """Epoch seconds from a number or an ISO-8601 string; naive means UTC."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    text = str(value).strip()
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise DataModelError(f"cannot parse timestamp {value!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
 def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
     if value is MISSING:
         return MISSING
@@ -178,7 +197,9 @@ def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
         return MISSING
     if isinstance(value, float) and math.isnan(value):
         return MISSING
-    if spec.vtype in ("numerical", "datetime"):
+    if spec.vtype == "datetime":
+        return parse_timestamp(value)
+    if spec.vtype == "numerical":
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -241,6 +262,7 @@ class Dataset:
             {k: frozenset(v) for k, v in dict(self.dictionaries).items()},
         )
         object.__setattr__(self, "_n_records", n)
+        object.__setattr__(self, "_specs", {c.name: c for c in cols})
 
     @property
     def n_records(self) -> int:
@@ -251,10 +273,10 @@ class Dataset:
         return tuple(c.name for c in self.columns)
 
     def spec(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DataModelError(f"unknown column {name!r}")
+        try:
+            return self._specs[name]  # type: ignore[attr-defined]
+        except (KeyError, TypeError):
+            raise DataModelError(f"unknown column {name!r}") from None
 
     def column(self, name: str) -> tuple[Any, ...]:
         self.spec(name)
@@ -273,21 +295,30 @@ class Dataset:
         )
 
 
+def coded(ds: Dataset, col: str) -> tuple[Any, ...]:
+    """Column values, ordinal categories replaced by their rank, missing kept."""
+    spec = ds.spec(col)
+    if spec.vtype != "ordinal":
+        return ds.column(col)
+    codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
+    return tuple(MISSING if v is MISSING else codes[v] for v in ds.column(col))
+
+
+def present_sample(values: Sequence[Any]) -> Sample:
+    """The non-missing values, with the count of missing ones dropped."""
+    vals = tuple(v for v in values if v is not MISSING)
+    return Sample(vals, dropped=len(values) - len(vals))
+
+
 def column_sample(ds: Dataset, col: str) -> Sample:
     """Numeric values of a column in record order, missing dropped.
 
     Ordinal columns are encoded by their position in ordinal_order.
     """
-    spec = ds.spec(col)
-    raw = ds.cells[col]
-    if spec.vtype in ("numerical", "datetime"):
-        vals = [v for v in raw if v is not MISSING]
-    elif spec.vtype == "ordinal":
-        codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
-        vals = [codes[v] for v in raw if v is not MISSING]
-    else:
-        raise DataModelError(f"column {col!r} is {spec.vtype}; numeric or ordinal required")
-    return Sample(tuple(vals), dropped=len(raw) - len(vals))
+    vtype = ds.spec(col).vtype
+    if vtype not in ("numerical", "datetime", "ordinal"):
+        raise DataModelError(f"column {col!r} is {vtype}; numeric or ordinal required")
+    return present_sample(coded(ds, col))
 
 
 def group_by(ds: Dataset, col: str) -> tuple[dict[Any, list[int]], list[int]]:
@@ -416,7 +447,8 @@ def take_records(ds: Dataset, indices: Sequence[int], dataset_id: str | None = N
         if not 0 <= j < n:
             raise DataModelError(f"record index {i} out of range 0..{n - 1}")
         idx.append(j)
-    cells = {c.name: [ds.column(c.name)[j] for j in idx] for c in ds.columns}
+    names = ds.column_names
+    cells = {name: [col[j] for j in idx] for name, col in zip(names, map(ds.column, names))}
     signals = tuple(ds.signals[j] for j in idx) if ds.signals is not None else None
     return Dataset(
         columns=ds.columns,

@@ -289,6 +289,11 @@ def smoothing_engaged(p: CategoricalCounts | Histogram, q: CategoricalCounts | H
     return bool((pv == 0).any() or (qv == 0).any())
 
 
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
 def divergence(
     kind: str,
     p: CategoricalCounts | Histogram,
@@ -310,13 +315,9 @@ def divergence(
         qv = qv + SMOOTH_EPS
         pv, qv = pv / pv.sum(), qv / qv.sum()
     if kind == "kl":
-        mask = pv > 0
-        return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+        return _kl(pv, qv)
     if kind == "js":
         m = 0.5 * (pv + qv)
-        def _kl(x: np.ndarray, y: np.ndarray) -> float:
-            mask = x > 0
-            return float(np.sum(x[mask] * np.log(x[mask] / y[mask])))
         return 0.5 * _kl(pv, m) + 0.5 * _kl(qv, m)
     if kind == "psi":
         return float(np.sum((pv - qv) * np.log(pv / qv)))

@@ -179,11 +179,9 @@ def load_ptbxl(root: str, dataset_id: str = "ptbxl") -> PtbxlBundle:
     is_norm = [1.0 if "NORM" in cl else 0.0 for cl in classes]
 
     columns = ds.columns + (ColumnSpec("is_norm", "numerical", role="target"),)
-    cells = {c.name: list(ds.column(c.name)) for c in ds.columns}
-    cells["is_norm"] = is_norm
     full = Dataset(
         columns=columns,
-        cells=cells,
+        cells={**ds.cells, "is_norm": is_norm},
         signals=ds.signals,
         dataset_id=dataset_id,
         dictionaries=ds.dictionaries,

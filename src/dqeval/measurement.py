@@ -431,17 +431,18 @@ def patient_level_completeness(
     if pid_col is None:
         raise MetricInputError("patient_level_completeness needs a patient_id column")
     pids = ds.column(pid_col)
+    # a missing cell and an absent signal are both None
+    if variable is None:
+        entries = ds.signals or (None,) * ds.n_records
+    else:
+        entries = ds.column(variable)
     covered: dict[Any, bool] = {}
     skipped = 0
-    for i, pid in enumerate(pids):
+    for pid, entry in zip(pids, entries):
         if pid is MISSING:
             skipped += 1
             continue
-        if variable is None:
-            has = ds.signals is not None and ds.signals[i] is not None
-        else:
-            has = ds.column(variable)[i] is not MISSING
-        covered[pid] = covered.get(pid, False) or has
+        covered[pid] = covered.get(pid, False) or entry is not None
     if skipped:
         _warn(f"{skipped} records lack a patient identifier and were excluded")
     if not covered:
@@ -452,15 +453,11 @@ def patient_level_completeness(
 def record_completeness(ds: Dataset, required: Sequence[str]) -> float:
     """Fraction of records whose required fields are all present."""
     req = list(required)
-    for c in req:
-        ds.spec(c)
+    rows = zip(*map(ds.column, req))
     if not req:
         _warn("record_completeness with empty requirement is vacuously 1")
         return 1.0
     if ds.n_records == 0:
         raise MetricInputError("record_completeness requires at least one record")
-    complete = 0
-    for i in range(ds.n_records):
-        if all(ds.column(c)[i] is not MISSING for c in req):
-            complete += 1
+    complete = sum(all(v is not MISSING for v in row) for row in rows)
     return complete / ds.n_records

@@ -29,9 +29,11 @@ from .datamodel import (
     Dataset,
     RatingsMatrix,
     Sample,
+    coded,
     column_sample,
     group_by,
     pooled_histograms,
+    present_sample,
 )
 from .distribution import MetricInputError, MetricWarning
 
@@ -225,16 +227,11 @@ def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
     cols = params.get("rater_columns")
     if cols is None:
         cols = [c.name for c in ds.columns if c.role == "annotation"]
-    for c in cols:
-        ds.spec(c)
     return list(cols)
 
 
 def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
-    rows = tuple(
-        tuple(ds.column(c)[i] for c in cols) for i in range(ds.n_records)
-    )
-    return RatingsMatrix(rows, rater_names=tuple(cols))
+    return RatingsMatrix(tuple(zip(*map(ds.column, cols))), rater_names=tuple(cols))
 
 
 # Runners, one per input shape. Each resolves and type-checks its columns,
@@ -333,15 +330,6 @@ def _counts(ds: Dataset, col: str) -> CategoricalCounts:
     return counts
 
 
-def _coded(ds: Dataset, col: str) -> list:
-    """Column values, ordinal categories replaced by their rank, missing as None."""
-    spec = ds.spec(col)
-    if spec.vtype != "ordinal":
-        return list(ds.column(col))
-    codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
-    return [codes[v] if v is not MISSING else None for v in ds.column(col)]
-
-
 def _complete(a: Sequence[Any], b: Sequence[Any]) -> list[tuple[Any, Any]]:
     return [(x, y) for x, y in zip(a, b) if x is not MISSING and y is not MISSING]
 
@@ -373,13 +361,17 @@ def _mean_std(s: Sample) -> dict[str, float]:
 
 
 def _correlation(kind: str, vtypes: tuple[str, ...]) -> Evaluator:
-    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes, read=_coded)
+    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes, read=coded)
 
 
 def _split(
-    ds: Dataset, value_col: str, group_col: str, allow_k: bool = False
+    ds: Dataset,
+    value_col: str,
+    group_col: str,
+    allow_k: bool = False,
+    read: Callable[[Dataset, str], Sequence[Any]] = Dataset.column,
 ) -> tuple[list[list], str, dict]:
-    """Raw values of value_col per group of group_col, groups in name order."""
+    """read(ds, value_col) per group of group_col, groups in name order."""
     groups, _ = group_by(ds, group_col)
     keys = sorted(groups, key=str)
     _require(len(keys) >= 2, f"group column {group_col!r} has fewer than 2 groups")
@@ -387,7 +379,7 @@ def _split(
         len(keys) == 2 or allow_k,
         f"group column {group_col!r} has {len(keys)} groups; this metric compares exactly 2",
     )
-    vals = ds.column(value_col)
+    vals = read(ds, value_col)
     used = {"column": value_col, "group_column": group_col, "groups": [str(k) for k in keys]}
     return [[vals[i] for i in groups[key]] for key in keys], f"groups:{group_col}", used
 
@@ -409,12 +401,8 @@ def _two_numeric_samples(
     if params.get("group_column"):
         value_col = _param_column(ds, params, "column")
         _require_vtype(ds, value_col, _NUMERIC, metric)
-        parts, scope, used = _split(ds, value_col, params["group_column"], allow_k)
-        samples = []
-        for part in parts:
-            present = tuple(v for v in part if v is not MISSING)
-            samples.append(Sample(present, dropped=len(part) - len(present)))
-        return samples, scope, used
+        parts, scope, used = _split(ds, value_col, params["group_column"], allow_k, coded)
+        return [present_sample(part) for part in parts], scope, used
     if params.get("column_a") and params.get("column_b"):
         cols = [_param_column(ds, params, key) for key in ("column_a", "column_b")]
         for col in cols:
@@ -614,6 +602,9 @@ def _ev_ess(metric, ds, params, ds_b, seed):
             "cluster_size": params.get("cluster_size"),
             "icc": params.get("icc"),
         }
+        for key in ("n", "cluster_size", "icc"):
+            number = used[key] is None or type(used[key]) in (int, float)  # bools are not counts
+            _require(number, f"parameter {key!r} must be a number, got {used[key]!r}")
         value = _struct.effective_sample_size(
             n=used["n"], cluster_size=used["cluster_size"], icc=used["icc"]
         )
@@ -636,8 +627,7 @@ def _ev_littles(metric, ds, params, ds_b, seed):
     for c in cols:
         _require_vtype(ds, c, ("numerical",), metric)
     args = _args(params, (("tol", float, 1e-6), ("max_iter", int, 200)))
-    x = [[ds.column(c)[i] for c in cols] for i in range(ds.n_records)]
-    res = _struct.littles_mcar_test(x, **args)
+    res = _struct.littles_mcar_test(list(zip(*map(ds.column, cols))), **args)
     for w in res.warnings:
         _pywarnings.warn(w, MetricWarning, stacklevel=2)
     value = {"statistic": res.statistic, "df": res.df, "p_value": res.p_value}
@@ -729,11 +719,11 @@ def _embeddings_pair(ds, params, ds_b, metric):
             _require_vtype(ds_b, c, ("numerical",), metric)
 
         def matrix(d: Dataset):
-            rows = []
-            for i in range(d.n_records):
-                row = [d.column(c)[i] for c in cols]
-                if all(v is not MISSING for v in row):
-                    rows.append(tuple(float(v) for v in row))
+            rows = [
+                tuple(map(float, row))
+                for row in zip(*map(d.column, cols))
+                if all(v is not MISSING for v in row)
+            ]
             _require(len(rows) >= 2, f"{metric}: fewer than 2 complete rows")
             return _dist.EmbeddingSet(tuple(rows))
 

@@ -13,19 +13,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from . import registry as _registry
-from .datamodel import (
-    MISSING,
-    ColumnSpec,
-    DataModelError,
-    Dataset,
-    SignalBlock,
-)
+from .datamodel import ColumnSpec, DataModelError, Dataset, SignalBlock, parse_timestamp
 
 SIGNAL_FORMATS = ("f32le", "csv")
 
@@ -60,25 +53,6 @@ class DatasetDescriptor:
     row_index: str | None = None
 
 
-def _parse_timestamp(value: Any) -> float:
-    if value is None or value is MISSING:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise DataLoadError(f"cannot parse timestamp {value!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
-
-
 def _column_spec_from_dict(raw: Mapping[str, Any]) -> ColumnSpec:
     return ColumnSpec(
         name=raw["name"],
@@ -107,6 +81,10 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
             channels=tuple(s.get("channels", ())),
         )
     eval_time = doc.get("evaluation_time")
+    try:
+        eval_time = parse_timestamp(eval_time) if eval_time is not None else None
+    except DataModelError as exc:
+        raise DataLoadError(str(exc)) from exc
     return DatasetDescriptor(
         table_path=os.path.join(base_dir, table["path"]),
         delimiter=table.get("delimiter", ","),
@@ -114,7 +92,7 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
         dataset_id=doc.get("dataset_id", "dataset"),
         signals=signals,
         dictionaries=dict(doc.get("dictionaries", {})),
-        evaluation_time=_parse_timestamp(eval_time) if eval_time is not None else None,
+        evaluation_time=eval_time,
         row_index=os.path.join(base_dir, doc["row_index"]) if doc.get("row_index") else None,
     )
 
@@ -181,25 +159,15 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
                 keep = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataLoadError(f"cannot read row index {desc.row_index}: {exc}") from exc
-        try:
-            records = [records[int(i)] for i in keep]
-        except IndexError as exc:
-            raise DataLoadError(f"row index out of range: {exc}") from exc
+        outside = [i for i in keep if not 0 <= int(i) < len(records)]
+        if outside:
+            raise DataLoadError(f"row index out of range: {outside[0]} not in 0..{len(records) - 1}")
+        records = [records[int(i)] for i in keep]
 
-    cells: dict[str, list] = {}
-    for spec in desc.columns:
-        pos = positions[spec.name]
-        raw = [row[pos] if pos < len(row) else "" for row in records]
-        if spec.vtype == "datetime":
-            parsed = []
-            for v in raw:
-                if v in spec.missing_tokens:
-                    parsed.append(MISSING)
-                else:
-                    parsed.append(_parse_timestamp(v))
-            cells[spec.name] = parsed
-        else:
-            cells[spec.name] = raw
+    cells = {
+        name: [row[pos] if pos < len(row) else "" for row in records]
+        for name, pos in positions.items()
+    }
 
     dictionaries = {}
     for col, source in desc.dictionaries.items():

@@ -285,13 +285,9 @@ def prevalence_of_duplicates(
     duplicates.
     """
     cols = list(keys) if keys is not None else list(ds.column_names)
-    for c in cols:
-        ds.spec(c)
+    seen = set(zip(*map(ds.column, cols)))
     if ds.n_records == 0 or not cols:
         return {"count": 0, "ratio": 0.0}
-    seen = set()
-    for i in range(ds.n_records):
-        seen.add(tuple(ds.column(c)[i] for c in cols))
     dup = ds.n_records - len(seen)
     return {"count": dup, "ratio": dup / ds.n_records}
 

@@ -356,6 +356,30 @@ def test_harness_without_data_skips(tmp_path, capsys):
     assert "skipped: PTB-XL data not found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, written, message",
+    [
+        ("compare", "{not json", "cannot read params"),
+        ("subset", "[1]", "recipe must be a JSON object"),
+        ("evaluate", '{"rows": [{"dimension": "variety"}]}', "params rows must be a list"),
+    ],
+)
+def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, descriptor, command, written, message):
+    given = tmp_path / "given.json"
+    given.write_text(written, encoding="utf-8")
+    argv = {
+        "compare": ["compare", "--data", descriptor, "--data", descriptor,
+                    "--metrics", "dataset_size", "--params", str(given)],
+        "subset": ["subset", "--data", descriptor, "--recipe", written, "--out", str(tmp_path / "s")],
+        "evaluate": ["evaluate", "--data", descriptor, "--selection", _selection_doc(tmp_path, []),
+                     "--params", str(given), "--out", str(tmp_path / "r.json")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"Error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["cards", "list"]) == 0
     capsys.readouterr()

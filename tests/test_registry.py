@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dqeval.datamodel import ColumnSpec, Dataset, SignalBlock
 from dqeval.report import evaluate_row, report_json
@@ -505,6 +506,9 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("hill_numbers", {"column": "diagnosis", "q": "abc"}),
         ("page_hinkley", {"column": "age", "lam": "x"}),
         ("entropy", {"max_records": "a"}),
+        ("range", {"column": ["age"]}),
+        ("effective_sample_size", {"n": "100", "cluster_size": 5, "icc": 0.1}),
+        ("effective_sample_size", {"cluster_size": "x", "icc": 0.1}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):
@@ -513,6 +517,23 @@ def test_input_faults_become_error_rows(clinic, metric_id, params):
     row = evaluate_row(clinic, metric_id, "accuracy", params)
     assert row["scope"] == "unresolved"
     assert row["error"]
+
+
+def test_ordinal_value_column_splits_into_rank_codes_by_group():
+    ds = Dataset(
+        columns=(
+            ColumnSpec("grade", "ordinal", ordinal_order=("lo", "mid", "hi")),
+            ColumnSpec("site", "categorical"),
+        ),
+        cells={
+            "grade": ("lo", "mid", "lo", None, "hi", "mid", "hi", "hi"),
+            "site": ("a", "a", "a", "a", "b", "b", "b", "b"),
+        },
+    )
+    res = evaluate("ks_test", ds, {"column": "grade", "group_column": "site"})
+    expected = stats.ks_2samp([0.0, 1.0, 0.0], [2.0, 1.0, 2.0, 2.0], method="asymp")
+    assert res.value == {"statistic": expected.statistic, "p_value": expected.pvalue}
+    assert (res.params["n_a"], res.params["n_b"]) == (3, 4)
 
 
 def test_metric_input_errors_surface_as_evaluation_errors(clinic):

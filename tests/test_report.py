@@ -109,6 +109,12 @@ def test_load_dataset_parses_cells_and_timestamps(table_dir):
     assert ds.column("visit")[2] is MISSING
 
 
+def test_datetime_missing_tokens_match_after_stripping(tmp_path):
+    (tmp_path / "table.csv").write_text(TABLE.replace("1609545600", " NA"), encoding="utf-8")
+    ds = load_dataset(read_descriptor(_write_descriptor(tmp_path, _basic_doc())))
+    assert ds.column("visit") == (1609545600.0, MISSING, MISSING)
+
+
 def test_load_dataset_requires_declared_columns_in_header(table_dir):
     doc = _basic_doc(columns=[{"name": "ghost"}])
     with pytest.raises(DataLoadError, match="'ghost' not found"):
@@ -133,8 +139,9 @@ def test_row_index_selects_and_orders_records(table_dir):
     assert ds.column("rid") == ("r3", "r1")
 
 
-def test_row_index_out_of_range_is_a_load_error(table_dir):
-    (table_dir / "keep.json").write_text("[7]", encoding="utf-8")
+@pytest.mark.parametrize("keep", ["[7]", "[-1]"], ids=["past-end", "negative"])
+def test_row_index_out_of_range_is_a_load_error(table_dir, keep):
+    (table_dir / "keep.json").write_text(keep, encoding="utf-8")
     doc = _basic_doc(row_index="keep.json")
     with pytest.raises(DataLoadError, match="row index out of range"):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
