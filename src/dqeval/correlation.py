@@ -35,7 +35,8 @@ def _pearson(vx: np.ndarray, vy: np.ndarray) -> float:
     if sx == 0 or sy == 0:
         raise MetricInputError("pearson undefined for zero-variance input")
     cov = float(np.cov(vx, vy, ddof=1)[0, 1])
-    return cov / (sx * sy)
+    # separately rounded moments can overshoot the bound at tiny scales
+    return min(1.0, max(-1.0, cov / (sx * sy)))
 
 
 def _merge_count(ys: list[float]) -> int:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from .datamodel import (
@@ -77,6 +76,42 @@ def shannon_entropy(c: CategoricalCounts | Histogram, base: float = math.e) -> f
     return float(h / math.log(base))
 
 
+_SAMPEN_BLOCK = 64
+
+
+def _template_matches(u: np.ndarray, m: int, tol: float) -> tuple[int, int]:
+    """Pairs i < j of the first n-m templates matching at lengths m and m+1.
+
+    Templates i and j match at length L when |u[i+o] - u[j+o]| <= tol for
+    every o < L, the same inclusive test as Chebyshev distance <= tol.
+    """
+    k = u.size - m  # only the first n-m templates so both lengths pair up
+    b = a = 0
+    for s in range(0, k, _SAMPEN_BLOCK):
+        h = min(_SAMPEN_BLOCK, k - s)
+        w = k - s
+        # close[x, y] is |u[s+x] - u[s+y]| <= tol; earlier blocks paired the
+        # templates before s
+        d = u[s : s + h + m, None] - u[None, s:]
+        close = np.abs(d, out=d) <= tol
+        hit = close[:h, :w]
+        for o in range(1, m):
+            hit = hit & close[o : o + h, o : o + w]
+        b += _pairs_above_diagonal(hit)
+        a += _pairs_above_diagonal(hit & close[m : m + h, m : m + w])
+    return b, a
+
+
+def _pairs_above_diagonal(hit: np.ndarray) -> int:
+    """Pairs j > i among the hits of a row block whose first columns are its rows.
+
+    The square holds one self-match per row and each of its pairs twice;
+    every later column is a pair j > i, counted once.
+    """
+    h = hit.shape[0]
+    return int(np.count_nonzero(hit)) - (int(np.count_nonzero(hit[:, :h])) + h) // 2
+
+
 def sample_entropy(
     series: Sample | Sequence[float], p: SampleEntropyParams = SampleEntropyParams()
 ) -> float:
@@ -85,6 +120,12 @@ def sample_entropy(
     Templates of length m and m+1 are compared under the Chebyshev distance
     with tolerance r * std; self-matches are excluded. A constant series
     returns 0; too few template matches return NaN with a warning.
+
+    The match counts are exact and need no n x n distance matrix: two
+    templates match when every pointwise difference is within tolerance,
+    so blocks of _SAMPEN_BLOCK templates are compared against the later
+    templates only, with one boolean table of (block + m) x n pointwise
+    matches at a time. Memory is O(n) per block, not O(n^2).
     """
     u = _values(series)
     n = u.size
@@ -94,17 +135,7 @@ def sample_entropy(
     if sd == 0:
         _warn("sample_entropy: constant series, entropy 0 by convention")
         return 0.0
-    tol = p.r * sd
-
-    def matches(length: int) -> int:
-        # only the first n-m templates so both lengths pair up consistently
-        t = np.lib.stride_tricks.sliding_window_view(u, length)[: n - p.m]
-        d = cdist(t, t, "chebyshev")
-        within = d <= tol
-        return int((within.sum() - len(t)) // 2)
-
-    b = matches(p.m)
-    a = matches(p.m + 1)
+    b, a = _template_matches(u, p.m, p.r * sd)
     if b == 0 or a == 0:
         _warn("sample_entropy undefined: insufficient template matches")
         return float("nan")

@@ -54,18 +54,27 @@ class DatasetDescriptor:
 
 
 def _column_spec_from_dict(raw: Mapping[str, Any]) -> ColumnSpec:
-    return ColumnSpec(
-        name=raw["name"],
-        vtype=raw.get("vtype", "numerical"),
-        role=raw.get("role", "feature"),
-        ordinal_order=tuple(raw["ordinal_order"]) if raw.get("ordinal_order") else None,
-        missing_tokens=frozenset(raw["missing_tokens"]) if "missing_tokens" in raw else ColumnSpec.__dataclass_fields__["missing_tokens"].default,
-    )
+    if not isinstance(raw, Mapping):
+        raise DataLoadError(f"descriptor column entry must be a JSON object, not {raw!r}")
+    try:
+        return ColumnSpec(
+            name=raw["name"],
+            vtype=raw.get("vtype", "numerical"),
+            role=raw.get("role", "feature"),
+            ordinal_order=tuple(raw["ordinal_order"]) if raw.get("ordinal_order") else None,
+            missing_tokens=frozenset(raw["missing_tokens"]) if "missing_tokens" in raw else ColumnSpec.__dataclass_fields__["missing_tokens"].default,
+        )
+    except DataModelError as exc:
+        raise DataLoadError(f"descriptor column {raw['name']!r}: {exc}") from exc
 
 
 def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDescriptor:
+    if not isinstance(doc, Mapping):
+        raise DataLoadError(f"descriptor must be a JSON object, not {type(doc).__name__}")
     try:
         table = doc["table"]
+        if not isinstance(doc["columns"], list):
+            raise DataLoadError("descriptor columns must be a JSON list")
         columns = tuple(_column_spec_from_dict(c) for c in doc["columns"])
     except KeyError as exc:
         raise DataLoadError(f"descriptor misses required field {exc}") from exc
@@ -103,7 +112,10 @@ def read_descriptor(path: str) -> DatasetDescriptor:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataLoadError(f"cannot read descriptor {path}: {exc}") from exc
-    return parse_descriptor(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        return parse_descriptor(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    except DataLoadError as exc:
+        raise DataLoadError(f"{path}: {exc}") from exc
 
 
 def _read_signal_f32le(path: str) -> tuple[tuple[tuple[float, ...], ...], float, tuple[str, ...]]:
@@ -159,10 +171,15 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
                 keep = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataLoadError(f"cannot read row index {desc.row_index}: {exc}") from exc
-        outside = [i for i in keep if not 0 <= int(i) < len(records)]
+        if not isinstance(keep, list):
+            raise DataLoadError(f"row index {desc.row_index} must be a JSON list, not {type(keep).__name__}")
+        not_int = [i for i in keep if isinstance(i, bool) or not isinstance(i, int)]
+        if not_int:
+            raise DataLoadError(f"row index entries must be integers, not {not_int[0]!r}")
+        outside = [i for i in keep if not 0 <= i < len(records)]
         if outside:
             raise DataLoadError(f"row index out of range: {outside[0]} not in 0..{len(records) - 1}")
-        records = [records[int(i)] for i in keep]
+        records = [records[i] for i in keep]
 
     cells = {
         name: [row[pos] if pos < len(row) else "" for row in records]

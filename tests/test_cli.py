@@ -246,6 +246,29 @@ def test_evaluate_missing_data_is_a_load_error(tmp_path, capsys):
     assert "data load error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "descriptor must be a JSON object"),
+        ({"table": {"path": "table.csv"}, "columns": 5}, "descriptor columns must be a JSON list"),
+        ({"table": {"path": "table.csv"}, "columns": [["rid"]]},
+         "descriptor column entry must be a JSON object"),
+        ({"table": {"path": "table.csv"}, "columns": [{"name": "age", "vtype": "numeric"}]},
+         "descriptor column 'age': unknown vtype 'numeric'"),
+    ],
+    ids=["not-an-object", "columns-not-a-list", "column-not-an-object", "unknown-vtype"],
+)
+def test_evaluate_malformed_descriptor_is_a_load_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["evaluate", "--data", str(path), "--selection", _selection_doc(tmp_path, []),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"data load error: {path}: {message}" in err
+    assert "Traceback" not in err
+
+
 # --- subset and compare ----------------------------------------------------------
 
 

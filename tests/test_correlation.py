@@ -199,3 +199,14 @@ def test_correlations_bounded_and_antisymmetric(pairs):
             continue  # degenerate (constant) input is a documented rejection
         assert -1 - 1e-9 <= r <= 1 + 1e-9
         assert correlation(kind, x, [-v for v in y]) == pytest.approx(-r, abs=1e-9)
+
+
+
+@pytest.mark.parametrize("tiny", [3.05e-159, 3e-160, 1e-161])
+def test_pearson_stays_bounded_at_subnormal_scale(tiny):
+    # the variance of y underflows into subnormals, and the separately
+    # rounded moments once gave 1.0000008 (3.05e-159) or 1.06 (1e-161)
+    x, y = [0.0, 0.0, 1.0], [0.0, 0.0, tiny]
+    r = correlation("pearson", x, y)
+    assert -1.0 <= r <= 1.0
+    assert correlation("pearson", x, [-v for v in y]) == -r

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from dqeval.datamodel import MISSING, CategoricalCounts, ColumnSpec, Dataset, RatingsMatrix
 from dqeval.distribution import MetricInputError, MetricWarning
 from dqeval.measurement import (
     RepeatedMeasures,
     SampleEntropyParams,
+    _template_matches,
     bland_altman_cr,
     cohens_kappa,
     completeness,
@@ -73,6 +76,84 @@ def test_sample_entropy_matches_naive_oracle():
     r_abs = 0.2 * float(np.std(x))
     expected = _sampen_naive(x, 2, r_abs)
     assert sample_entropy(x, params) == pytest.approx(expected)
+
+
+def _chebyshev_counts(u, m, tol):
+    """B and A as pairs i < j counted from full cdist Chebyshev matrices."""
+    counts = []
+    for length in (m, m + 1):
+        t = np.lib.stride_tricks.sliding_window_view(u, length)[: u.size - m]
+        within = cdist(t, t, "chebyshev") <= tol
+        counts.append(int((within.sum() - len(t)) // 2))
+    return tuple(counts)
+
+
+def _series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=n))
+    if kind == "quantised":  # many exact ties and exact equal differences
+        return np.round(rng.normal(size=n) * 2.0) / 2.0
+    return rng.integers(0, 3, size=n).astype(float)  # three levels
+
+
+_BLOCK_EDGES = [b + d for b in (64, 128, 192) for d in (-1, 0, 1, 2, 3, 4)]
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    n=st.one_of(st.integers(0, 300), st.sampled_from(_BLOCK_EDGES)),
+    kind=st.sampled_from(["normal", "walk", "quantised", "levels"]),
+    r=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_template_matches_equal_chebyshev_cdist_counts(m, n, kind, r, seed):
+    n = max(n, m + 2)
+    u = _series(kind, n, seed)
+    tol = r * float(u.std())
+    assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    n=st.integers(0, 40),
+    kind=st.sampled_from(["normal", "walk", "quantised", "levels"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_entropy_equals_naive_oracle_on_short_series(m, n, kind, seed):
+    n = max(n, m + 2)
+    u = _series(kind, n, seed)
+    sd = float(np.std(u))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetricWarning)
+        got = sample_entropy(list(u), SampleEntropyParams(m=m, r=0.2))
+    if sd == 0:
+        assert got == 0.0
+        return
+    expected = _sampen_naive(list(u), m, 0.2 * sd)
+    if expected is None:
+        assert math.isnan(got)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_template_matches_pin_the_inclusive_tolerance(m):
+    # alternating 0/1 has std 0.5, so r = 2.0 gives tol = 1.0 exactly and
+    # every difference (0 or 1) sits at or under it
+    u = np.tile([0.0, 1.0], 50)
+    k = u.size - m
+    every_pair = k * (k - 1) // 2
+    assert _template_matches(u, m, 1.0) == (every_pair, every_pair)
+    assert sample_entropy(u, SampleEntropyParams(m=m, r=2.0)) == 0.0
+    # just under tol only templates of the same phase match
+    same_phase = (k // 2) * (k // 2 - 1) // 2 + ((k + 1) // 2) * ((k + 1) // 2 - 1) // 2
+    assert _template_matches(u, m, float(np.nextafter(1.0, 0.0))) == (same_phase, same_phase)
+    assert _chebyshev_counts(u, m, 1.0) == (every_pair, every_pair)
 
 
 def test_sample_entropy_constant_zero_with_warning():

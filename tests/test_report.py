@@ -147,6 +147,24 @@ def test_row_index_out_of_range_is_a_load_error(table_dir, keep):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
 
 
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ("[0.7]", "row index entries must be integers, not 0.7"),
+        ('["x"]', "row index entries must be integers, not 'x'"),
+        ("[true]", "row index entries must be integers, not True"),
+        ('{"x": 1}', "must be a JSON list, not dict"),
+    ],
+    ids=["float", "string", "bool", "object"],
+)
+def test_row_index_must_be_a_list_of_integers(table_dir, keep, message):
+    (table_dir / "keep.json").write_text(keep, encoding="utf-8")
+    doc = _basic_doc(row_index="keep.json")
+    with pytest.raises(DataLoadError) as info:
+        load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+    assert message in str(info.value)
+
+
 def test_dictionaries_load_inline_and_from_files(table_dir):
     (table_dir / "codes.txt").write_text("I21\nI50\n\nZ99\n", encoding="utf-8")
     doc = _basic_doc(dictionaries={"code": "codes.txt", "sex": ["m", "f"]})
