@@ -15,8 +15,7 @@ from .distribution import MetricInputError
 def _pairwise_complete(
     x: Sample | Sequence[Any], y: Sample | Sequence[Any]
 ) -> tuple[np.ndarray, np.ndarray]:
-    xs = list(x.values) if isinstance(x, Sample) else list(x)
-    ys = list(y.values) if isinstance(y, Sample) else list(y)
+    xs, ys = list(x), list(y)
     if len(xs) != len(ys):
         raise MetricInputError("correlation inputs must have equal length")
     pairs = [

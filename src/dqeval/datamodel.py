@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Iterator, Mapping, Sequence
 
+import numpy as np
+
 VTYPES = ("numerical", "categorical", "ordinal", "datetime", "identifier")
 ROLES = ("feature", "target", "patient_id", "timestamp", "annotation", "weight")
 UNIQUE_ROLES = ("target", "patient_id", "timestamp")
@@ -42,47 +44,47 @@ class ColumnSpec:
             object.__setattr__(self, "missing_tokens", frozenset(self.missing_tokens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalBlock:
-    """Per-record multichannel signal; all channels equal length."""
+    """Per-record multichannel signal as a read-only (channels, n) array; a
+    float payload keeps its dtype (f32le stays float32), the rest is float64."""
 
-    samples: tuple[tuple[float, ...], ...]
+    samples: np.ndarray
     sampling_hz: float
     channel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        samples = tuple(tuple(float(v) for v in ch) for ch in self.samples)
-        object.__setattr__(self, "samples", samples)
+        try:
+            grid = np.array(self.samples, order="C")
+        except ValueError:
+            raise DataModelError("all signal channels must have equal length") from None
+        if grid.ndim != 2:
+            raise DataModelError("signal samples must be a (channels, n) grid")
+        if grid.dtype.kind != "f":
+            grid = grid.astype(float)
+        grid.flags.writeable = False
+        object.__setattr__(self, "samples", grid)
         if self.sampling_hz <= 0:
             raise DataModelError("sampling_hz must be > 0")
-        lengths = {len(ch) for ch in samples}
-        if len(lengths) > 1:
-            raise DataModelError("all signal channels must have equal length")
-        if self.channel_names and len(self.channel_names) != len(samples):
+        if self.channel_names and len(self.channel_names) != len(grid):
             raise DataModelError("channel_names length must match channel count")
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
-    @property
-    def n_channels(self) -> int:
-        return len(self.samples)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples[0]) if self.samples else 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Ordered finite values with the count of dropped (missing) entries."""
+    """Ordered finite values as a read-only float64 vector, plus the count dropped."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     dropped: int = 0
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise DataModelError("Sample accepts finite values only")
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise DataModelError("Sample values must be one-dimensional")
+        if not np.isfinite(vals).all():
+            raise DataModelError("Sample accepts finite values only")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -90,6 +92,9 @@ class Sample:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.values)
+
+    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ def coded(ds: Dataset, col: str) -> tuple[Any, ...]:
 
 def present_sample(values: Sequence[Any]) -> Sample:
     """The non-missing values, with the count of missing ones dropped."""
-    vals = tuple(v for v in values if v is not MISSING)
+    vals = [v for v in values if v is not MISSING]
     return Sample(vals, dropped=len(values) - len(vals))
 
 
@@ -374,40 +379,34 @@ class Histogram:
 
 
 def _bin_edges(s: Sample, binning: Binning) -> tuple[tuple[float, ...], list[str]]:
-    import numpy as np
-
     warnings: list[str] = []
-    vals = np.asarray(s.values, dtype=float)
     if binning.kind == "explicit_edges":
         if len(binning.edges) < 2:
             raise DataModelError("explicit_edges needs at least two edges")
         return binning.edges, warnings
     if binning.k < 1:
         raise DataModelError("bin count must be >= 1")
-    lo, hi = float(vals.min()), float(vals.max())
+    lo, hi = float(s.values.min()), float(s.values.max())
     if binning.kind == "equal_width":
         if lo == hi:
             warnings.append("degenerate range: all values equal, one occupied bin")
             return (lo, hi), warnings
         return tuple(np.linspace(lo, hi, binning.k + 1)), warnings
     if binning.kind == "quantile":
-        qs = np.quantile(vals, np.linspace(0, 1, binning.k + 1))  # type 7
+        qs = np.quantile(s.values, np.linspace(0, 1, binning.k + 1))  # type 7
         return tuple(qs), warnings
     raise DataModelError(f"unknown binning kind {binning.kind!r}")
 
 
 def histogram(s: Sample, binning: Binning = DEFAULT_BINNING) -> Histogram:
     """Bin a sample; counts always sum to the sample size."""
-    import numpy as np
-
     if len(s) == 0:
         raise DataModelError("cannot bin an empty sample")
     edges, warns = _bin_edges(s, binning)
-    vals = np.asarray(s.values, dtype=float)
     if len(edges) == 2 and edges[0] == edges[1]:
         counts = CategoricalCounts.from_mapping({"bin0": float(len(s))})
         return Histogram(counts, edges, tuple(warns))
-    idx = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, len(edges) - 2)
+    idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, len(edges) - 2)
     acc: dict[str, float] = {f"bin{i}": 0.0 for i in range(len(edges) - 1)}
     for i in idx:
         acc[f"bin{int(i)}"] += 1.0
@@ -425,7 +424,7 @@ def pooled_histograms(
     if binning.kind == "explicit_edges":
         edges = binning.edges
     else:
-        pooled = Sample(tuple(a.values) + tuple(b.values))
+        pooled = Sample(np.concatenate([a.values, b.values]))
         edges, _ = _bin_edges(pooled, binning)
     shared = Binning.explicit_edges(edges) if len(edges) >= 2 else binning
     if len(edges) == 2 and edges[0] == edges[1]:

@@ -37,40 +37,28 @@ def _warn(msg: str) -> None:
 
 
 def _values(x: Sample | Sequence[float]) -> np.ndarray:
-    if isinstance(x, Sample):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(list(x), dtype=float)
+    return np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """n x d matrix of real feature vectors, no missing entries."""
+    """Read-only n x d float64 matrix of real feature vectors, no missing entries."""
 
-    vectors: tuple[tuple[float, ...], ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in r) for r in self.vectors)
-        if len(rows) < 2:
+        if len(self.vectors) < 2:
             raise MetricInputError("EmbeddingSet needs n >= 2 vectors")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1 or widths.pop() < 1:
+        try:
+            mat = np.array(self.vectors, dtype=float)
+        except ValueError:
+            raise MetricInputError("EmbeddingSet vectors must share a dimension d >= 1") from None
+        if mat.ndim != 2 or mat.shape[1] < 1:
             raise MetricInputError("EmbeddingSet vectors must share a dimension d >= 1")
-        for r in rows:
-            for v in r:
-                if not math.isfinite(v):
-                    raise MetricInputError("EmbeddingSet entries must be finite")
-        object.__setattr__(self, "vectors", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def d(self) -> int:
-        return len(self.vectors[0])
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.vectors, dtype=float)
+        if not np.isfinite(mat).all():
+            raise MetricInputError("EmbeddingSet entries must be finite")
+        mat.flags.writeable = False
+        object.__setattr__(self, "vectors", mat)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingSet:
@@ -90,10 +78,10 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
             raw = np.frombuffer(fh.read(n * d * 4), dtype="<f4")
             if raw.size != n * d:
                 raise MetricInputError(f"{p}: expected {n * d} float32 values, got {raw.size}")
-            mat = raw.astype(float).reshape(n, d)
+            mat = raw.reshape(n, d)
         else:
-            mat = np.atleast_2d(np.loadtxt(p, dtype=float))
-    return EmbeddingSet(tuple(tuple(row) for row in mat))
+            mat = np.loadtxt(p, dtype=float, ndmin=2)
+    return EmbeddingSet(mat)
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ def cohens_d(a: Sample | Sequence[float], b: Sample | Sequence[float]) -> float:
 
 def _as_matrix(x: Sample | Sequence[float] | EmbeddingSet | np.ndarray) -> np.ndarray:
     if isinstance(x, EmbeddingSet):
-        return x.as_array()
+        return x.vectors
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return x.astype(float)
     return _values(x).reshape(-1, 1)
@@ -305,6 +293,8 @@ def divergence(
     Default mode adds 1e-6 to every bin and renormalizes when a zero bin
     would blow up a log ratio; strict mode raises instead.
     """
+    if smoothing not in ("default", "strict"):
+        raise MetricInputError(f"unknown smoothing {smoothing!r}; expected 'default' or 'strict'")
     pv, qv = _aligned_props(p, q)
     zeros = (pv == 0).any() or (qv == 0).any()
     if zeros:
@@ -488,7 +478,7 @@ def frechet_gaussian(e_a: EmbeddingSet, e_b: EmbeddingSet) -> float:
     square root taken through an eigendecomposition whose negative
     eigenvalues (numerical noise) are clipped at zero.
     """
-    ma, mb = e_a.as_array(), e_b.as_array()
+    ma, mb = e_a.vectors, e_b.vectors
     if ma.shape[1] != mb.shape[1]:
         raise MetricInputError("embedding sets must share their dimension")
     if ma.shape[0] <= ma.shape[1] or mb.shape[0] <= mb.shape[1]:
@@ -515,8 +505,8 @@ def kid(
     Unbiasedness allows slightly negative values near zero.
     """
     rng = np.random.default_rng(seed)
-    ma = _maybe_subsample(e_a.as_array(), subsample, rng)
-    mb = _maybe_subsample(e_b.as_array(), subsample, rng)
+    ma = _maybe_subsample(e_a.vectors, subsample, rng)
+    mb = _maybe_subsample(e_b.vectors, subsample, rng)
     if ma.shape[1] != mb.shape[1]:
         raise MetricInputError("embedding sets must share their dimension")
     d = ma.shape[1]

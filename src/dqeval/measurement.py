@@ -131,6 +131,8 @@ def sample_entropy(
     n = u.size
     if n < p.m + 2:
         raise MetricInputError(f"sample_entropy needs at least m+2={p.m + 2} points")
+    if not np.isfinite(u).all():
+        raise MetricInputError("sample_entropy needs finite values")
     sd = float(u.std())
     if sd == 0:
         _warn("sample_entropy: constant series, entropy 0 by convention")
@@ -350,15 +352,18 @@ def _krippendorff_delta(level: str, cats: list[Any], marginals: np.ndarray) -> n
                 span = marginals[lo : hi + 1].sum() - (marginals[lo] + marginals[hi]) / 2.0
                 delta[i, j] = span**2
         return delta
-    vals = np.asarray([float(c) for c in cats])
+    if level not in ("interval", "ratio"):
+        raise MetricInputError(f"unknown level {level!r}")
+    try:
+        vals = np.asarray([float(c) for c in cats])
+    except (TypeError, ValueError):
+        raise MetricInputError(f"{level} level needs numeric ratings") from None
     if level == "interval":
         return (vals[:, None] - vals[None, :]) ** 2
-    if level == "ratio":
-        s = vals[:, None] + vals[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(s != 0, (vals[:, None] - vals[None, :]) / s, 0.0)
-        return d**2
-    raise MetricInputError(f"unknown level {level!r}")
+    s = vals[:, None] + vals[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(s != 0, (vals[:, None] - vals[None, :]) / s, 0.0)
+    return d**2
 
 
 def krippendorff_alpha(m: RatingsMatrix, level: str = "nominal") -> float:

@@ -223,11 +223,18 @@ def _args(params: Mapping[str, Any], declared: Sequence[Param]) -> dict[str, Any
     return {name: _arg(params, name, cast, default) for name, cast, default in declared}
 
 
+def column_list(value: Any) -> list:
+    """A JSON list of column names; a bare string is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a list: {value!r}")
+    return list(value)
+
+
 def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
-    cols = params.get("rater_columns")
+    cols = _arg(params, "rater_columns", column_list, None)
     if cols is None:
         cols = [c.name for c in ds.columns if c.role == "annotation"]
-    return list(cols)
+    return cols
 
 
 def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
@@ -467,11 +474,10 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
     per_record = []
     for i in indices:
         chans = []
-        for ch in ds.signals[i].samples:
-            series = ch[:max_samples] if max_samples is not None else ch
+        for series in ds.signals[i].samples[:, :max_samples]:
             if len(series) < p.m + 2:
                 continue
-            v = _meas.sample_entropy(Sample(series), p)
+            v = _meas.sample_entropy(series, p)
             if not math.isnan(v):
                 chans.append(v)
         if chans:
@@ -509,10 +515,10 @@ def _ev_completeness(metric, ds, params, ds_b, seed):
     label = params.get("scope_label")
     if params.get("target") == "signals":
         _require(ds.signals is not None, "completeness of signals needs a signal payload")
-        present = sum(1 for blk in ds.signals if blk is not None and blk.n_samples > 0)
+        present = sum(1 for blk in ds.signals if blk is not None and blk.samples.size > 0)
         scope = f"columns:{label}" if label else "signals"
         return present / ds.n_records, scope, {"target": "signals"}
-    cols = params.get("columns")
+    cols = _arg(params, "columns", column_list, None)
     if cols is None:
         scope = f"columns:{label}" if label else "global"
         return _meas.completeness(ds), scope, {"target": "cells"}
@@ -531,9 +537,9 @@ def _ev_patient_completeness(metric, ds, params, ds_b, seed):
 
 
 def _ev_record_completeness(metric, ds, params, ds_b, seed):
-    required = params.get("required", [])
+    required = _arg(params, "required", column_list, [])
     value = _meas.record_completeness(ds, required)
-    return value, "global", {"required": list(required)}
+    return value, "global", {"required": required}
 
 
 def _ev_syntactic(metric, ds, params, ds_b, seed):
@@ -588,9 +594,9 @@ def _currency(variant: str, *params: Param) -> Evaluator:
 
 
 def _ev_duplicates(metric, ds, params, ds_b, seed):
-    keys = params.get("keys")
+    keys = _arg(params, "keys", column_list, None)
     value = _struct.prevalence_of_duplicates(ds, keys)
-    used = {"keys": list(keys) if keys is not None else "all columns"}
+    used = {"keys": keys if keys is not None else "all columns"}
     return value, "global", used
 
 
@@ -620,7 +626,7 @@ def _ev_ess(metric, ds, params, ds_b, seed):
 
 
 def _ev_littles(metric, ds, params, ds_b, seed):
-    cols = params.get("columns")
+    cols = _arg(params, "columns", column_list, None)
     if cols is None:
         cols = [c.name for c in ds.columns if c.vtype == "numerical"]
     _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
@@ -647,10 +653,7 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
     kernel = used["kernel"] = params.get("kernel", "rbf")
     subsample = _subsample(params, used, seed)
     rng = np.random.default_rng(seed)
-    mats = [
-        _dist._maybe_subsample(np.asarray(s.values, float).reshape(-1, 1), subsample, rng)
-        for s in samples
-    ]
+    mats = [_dist._maybe_subsample(s.values.reshape(-1, 1), subsample, rng) for s in samples]
     if kernel == "rbf":
         bandwidth = _arg(params, "bandwidth", float, None)
         if bandwidth is None:
@@ -661,7 +664,7 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
     else:
         args = _args(params, (("degree", int, 3), ("coef", float, 1.0)))
         used.update(args)
-        value = _dist.mmd(mats[0], mats[1], kernel="polynomial", **args)
+        value = _dist.mmd(mats[0], mats[1], kernel=kernel, **args)
     return value, scope, used
 
 
@@ -712,20 +715,16 @@ def _embeddings_pair(ds, params, ds_b, metric):
         scope = f"pair:{params['embeddings_a']},{params['embeddings_b']}"
         used = {"embeddings_a": params["embeddings_a"], "embeddings_b": params["embeddings_b"]}
         return ea, eb, scope, used
-    cols = params.get("columns")
+    cols = _arg(params, "columns", column_list, None)
     if cols and ds_b is not None:
         for c in cols:
             _require_vtype(ds, c, ("numerical",), metric)
             _require_vtype(ds_b, c, ("numerical",), metric)
 
         def matrix(d: Dataset):
-            rows = [
-                tuple(map(float, row))
-                for row in zip(*map(d.column, cols))
-                if all(v is not MISSING for v in row)
-            ]
+            rows = [row for row in zip(*map(d.column, cols)) if MISSING not in row]
             _require(len(rows) >= 2, f"{metric}: fewer than 2 complete rows")
-            return _dist.EmbeddingSet(tuple(rows))
+            return _dist.EmbeddingSet(rows)
 
         used = {"columns": list(cols)}
         return matrix(ds), matrix(ds_b), f"pair:{ds.dataset_id},{ds_b.dataset_id}", used
@@ -874,13 +873,14 @@ _EVALUATORS: dict[str, Evaluator] = {
 def captured(fn: Callable[[], T]) -> tuple[T, tuple[str, ...]]:
     """Call fn and return its result with the MetricWarnings it raised.
 
-    Input faults of the kernels and the data model surface as EvaluationError.
+    Input faults of the kernels and the data model, and input files named in
+    the parameters that cannot be read, surface as EvaluationError.
     """
     with _pywarnings.catch_warnings(record=True) as caught:
         _pywarnings.simplefilter("always")
         try:
             out = fn()
-        except (MetricInputError, DataModelError) as exc:
+        except (MetricInputError, DataModelError, OSError) as exc:
             raise EvaluationError(str(exc)) from exc
     return out, tuple(str(w.message) for w in caught if issubclass(w.category, MetricWarning))
 

@@ -68,34 +68,42 @@ def _column_spec_from_dict(raw: Mapping[str, Any]) -> ColumnSpec:
         raise DataLoadError(f"descriptor column {raw['name']!r}: {exc}") from exc
 
 
+def _section(doc: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    value = doc[key]
+    if not isinstance(value, Mapping):
+        raise DataLoadError(f"descriptor {key} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDescriptor:
     if not isinstance(doc, Mapping):
         raise DataLoadError(f"descriptor must be a JSON object, not {type(doc).__name__}")
     try:
-        table = doc["table"]
+        table = _section(doc, "table")
+        table_path = os.path.join(base_dir, table["path"])
         if not isinstance(doc["columns"], list):
             raise DataLoadError("descriptor columns must be a JSON list")
         columns = tuple(_column_spec_from_dict(c) for c in doc["columns"])
+        signals = None
+        if doc.get("signals"):
+            s = _section(doc, "signals")
+            signals = SignalSource(
+                dir=os.path.join(base_dir, s["dir"]),
+                format=s.get("format", "f32le"),
+                file_column=s["file_column"],
+                pattern=s.get("pattern", "{value}"),
+                sampling_hz=s.get("sampling_hz"),
+                channels=tuple(s.get("channels", ())),
+            )
     except KeyError as exc:
         raise DataLoadError(f"descriptor misses required field {exc}") from exc
-    signals = None
-    if doc.get("signals"):
-        s = doc["signals"]
-        signals = SignalSource(
-            dir=os.path.join(base_dir, s["dir"]),
-            format=s.get("format", "f32le"),
-            file_column=s["file_column"],
-            pattern=s.get("pattern", "{value}"),
-            sampling_hz=s.get("sampling_hz"),
-            channels=tuple(s.get("channels", ())),
-        )
     eval_time = doc.get("evaluation_time")
     try:
         eval_time = parse_timestamp(eval_time) if eval_time is not None else None
     except DataModelError as exc:
         raise DataLoadError(str(exc)) from exc
     return DatasetDescriptor(
-        table_path=os.path.join(base_dir, table["path"]),
+        table_path=table_path,
         delimiter=table.get("delimiter", ","),
         columns=columns,
         dataset_id=doc.get("dataset_id", "dataset"),
@@ -118,7 +126,7 @@ def read_descriptor(path: str) -> DatasetDescriptor:
         raise DataLoadError(f"{path}: {exc}") from exc
 
 
-def _read_signal_f32le(path: str) -> tuple[tuple[tuple[float, ...], ...], float, tuple[str, ...]]:
+def _read_signal_f32le(path: str) -> tuple[np.ndarray, float, tuple[str, ...]]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f4")
@@ -128,19 +136,16 @@ def _read_signal_f32le(path: str) -> tuple[tuple[tuple[float, ...], ...], float,
         raise DataLoadError(
             f"{path}: payload holds {payload.size} floats, header promises {channels}x{n_samples}"
         )
-    grid = payload.reshape(n_samples, channels).T.astype(float)
     names = tuple(header.get("channel_names", ()) or (f"ch{i}" for i in range(channels)))
-    return tuple(tuple(row) for row in grid), float(header["sampling_hz"]), names
+    return payload.reshape(n_samples, channels).T, float(header["sampling_hz"]), names
 
 
-def _read_signal_csv(path: str, sampling_hz: float, delimiter: str = ",") -> tuple[tuple[tuple[float, ...], ...], float, tuple[str, ...]]:
+def _read_signal_csv(path: str, sampling_hz: float, delimiter: str = ",") -> tuple[np.ndarray, float, tuple[str, ...]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
     if not rows:
         raise DataLoadError(f"{path}: empty signal file")
-    names = tuple(rows[0])
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    return tuple(tuple(col) for col in data.T), float(sampling_hz), names
+    return np.array(rows[1:], dtype=float).T, float(sampling_hz), tuple(rows[0])
 
 
 def load_dataset(desc: DatasetDescriptor) -> Dataset:
@@ -222,9 +227,9 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
                     if src.sampling_hz is None:
                         raise DataLoadError("csv signal format requires sampling_hz in the descriptor")
                     samples, hz, names = _read_signal_csv(path, src.sampling_hz)
+                blocks.append(SignalBlock(samples=samples, sampling_hz=hz, channel_names=names))
             except (OSError, ValueError, json.JSONDecodeError) as exc:
                 raise DataLoadError(f"cannot read signal {path}: {exc}") from exc
-            blocks.append(SignalBlock(samples=samples, sampling_hz=hz, channel_names=names))
         signals = tuple(blocks)
 
     try:

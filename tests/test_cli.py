@@ -255,8 +255,18 @@ def test_evaluate_missing_data_is_a_load_error(tmp_path, capsys):
          "descriptor column entry must be a JSON object"),
         ({"table": {"path": "table.csv"}, "columns": [{"name": "age", "vtype": "numeric"}]},
          "descriptor column 'age': unknown vtype 'numeric'"),
+        ({"table": "t.csv", "columns": []}, "descriptor table must be a JSON object, not str"),
+        ({"table": {}, "columns": []}, "descriptor misses required field 'path'"),
+        ({"table": {"path": "table.csv"}, "columns": [], "signals": {"file_column": "id"}},
+         "descriptor misses required field 'dir'"),
+        ({"table": {"path": "table.csv"}, "columns": [], "signals": ["x"]},
+         "descriptor signals must be a JSON object, not list"),
     ],
-    ids=["not-an-object", "columns-not-a-list", "column-not-an-object", "unknown-vtype"],
+    ids=[
+        "not-an-object", "columns-not-a-list", "column-not-an-object", "unknown-vtype",
+        "table-not-an-object", "table-without-path", "signals-without-dir",
+        "signals-not-an-object",
+    ],
 )
 def test_evaluate_malformed_descriptor_is_a_load_error(tmp_path, capsys, doc, message):
     path = tmp_path / "descriptor.json"

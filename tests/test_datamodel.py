@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,7 +104,8 @@ def test_missing_tokens_normalize_to_missing():
 def test_column_sample_drops_missing_and_counts():
     ds = make_dataset()
     s = column_sample(ds, "age")
-    assert s.values == (30.0, 40.0, 50.0, 60.0, 70.0)
+    assert s.values.tolist() == [30.0, 40.0, 50.0, 60.0, 70.0]
+    assert s.values.dtype == np.float64
     assert s.dropped == 1
 
 
@@ -122,8 +124,30 @@ def test_group_by_separates_missing():
 
 
 def test_signal_block_requires_equal_channel_lengths():
-    with pytest.raises(DataModelError):
+    with pytest.raises(DataModelError, match="all signal channels must have equal length"):
         SignalBlock(((1.0, 2.0), (1.0,)), sampling_hz=10.0)
+
+
+def test_signal_block_keeps_a_float_dtype_and_widens_the_rest():
+    f32 = SignalBlock(np.ones((2, 3), dtype=np.float32), sampling_hz=1.0)
+    assert f32.samples.dtype == np.float32
+    assert f32.samples.shape == (2, 3)
+    ints = SignalBlock(((1, 2, 3),), sampling_hz=1.0)
+    assert ints.samples.dtype == np.float64
+    assert ints.samples.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_payload_arrays_are_read_only_copies():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    block = SignalBlock(source, sampling_hz=1.0)
+    sample = Sample(source[0])
+    source[0, 0] = 99.0
+    assert block.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert sample.values.tolist() == [1.0, 2.0]
+    for arr in (block.samples, sample.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_signals_must_match_record_count():
@@ -159,7 +183,8 @@ def test_take_records_slices_cells_and_signals():
     sub = take_records(ds, [0, 5])
     assert sub.n_records == 2
     assert sub.column("age") == (30.0, 70.0)
-    assert sub.signals[1].samples == ((5.0,),)
+    assert sub.signals[1].samples.tolist() == [[5.0]]
+    assert sub.signals[1] is ds.signals[5]
     assert sub.dataset_id == "mixed[subset]"
 
 

@@ -411,7 +411,7 @@ def test_frechet_matches_sqrtm_oracle():
     rng = np.random.default_rng(12)
     e_a = _gauss_embeddings(rng, 40, 3)
     e_b = _gauss_embeddings(rng, 45, 3, shift=1.0, scale=1.5)
-    ma, mb = e_a.as_array(), e_b.as_array()
+    ma, mb = e_a.vectors, e_b.vectors
     mu_a, mu_b = ma.mean(axis=0), mb.mean(axis=0)
     ca, cb = np.cov(ma, rowvar=False), np.cov(mb, rowvar=False)
     covmean = scipy.linalg.sqrtm(ca @ cb).real
@@ -469,8 +469,32 @@ def test_embedding_file_roundtrip_binary_and_text(tmp_path):
         fh.write(mat.tobytes())
     text = tmp_path / "e.txt"
     np.savetxt(text, mat)
-    assert load_embeddings(binary).as_array() == pytest.approx(mat.astype(float))
-    assert load_embeddings(text).as_array() == pytest.approx(mat.astype(float))
+    for path in (binary, text):
+        vectors = load_embeddings(path).vectors
+        assert vectors.tolist() == mat.tolist()
+        assert vectors.dtype == np.float64
+        assert not vectors.flags.writeable
+
+
+def test_embedding_text_file_with_one_column_holds_one_vector_per_row(tmp_path):
+    text = tmp_path / "e.txt"
+    text.write_text("1.0\n2.0\n3.0\n", encoding="utf-8")
+    assert load_embeddings(text).vectors.tolist() == [[1.0], [2.0], [3.0]]
+
+
+def test_embedding_set_validates_its_matrix():
+    with pytest.raises(MetricInputError, match="n >= 2"):
+        EmbeddingSet(((1.0, 2.0),))
+    with pytest.raises(MetricInputError, match="share a dimension"):
+        EmbeddingSet(((1.0, 2.0), (1.0,)))
+    with pytest.raises(MetricInputError, match="share a dimension"):
+        EmbeddingSet(((), ()))
+    with pytest.raises(MetricInputError, match="finite"):
+        EmbeddingSet(((1.0,), (math.nan,)))
+    e = EmbeddingSet([(1, 2), (3, 4)])
+    assert e.vectors.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        e.vectors[0, 0] = 0.0
 
 
 def test_embedding_truncated_payload_rejected(tmp_path):

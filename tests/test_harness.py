@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -19,7 +21,9 @@ from dqeval.harness import (
     run_harness,
     write_demo_root,
 )
-from dqeval.report import DataLoadError
+from dqeval.report import DataLoadError, report_json
+
+HARNESS_SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "demo_harness_snapshot.json")
 
 # rows of the case-study table, in its dimension order
 TABLE_PLAN = (
@@ -191,3 +195,23 @@ def test_render_harness_markdown_grid(demo_root):
     assert "subset_class_imbalance" in lines[0]
     assert len(lines) == 2 + 16
     assert md == out["markdown"]
+
+
+def _demo_harness_outputs(tmp_dir: str) -> dict[str, str]:
+    """sha256 of each report (its wall-clock generated_at removed) and table.md."""
+    root = os.path.join(tmp_dir, "root")
+    write_demo_root(root, n_records=120, seed=0)
+    out = run_harness(root, seed=1, now=1e9)
+    got = {}
+    for rep in out["reports"]:
+        del rep["selection"]["generated_at"]
+        got[rep["dataset_id"]] = hashlib.sha256(report_json(rep).encode("utf-8")).hexdigest()
+    got["table.md"] = out["markdown"]
+    return got
+
+
+def test_demo_harness_reports_match_the_snapshot(tmp_path):
+    # pins f32le decoding -> SignalBlock -> windowed sample entropy end to end
+    with open(HARNESS_SNAPSHOT, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert _demo_harness_outputs(str(tmp_path)) == expected

@@ -161,6 +161,14 @@ def test_sample_entropy_constant_zero_with_warning():
         assert sample_entropy([3.0] * 30) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_entropy_rejects_non_finite_values(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricInputError, match="finite"):
+            sample_entropy([0, 1, bad, 2, 3, 1, 0.5])
+
+
 def test_sample_entropy_regular_below_shuffled():
     t = np.arange(200)
     regular = list(np.sin(0.3 * t))

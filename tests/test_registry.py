@@ -509,6 +509,23 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("range", {"column": ["age"]}),
         ("effective_sample_size", {"n": "100", "cluster_size": 5, "icc": 0.1}),
         ("effective_sample_size", {"cluster_size": "x", "icc": 0.1}),
+        # parameter files that do not exist
+        ("syntactic_accuracy", {"column": "code", "dictionary_file": "no/such/words.txt"}),
+        ("frechet_inception_distance", {"embeddings_a": "no/such/a.txt", "embeddings_b": "no/such/b.txt"}),
+        ("kernel_inception_distance", {"embeddings_a": "no/such/a.txt", "embeddings_b": "no/such/b.txt"}),
+        # column lists that are not lists
+        ("record_completeness", {"required": 5}),
+        ("completeness", {"columns": 5}),
+        ("littles_test", {"columns": 5}),
+        ("prevalence_of_duplicates", {"keys": 5}),
+        ("fleiss_kappa", {"rater_columns": 5}),
+        # enum values the kernel does not know
+        ("maximum_mean_discrepancy", {"column": "age", "group_column": "sex", "kernel": "lin"}),
+        ("kl_divergence", {"column": "age", "group_column": "sex", "smoothing": "weird"}),
+        ("jensen_shannon_divergence", {"column": "age", "group_column": "sex", "smoothing": "weird"}),
+        ("population_stability_index", {"column": "age", "group_column": "sex", "smoothing": "weird"}),
+        ("krippendorff_alpha", {"rater_columns": ["sex", "site"], "level": "weird"}),
+        ("krippendorff_alpha", {"rater_columns": ["sex", "site"], "level": "interval"}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):

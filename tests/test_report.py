@@ -205,11 +205,14 @@ def test_f32_signals_round_trip(table_dir):
         signals={"dir": "sig", "format": "f32le", "file_column": "rid", "pattern": "{value}.f32"}
     )
     ds = load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
-    assert ds.signals[0].samples == ((1.0, 2.0, 3.0), (10.0, 20.0, 30.0))
+    assert ds.signals[0].samples.tolist() == [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]
+    assert ds.signals[0].samples.dtype == np.float32
+    assert ds.signals[0].samples.nbytes == 4 * 2 * 3
+    assert not ds.signals[0].samples.flags.writeable
     assert ds.signals[0].sampling_hz == 100.0
     assert ds.signals[0].channel_names == ("x", "y")
     assert ds.signals[1] is None
-    assert ds.signals[2].samples == ((5.0,), (50.0,))
+    assert ds.signals[2].samples.tolist() == [[5.0], [50.0]]
 
 
 def test_f32_truncated_payload_is_rejected(table_dir):
@@ -231,11 +234,29 @@ def test_csv_signals_need_a_declared_rate(table_dir):
         signals={"dir": "sig", "format": "csv", "file_column": "rid", "pattern": "{value}.csv", "sampling_hz": 250}
     )
     ds = load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
-    assert ds.signals[0].samples == ((0.1, 0.2), (0.5, 0.6))
+    assert ds.signals[0].samples.tolist() == [[0.1, 0.2], [0.5, 0.6]]
+    assert ds.signals[0].samples.dtype == np.float64
+    assert not ds.signals[0].samples.flags.writeable
     assert ds.signals[0].sampling_hz == 250.0
     assert ds.signals[0].channel_names == ("lead1", "lead2")
     doc["signals"].pop("sampling_hz")
     with pytest.raises(DataLoadError, match="requires sampling_hz"):
+        load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["lead1,lead2\n0.1,0.5\n0.2\n", "lead1,lead2,lead3\n0.1,0.5\n0.2,0.6\n"],
+    ids=["ragged-rows", "more-names-than-channels"],
+)
+def test_csv_signal_that_does_not_decode_is_a_load_error(table_dir, text):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    (sig_dir / "r1.csv").write_text(text, encoding="utf-8")
+    doc = _basic_doc(
+        signals={"dir": "sig", "format": "csv", "file_column": "rid", "pattern": "{value}.csv", "sampling_hz": 250}
+    )
+    with pytest.raises(DataLoadError, match="cannot read signal"):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
 
 
