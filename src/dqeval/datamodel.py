@@ -93,9 +93,6 @@ class Sample:
     def __iter__(self) -> Iterator[float]:
         return iter(self.values)
 
-    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
-        return np.array(self.values, dtype=dtype, copy=copy)
-
 
 @dataclass(frozen=True)
 class CategoricalCounts:

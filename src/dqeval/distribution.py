@@ -37,7 +37,7 @@ def _warn(msg: str) -> None:
 
 
 def _values(x: Sample | Sequence[float]) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+    return np.asarray(x.values if isinstance(x, Sample) else x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
