@@ -170,12 +170,114 @@ def _maybe_subsample(m: np.ndarray, subsample: int | None, rng: np.random.Genera
     return m
 
 
+def _gap(xi: np.ndarray | float, xj: np.ndarray | float) -> np.ndarray:
+    """Distance between xi and xj as cdist's Euclidean metric computes it.
+
+    sqrt(d*d) is |d| except where d*d underflows or overflows; keeping
+    cdist's arithmetic keeps every selected gap the same double.
+    """
+    d = xj - xi
+    return np.sqrt(d * d)
+
+
+def _gap_bound(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: float, strict: bool) -> np.ndarray:
+    """Per row i of a sorted sample, lo[i] plus the number of j in [lo[i], hi[i])
+    whose gap to x[i] is < t (strict) or <= t.
+
+    Gaps grow with j along a row, so a vectorised binary search per row tests
+    each computed gap against t, never x[j] against x[i] + t.
+    """
+    pos = lo.copy()
+    step = 1 << int((hi - lo).max()).bit_length() >> 1
+    while step:
+        cand = pos + step
+        g = _gap(x, x[np.minimum(cand, x.size) - 1])
+        pos = np.where((cand <= hi) & ((g < t) if strict else (g <= t)), cand, pos)
+        step >>= 1
+    return pos
+
+
+_PIVOT_SAMPLE = 256
+_PIVOT_OFFSET = 32  # about 4 standard deviations of a sample rank
+
+
+def _gap_order_statistics(x: np.ndarray, r_lo: int, r_hi: int) -> tuple[float, float]:
+    """The r_lo-th and r_hi-th smallest (0-based, r_lo <= r_hi <= r_lo + 1) gaps
+    over the pairs i < j of a sorted sample.
+
+    Randomised selection over per-row windows [lo[i], hi[i]) of candidate
+    columns. Each round sorts a random sample of candidates and takes as
+    pivot the one ranked just above the target, or just below it on
+    alternate rounds, so the side kept is small; it counts the gaps below
+    and at the pivot and keeps the side holding both ranks. Once at most 4n
+    candidates remain they are materialised and partitioned. O(n) memory;
+    the result does not depend on the pivots or their fixed seed.
+    """
+    rng = np.random.default_rng(0)
+    n = x.size
+    lo, hi = np.arange(1, n + 1), np.full(n, n)
+    below = 0  # gaps ranked before every candidate in the windows
+    offset = _PIVOT_OFFSET
+    while (total := int((width := hi - lo).sum())) > 4 * n:
+        ends = np.cumsum(width)
+        picks = rng.integers(total, size=_PIVOT_SAMPLE)
+        rows = np.searchsorted(ends, picks, side="right")
+        sample = np.sort(_gap(x[rows], x[hi[rows] - ends[rows] + picks]))
+        aim = int((r_lo - below) * _PIVOT_SAMPLE / total) + offset
+        t = sample[min(max(aim, 0), _PIVOT_SAMPLE - 1)]
+        offset = -offset
+        lt = _gap_bound(x, lo, hi, t, strict=True)
+        n_lt = below + int((lt - lo).sum())
+        if r_hi < n_lt:
+            hi = lt
+            continue
+        le = _gap_bound(x, lt, hi, t, strict=False)
+        n_le = below + int((le - lo).sum())
+        if r_lo >= n_le:
+            lo, below = le, n_le
+        else:  # t is one of the two; the other is t or its neighbour among the gaps
+            first = t if r_lo >= n_lt else _gap(x, x[lt - 1])[lt > lo].max()
+            second = t if r_hi < n_le else _gap(x, x[np.minimum(le, n - 1)])[le < hi].min()
+            return first, second
+    rows = np.repeat(np.arange(n), width)
+    cols = lo[rows] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+    part = np.partition(_gap(x[rows], x[cols]), [r_lo - below, r_hi - below])
+    return part[r_lo - below], part[r_hi - below]
+
+
+def _gap_median(x: np.ndarray, skip: int) -> float:
+    """Median of the pairwise gaps of a sorted sample past its `skip` smallest.
+
+    Two middle gaps are averaged by the same np.median call as the full
+    list, so the mean is rounded the same way.
+    """
+    m = x.size * (x.size - 1) // 2 - skip
+    first, second = _gap_order_statistics(x, skip + (m - 1) // 2, skip + m // 2)
+    return float(first if m % 2 else np.median([first, second]))
+
+
 def median_heuristic_bandwidth(
     a: Sample | Sequence[float] | EmbeddingSet,
     b: Sample | Sequence[float] | EmbeddingSet,
 ) -> float:
-    """Median of the nonzero pairwise distances over the pooled inputs."""
+    """Median of the nonzero pairwise distances over the pooled inputs.
+
+    Univariate inputs select the middle pairwise gaps of the sorted pooled
+    sample without forming them all (O(n) memory), giving the same double
+    as the full distance matrix; vectors take the upper triangle of cdist.
+    """
     pooled = np.vstack([_as_matrix(a), _as_matrix(b)])
+    if pooled.shape[0] < 2 or not np.isfinite(pooled).all():
+        raise MetricInputError("median heuristic needs at least two finite points")
+    if pooled.shape[1] == 1:
+        x, n = np.sort(pooled[:, 0]), pooled.shape[0]
+        med = _gap_median(x, 0)
+        if med <= 0:
+            start = np.arange(1, n + 1)
+            zeros = int((_gap_bound(x, start, np.full(n, n), 0.0, strict=False) - start).sum())
+            med = _gap_median(x, zeros) if zeros < n * (n - 1) // 2 else 1.0
+            _warn("median heuristic degenerate (identical points); bandwidth fallback used")
+        return med
     d = cdist(pooled, pooled)
     upper = d[np.triu_indices_from(d, k=1)]
     med = float(np.median(upper))

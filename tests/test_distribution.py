@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from scipy.spatial.distance import cdist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqeval.datamodel import Binning, CategoricalCounts, Sample, pooled_histograms
+import dqeval.distribution as dist_mod
 from dqeval.distribution import (
     EmbeddingSet,
     MetricInputError,
@@ -125,6 +127,74 @@ def test_mmd_median_heuristic_used_when_bandwidth_absent():
     a, b = [0.0, 1.0, 2.0], [5.0, 6.0, 7.0]
     bw = median_heuristic_bandwidth(a, b)
     assert mmd(a, b) == pytest.approx(mmd(a, b, bandwidth=bw))
+
+
+def _bandwidth_oracle(pooled):
+    """Median heuristic from the full distance matrix, and whether it fell back."""
+    p = np.asarray(pooled, dtype=float).reshape(-1, 1)
+    d = cdist(p, p)
+    upper = d[np.triu_indices_from(d, k=1)]
+    med = float(np.median(upper))
+    if med > 0:
+        return med, False
+    nonzero = upper[upper > 0]
+    return (float(np.median(nonzero)) if nonzero.size else 1.0), True
+
+
+def _assert_bandwidth_matches_oracle(pooled, cut):
+    expected, fell_back = _bandwidth_oracle(pooled)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = median_heuristic_bandwidth(pooled[:cut], pooled[cut:])
+    assert got == expected
+    assert any("degenerate" in str(w.message) for w in caught) == fell_back
+
+
+_pooled_samples = st.one_of(
+    st.lists(finite_floats, min_size=2, max_size=60),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
+    st.lists(st.integers(-6, 6).map(float), min_size=2, max_size=60),
+    st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 2.5]), min_size=2, max_size=60),
+    st.tuples(finite_floats, finite_floats, st.integers(1, 59)).map(
+        lambda t: [t[0]] * t[2] + [t[1]]
+    ),
+    st.tuples(finite_floats, st.integers(2, 60)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+@given(_pooled_samples, st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_median_heuristic_1d_equals_the_distance_matrix_median(pooled, cut):
+    pooled = np.array(pooled)
+    _assert_bandwidth_matches_oracle(pooled, min(cut, pooled.size))
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(402, "normal"), (400, "normal"), (403, "rounded"), (401, "rounded"), (400, "mostly_tied")],
+)
+def test_median_heuristic_selection_rounds_match_the_oracle(monkeypatch, n, kind):
+    # n(n-1)/2 is odd for n = 402, 403 and even for n = 400, 401; every count
+    # is far above 4n, so selection rounds run before the final partition
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        pooled = rng.normal(3.0, 2.0, n)
+    elif kind == "rounded":
+        pooled = np.round(rng.normal(40.0, 15.0, n))
+    else:  # more than half of the gaps are zero: the fallback selects past them
+        pooled = np.concatenate([np.zeros(3 * n // 4), rng.normal(0.0, 1.0, n - 3 * n // 4)])
+    counts = []
+    bound = dist_mod._gap_bound
+    monkeypatch.setattr(dist_mod, "_gap_bound", lambda *a, **k: counts.append(1) or bound(*a, **k))
+    _assert_bandwidth_matches_oracle(pooled, n // 3)
+    assert counts
+
+
+def test_median_heuristic_rejects_nonfinite_or_single_points():
+    with pytest.raises(MetricInputError):
+        median_heuristic_bandwidth([1.0, math.nan], [2.0])
+    with pytest.raises(MetricInputError):
+        median_heuristic_bandwidth([1.0], [])
 
 
 def test_mmd_subsample_deterministic_under_seed():
