@@ -960,7 +960,7 @@ CARDS: tuple[MetricCard, ...] = (
         pitfalls=(
             "bandwidth choice changes the value; the median heuristic must be "
             "recorded to make results comparable",
-            "O(n^2) cost invites subsampling, which adds seed dependence",
+            "O(n^2) time (O(n) memory) invites subsampling, which adds seed dependence",
         ),
     ),
     _card(
@@ -989,14 +989,19 @@ CARDS: tuple[MetricCard, ...] = (
         _DIST_DIMS,
         "Distance between two samples built from expected pairwise "
         "distances; zero exactly for equal distributions.",
-        "D^2 = 2 E|X-Y| - E|X-X'| - E|Y-Y'| from full pairwise sums.",
+        "D^2 = 2 E|X-Y| - E|X-X'| - E|Y-Y'|; univariate samples use the exact "
+        "O(n log n) form 2 * integral of (F_a - F_b)^2 over the empirical CDFs, "
+        "vectors keep full pairwise sums.",
         "[0, inf)",
         "0 for identical distributions; unit of the underlying distance.",
         ("szekely2013energy",),
         relations=("maximum_mean_discrepancy", "wasserstein_distance"),
         modalities=("tabular", "time-series", "image"),
         pitfall_tags=("outlier_sensitivity", "small_sample_instability"),
-        pitfalls=("O(n^2) cost invites subsampling, which adds seed dependence",),
+        pitfalls=(
+            "vectors keep O(n^2) pairwise sums, which invite subsampling and "
+            "add seed dependence; univariate samples need no subsampling",
+        ),
     ),
     _card(
         "kl_divergence",

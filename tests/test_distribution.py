@@ -228,6 +228,53 @@ def test_energy_distance_is_squared_scipy_convention():
     assert ours == pytest.approx(scipy.stats.energy_distance(a, b) ** 2)
 
 
+def _energy_pairwise_oracle(a, b):
+    """2 E|X-Y| - E|X-X'| - E|Y-Y'| from the three full distance matrices."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+
+    def mean_abs(p, q):
+        return np.abs(p[:, None] - q[None, :]).mean()
+
+    return 2.0 * mean_abs(a, b) - mean_abs(a, a) - mean_abs(b, b)
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "rounded"])
+@pytest.mark.parametrize("na, nb", [(1, 7), (40, 25), (700, 450)])
+def test_energy_1d_matches_pairwise_sums(kind, na, nb):
+    rng = np.random.default_rng(na * nb)
+    draw = {
+        "normal": lambda n, mu: rng.normal(mu, 2.0, n),
+        "integer": lambda n, mu: rng.integers(-4, 5, n) + np.round(mu),
+        "rounded": lambda n, mu: np.round(rng.normal(mu, 1.0, n), 1),
+    }[kind]
+    a, b = draw(na, 0.0), draw(nb, 1.5)
+    assert energy_distance(a, b) == pytest.approx(_energy_pairwise_oracle(a, b), rel=1e-12)
+    assert energy_distance(a, a) == 0.0
+
+
+def _mmd_three_matrix_oracle(a, b, kernel):
+    """Biased MMD from the full k(a,a), k(b,b) and k(a,b) matrices."""
+    a, b = np.asarray(a, float).reshape(-1, 1), np.asarray(b, float).reshape(-1, 1)
+    mmd2 = kernel(a, a).mean() + kernel(b, b).mean() - 2.0 * kernel(a, b).mean()
+    return math.sqrt(max(mmd2, 0.0))
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "polynomial"])
+def test_mmd_blocks_match_the_three_matrix_formula(kernel):
+    n = 2 * dist_mod._KERNEL_BLOCK + 37  # crosses two block boundaries
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(0.0, 1.0, n), rng.normal(0.8, 1.3, n - 90)
+    if kernel == "rbf":
+        bw = median_heuristic_bandwidth(a, b)
+        ref = _mmd_three_matrix_oracle(
+            a, b, lambda x, y: np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * bw * bw))
+        )
+    else:
+        ref = _mmd_three_matrix_oracle(a, b, lambda x, y: (x @ y.T + 1.0) ** 3)
+    assert mmd(a, b, kernel=kernel) == pytest.approx(ref, rel=1e-12)
+    assert mmd(a, a, kernel=kernel) == 0.0
+
+
 @given(samples, samples)
 @settings(max_examples=50, deadline=None)
 def test_energy_symmetric_identity(a, b):
