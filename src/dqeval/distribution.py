@@ -72,15 +72,22 @@ def load_embeddings(path: str | Path) -> EmbeddingSet:
     with p.open("rb") as fh:
         first = fh.read(1)
         if first == b"{":
-            header_line = first + fh.readline()
-            header = json.loads(header_line.decode("utf-8"))
-            n, d = int(header["n"]), int(header["d"])
+            try:
+                header = json.loads((first + fh.readline()).decode("utf-8"))
+                n, d = int(header["n"]), int(header["d"])
+            except (ValueError, KeyError, TypeError):
+                n = d = 0
+            if n < 1 or d < 1:
+                raise MetricInputError(f'{p}: header must be a JSON object with positive "n" and "d"')
             raw = np.frombuffer(fh.read(n * d * 4), dtype="<f4")
             if raw.size != n * d:
                 raise MetricInputError(f"{p}: expected {n * d} float32 values, got {raw.size}")
             mat = raw.reshape(n, d)
         else:
-            mat = np.loadtxt(p, dtype=float, ndmin=2)
+            try:
+                mat = np.loadtxt(p, dtype=float, ndmin=2)
+            except ValueError as exc:
+                raise MetricInputError(f"{p}: not a numeric text matrix: {exc}") from None
     return EmbeddingSet(mat)
 
 

@@ -545,9 +545,13 @@ def _ev_record_completeness(metric, ds, params, ds_b, seed):
 def _ev_syntactic(metric, ds, params, ds_b, seed):
     col = _param_column(ds, params, "column")
     words = params.get("dictionary")
-    if words is None and params.get("dictionary_file"):
-        with open(params["dictionary_file"], "r", encoding="utf-8") as fh:
-            words = [line.strip() for line in fh if line.strip()]
+    path = params.get("dictionary_file")
+    if words is None and path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                words = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise MetricInputError(f"{path}: dictionary file is not UTF-8 text") from None
     if words is None:
         words = ds.dictionaries.get(col)
     _require(words is not None, f"syntactic_accuracy needs a dictionary for column {col!r}")

@@ -80,10 +80,8 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
         raise DataLoadError(f"descriptor must be a JSON object, not {type(doc).__name__}")
     try:
         table = _section(doc, "table")
-        table_path = os.path.join(base_dir, table["path"])
         if not isinstance(doc["columns"], list):
             raise DataLoadError("descriptor columns must be a JSON list")
-        columns = tuple(_column_spec_from_dict(c) for c in doc["columns"])
         signals = None
         if doc.get("signals"):
             s = _section(doc, "signals")
@@ -95,23 +93,23 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
                 sampling_hz=s.get("sampling_hz"),
                 channels=tuple(s.get("channels", ())),
             )
+        eval_time = doc.get("evaluation_time")
+        return DatasetDescriptor(
+            table_path=os.path.join(base_dir, table["path"]),
+            delimiter=table.get("delimiter", ","),
+            columns=tuple(_column_spec_from_dict(c) for c in doc["columns"]),
+            dataset_id=doc.get("dataset_id", "dataset"),
+            signals=signals,
+            dictionaries=dict(_section(doc, "dictionaries")) if "dictionaries" in doc else {},
+            evaluation_time=parse_timestamp(eval_time) if eval_time is not None else None,
+            row_index=os.path.join(base_dir, doc["row_index"]) if doc.get("row_index") else None,
+        )
     except KeyError as exc:
         raise DataLoadError(f"descriptor misses required field {exc}") from exc
-    eval_time = doc.get("evaluation_time")
-    try:
-        eval_time = parse_timestamp(eval_time) if eval_time is not None else None
+    except TypeError as exc:
+        raise DataLoadError(f"descriptor field has the wrong JSON type: {exc}") from exc
     except DataModelError as exc:
         raise DataLoadError(str(exc)) from exc
-    return DatasetDescriptor(
-        table_path=table_path,
-        delimiter=table.get("delimiter", ","),
-        columns=columns,
-        dataset_id=doc.get("dataset_id", "dataset"),
-        signals=signals,
-        dictionaries=dict(doc.get("dictionaries", {})),
-        evaluation_time=eval_time,
-        row_index=os.path.join(base_dir, doc["row_index"]) if doc.get("row_index") else None,
-    )
 
 
 def read_descriptor(path: str) -> DatasetDescriptor:

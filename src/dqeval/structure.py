@@ -162,15 +162,17 @@ def resolution(image_meta: Sequence[tuple[int, int]]) -> dict[str, Any]:
 
 def label_granularity(hierarchy: Mapping[Any, Sequence[Any]] | Iterable[Any]) -> int:
     """Maximum depth of a rooted label hierarchy (flat set of labels: 1)."""
-    if not isinstance(hierarchy, Mapping):
-        labels = list(hierarchy)
-        if not labels:
-            raise MetricInputError("label_granularity requires at least one label")
-        return 1
-    children = {k: list(v) for k, v in hierarchy.items()}
-    nodes = set(children)
-    for v in children.values():
-        nodes.update(v)
+    try:
+        if not isinstance(hierarchy, Mapping):
+            if not list(hierarchy):
+                raise MetricInputError("label_granularity requires at least one label")
+            return 1
+        children = {k: list(v) for k, v in hierarchy.items()}
+        nodes = set(children).union(*children.values())
+    except TypeError:
+        raise MetricInputError(
+            "label hierarchy must map each label to a list of child labels, or list labels"
+        ) from None
     if not nodes:
         raise MetricInputError("label_granularity requires at least one label")
     child_set = {c for v in children.values() for c in v}

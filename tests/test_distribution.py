@@ -614,6 +614,21 @@ def test_embedding_set_validates_its_matrix():
         e.vectors[0, 0] = 0.0
 
 
+UNPARSABLE_EMBEDDING_FILES = {
+    "text-not-numeric": b"a b\n",
+    "header-without-d": json.dumps({"n": 1}).encode() + b"\n" + struct.pack("<2f", 1, 2),
+    "header-not-json": b"{n: 1, d: 2}\n" + struct.pack("<2f", 1, 2),
+}
+
+
+@pytest.mark.parametrize("content", UNPARSABLE_EMBEDDING_FILES.values(), ids=UNPARSABLE_EMBEDDING_FILES)
+def test_embedding_files_that_do_not_parse_are_input_errors(tmp_path, content):
+    path = tmp_path / "e.bin"
+    path.write_bytes(content)
+    with pytest.raises(MetricInputError):
+        load_embeddings(path)
+
+
 def test_embedding_truncated_payload_rejected(tmp_path):
     bad = tmp_path / "e.bin"
     with bad.open("wb") as fh:

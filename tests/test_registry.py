@@ -526,6 +526,9 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("population_stability_index", {"column": "age", "group_column": "sex", "smoothing": "weird"}),
         ("krippendorff_alpha", {"rater_columns": ["sex", "site"], "level": "weird"}),
         ("krippendorff_alpha", {"rater_columns": ["sex", "site"], "level": "interval"}),
+        # a label hierarchy that is not a mapping of child lists
+        ("label_granularity", {"hierarchy": 5}),
+        ("label_granularity", {"hierarchy": {"root": 5}}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):
@@ -534,6 +537,35 @@ def test_input_faults_become_error_rows(clinic, metric_id, params):
     row = evaluate_row(clinic, metric_id, "accuracy", params)
     assert row["scope"] == "unresolved"
     assert row["error"]
+
+
+UNPARSABLE_PARAMETER_FILES = {
+    "embeddings-text-not-numeric": ("kernel_inception_distance", b"a b\n"),
+    "embeddings-header-without-d": ("kernel_inception_distance", b'{"n": 2}\n' + bytes(8)),
+    "embeddings-header-not-json": ("frechet_inception_distance", b"{n: 2, d: 1}\n" + bytes(8)),
+    "dictionary-not-utf8": ("syntactic_accuracy", b"I21\n\xff\xfe\n"),
+}
+
+
+@pytest.mark.parametrize("metric_id, content", UNPARSABLE_PARAMETER_FILES.values(), ids=UNPARSABLE_PARAMETER_FILES)
+def test_parameter_files_that_do_not_parse_become_error_rows(clinic, tmp_path, metric_id, content):
+    path = tmp_path / "given"
+    path.write_bytes(content)
+    if metric_id == "syntactic_accuracy":
+        params = {"column": "code", "dictionary_file": str(path)}
+    else:
+        params = {"embeddings_a": str(path), "embeddings_b": str(path)}
+    with pytest.raises(EvaluationError):
+        evaluate(metric_id, clinic, params)
+    row = evaluate_row(clinic, metric_id, "accuracy", params)
+    assert row["scope"] == "unresolved"
+    assert row["error"]
+
+
+def test_non_mapping_hierarchy_is_an_error_row_on_the_shared_fixture(mixed_dataset):
+    row = evaluate_row(mixed_dataset, "label_granularity", "accuracy", {"hierarchy": 5})
+    assert row["scope"] == "unresolved"
+    assert "label hierarchy" in row["error"]
 
 
 def test_ordinal_value_column_splits_into_rank_codes_by_group():

@@ -83,6 +83,21 @@ def test_descriptor_rejects_unknown_signal_format(tmp_path):
         parse_descriptor(doc)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"table": {"path": 5}},
+        {"row_index": 5},
+        {"signals": {"dir": "sig", "file_column": "rid", "channels": 5}},
+        {"dictionaries": [1]},
+    ],
+    ids=["table-path", "row-index", "signal-channels", "dictionaries"],
+)
+def test_descriptor_fields_of_the_wrong_json_type_are_load_errors(overrides):
+    with pytest.raises(DataLoadError):
+        parse_descriptor(_basic_doc(**overrides))
+
+
 def test_descriptor_parses_evaluation_time_formats():
     assert parse_descriptor(_basic_doc(evaluation_time=12.5)).evaluation_time == 12.5
     iso = parse_descriptor(_basic_doc(evaluation_time="1970-01-01T00:01:00+00:00"))
