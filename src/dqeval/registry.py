@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings as _pywarnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
@@ -29,6 +30,7 @@ from .datamodel import (
     Dataset,
     RatingsMatrix,
     Sample,
+    SignalBlock,
     coded,
     column_sample,
     group_by,
@@ -446,6 +448,36 @@ def _counts_pair(
 # bespoke evaluators: (metric, ds, params, ds_b, seed) -> (value, scope, params_used)
 
 
+# Per-channel (value, warnings) of each block by (max_samples, m, r). Subsets
+# share their parent's SignalBlocks, so a record evaluated in the original and
+# its subsets is computed once; an entry dies with its block.
+_SAMPEN_MEMO: weakref.WeakKeyDictionary[SignalBlock, dict] = weakref.WeakKeyDictionary()
+
+
+def _sampen_channel(series: np.ndarray, p: _meas.SampleEntropyParams) -> tuple[float, tuple]:
+    with _pywarnings.catch_warnings(record=True) as caught:
+        _pywarnings.simplefilter("always")
+        v = _meas.sample_entropy(series, p) if len(series) >= p.m + 2 else math.nan
+    return v, tuple(w.message for w in caught)
+
+
+def _channel_entropies(
+    blk: SignalBlock, max_samples: int | None, p: _meas.SampleEntropyParams
+) -> list[float]:
+    """Sample entropy per channel (NaN if too short), re-emitting its warnings.
+
+    An input fault raises before anything is stored, so it raises on every use.
+    """
+    done = _SAMPEN_MEMO.setdefault(blk, {})
+    key = (max_samples, p.m, p.r)
+    if key not in done:
+        done[key] = tuple(_sampen_channel(s, p) for s in blk.samples[:, :max_samples])
+    for _, warns in done[key]:
+        for w in warns:
+            _pywarnings.warn(w)
+    return [v for v, _ in done[key]]
+
+
 def _ev_entropy(metric, ds, params, ds_b, seed):
     if params.get("column") and ds.spec(params["column"]).vtype in ("categorical", "ordinal"):
         col = params["column"]
@@ -473,13 +505,7 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
         used["max_samples"] = max_samples
     per_record = []
     for i in indices:
-        chans = []
-        for series in ds.signals[i].samples[:, :max_samples]:
-            if len(series) < p.m + 2:
-                continue
-            v = _meas.sample_entropy(series, p)
-            if not math.isnan(v):
-                chans.append(v)
+        chans = [v for v in _channel_entropies(ds.signals[i], max_samples, p) if not math.isnan(v)]
         if chans:
             per_record.append(float(np.mean(chans)))
     _require(bool(per_record), "entropy: no channel yielded a defined sample entropy")
@@ -544,7 +570,7 @@ def _ev_record_completeness(metric, ds, params, ds_b, seed):
 
 def _ev_syntactic(metric, ds, params, ds_b, seed):
     col = _param_column(ds, params, "column")
-    words = params.get("dictionary")
+    words = _arg(params, "dictionary", column_list, None)
     path = params.get("dictionary_file")
     if words is None and path:
         try:

@@ -163,10 +163,14 @@ def resolution(image_meta: Sequence[tuple[int, int]]) -> dict[str, Any]:
 def label_granularity(hierarchy: Mapping[Any, Sequence[Any]] | Iterable[Any]) -> int:
     """Maximum depth of a rooted label hierarchy (flat set of labels: 1)."""
     try:
+        if isinstance(hierarchy, str):
+            raise TypeError  # a string is not a list of labels
         if not isinstance(hierarchy, Mapping):
             if not list(hierarchy):
                 raise MetricInputError("label_granularity requires at least one label")
             return 1
+        if any(isinstance(v, str) for v in hierarchy.values()):
+            raise TypeError
         children = {k: list(v) for k, v in hierarchy.items()}
         nodes = set(children).union(*children.values())
     except TypeError:

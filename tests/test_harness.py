@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import warnings
 
+import numpy as np
 import pytest
 
+from dqeval import measurement
 from dqeval.datamodel import MISSING, ColumnSpec, Dataset
 from dqeval.harness import (
     SUPERCLASSES,
@@ -21,7 +25,7 @@ from dqeval.harness import (
     run_harness,
     write_demo_root,
 )
-from dqeval.report import DataLoadError, report_json
+from dqeval.report import DataLoadError, evaluate_row, report_json
 
 HARNESS_SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "demo_harness_snapshot.json")
 
@@ -215,3 +219,125 @@ def test_demo_harness_reports_match_the_snapshot(tmp_path):
     with open(HARNESS_SNAPSHOT, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert _demo_harness_outputs(str(tmp_path)) == expected
+
+
+# --- sample entropy shared across the subset reports -----------------------------
+
+# caps that keep every record of every report: no draw, short windows
+MEMO_CAPS = {"entropy_max_records": 10_000, "entropy_max_samples": 60}
+CONSTANT = "sample_entropy: constant series, entropy 0 by convention"
+
+
+@pytest.fixture
+def memo_root(tmp_path):
+    root = str(tmp_path / "root")
+    write_demo_root(root, n_records=80, seed=3)
+    return root
+
+
+def _count_sample_entropy(monkeypatch) -> list[int]:
+    """Patch measurement.sample_entropy to log the address of each series it gets;
+    while a dataset is alive that address names one (record, lead)."""
+    calls: list[int] = []
+    real = measurement.sample_entropy
+
+    def counted(series, p=measurement.SampleEntropyParams()):
+        calls.append(series.__array_interface__["data"][0])
+        return real(series, p)
+
+    monkeypatch.setattr(measurement, "sample_entropy", counted)
+    return calls
+
+
+def _row(report: dict, metric_id: str) -> dict:
+    (row,) = [r for r in report["results"] if r["metric_id"] == metric_id]
+    return row
+
+
+def _overwrite_lead(root: str, record: int, lead: int, value: float) -> None:
+    """Set one lead of the demo signal of record index `record` to a constant."""
+    path = os.path.join(root, "signals_f32", f"{record + 1}.f32")  # ecg_id = index + 1
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        payload = np.frombuffer(fh.read(), dtype="<f4").reshape(-1, 2).copy()
+    payload[:, lead] = value
+    with open(path, "wb") as fh:
+        fh.write(header + payload.tobytes())
+
+
+def _shared_record(root: str, seed: int) -> int:
+    """A record index of the original that the device subset also holds."""
+    original = load_ptbxl(root)
+    return int(apply_recipe(original, default_recipes(original, seed)[1])[0])
+
+
+def _reports_holding(out: dict, record: int) -> list[bool]:
+    return [True] + [record in idx for idx in out["subset_indices"]]
+
+
+def test_sample_entropy_runs_once_per_record_and_lead(memo_root, monkeypatch):
+    calls = _count_sample_entropy(monkeypatch)
+    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    sizes = [_row(r, "dataset_size")["value"] for r in out["reports"]]
+    assert len(calls) == len(set(calls)) == 2 * sizes[0]
+    assert sum(sizes) * 2 > len(calls)  # the subsets reused the original's leads
+
+
+def test_shared_entropy_rows_equal_a_direct_computation(memo_root):
+    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    fresh = load_ptbxl(memo_root)
+    subsets = [range(fresh.dataset.n_records)] + out["subset_indices"]
+    for report, idx in zip(out["reports"], subsets):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            per_record = []
+            for j in idx:
+                chans = [measurement.sample_entropy(s[:60]) for s in fresh.dataset.signals[j].samples]
+                chans = [v for v in chans if not math.isnan(v)]
+                if chans:
+                    per_record.append(float(np.mean(chans)))
+        row = _row(report, "entropy")
+        assert row["value"].hex() == float(np.mean(per_record)).hex()
+        assert row["warnings"] == [str(w.message) for w in caught]
+        assert row["warnings"]  # 60-point windows leave some leads undefined
+
+
+def test_constant_lead_of_a_shared_record_warns_in_every_report(memo_root):
+    record = _shared_record(memo_root, seed=2)
+    _overwrite_lead(memo_root, record, lead=1, value=0.5)
+    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    holding = _reports_holding(out, record)
+    assert sum(holding) >= 2
+    for report, holds in zip(out["reports"], holding):
+        assert _row(report, "entropy")["warnings"].count(CONSTANT) == int(holds)
+
+
+def test_nan_lead_of_a_shared_record_is_an_error_in_every_report(memo_root, monkeypatch):
+    record = _shared_record(memo_root, seed=2)
+    _overwrite_lead(memo_root, record, lead=0, value=float("nan"))
+    calls = _count_sample_entropy(monkeypatch)
+    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    holding = _reports_holding(out, record)
+    assert sum(holding) >= 2
+    for report, holds in zip(out["reports"], holding):
+        row = _row(report, "entropy")
+        if holds:
+            assert "finite" in row["error"]
+        else:
+            assert "error" not in row and row["value"] > 0
+    # the faulty lead is tried again by each report that holds it
+    assert len(calls) - len(set(calls)) == sum(holding) - 1
+
+
+def test_separate_loads_share_no_entropy(memo_root, monkeypatch):
+    calls = _count_sample_entropy(monkeypatch)
+    params = {"max_samples": 60}
+    first = load_ptbxl(memo_root)
+    row = evaluate_row(first.dataset, "entropy", "accuracy", params)
+    n = len(calls)
+    assert n == 2 * first.dataset.n_records
+    assert evaluate_row(first.dataset, "entropy", "accuracy", params) == row
+    assert len(calls) == n  # same blocks: nothing recomputed
+    second = load_ptbxl(memo_root)
+    assert evaluate_row(second.dataset, "entropy", "accuracy", params) == row
+    assert len(calls) == 2 * n  # new blocks of the same content: all recomputed

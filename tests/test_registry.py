@@ -529,6 +529,11 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         # a label hierarchy that is not a mapping of child lists
         ("label_granularity", {"hierarchy": 5}),
         ("label_granularity", {"hierarchy": {"root": 5}}),
+        # strings and scalars where a list is expected
+        ("syntactic_accuracy", {"column": "code", "dictionary": 5}),
+        ("syntactic_accuracy", {"column": "code", "dictionary": "I21"}),
+        ("label_granularity", {"hierarchy": "abc"}),
+        ("label_granularity", {"hierarchy": {"a": "bc"}}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):
