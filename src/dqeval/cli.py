@@ -358,11 +358,11 @@ def compare_cmd(ctx, data_paths, metrics_csv, params_path, out_path) -> None:
 @click.option("--now", type=float, default=None,
               help="Evaluation time as epoch seconds (defaults to the current time).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
-@click.option("--entropy-records", type=int, default=100, show_default=True,
+@click.option("--entropy-records", type=click.IntRange(min=1), default=100, show_default=True,
               help="Records drawn with the seed for each report's sample entropy "
                    "(echoed as max_records and seed in the row params when it "
                    "caps a report).")
-@click.option("--entropy-samples", type=int, default=500, show_default=True,
+@click.option("--entropy-samples", type=click.IntRange(min=1), default=500, show_default=True,
               help="Leading samples of each lead kept for sample entropy "
                    "(echoed as max_samples in the row params).")
 @click.pass_context

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import is_
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -211,6 +213,19 @@ def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
     return value
 
 
+def _decode_column(col: Sequence[Any], spec: ColumnSpec) -> tuple[Any, ...]:
+    """Normalised cells of a column, each distinct string decoded once.
+
+    Only a column of str and MISSING cells is decoded through a dict of its
+    distinct values, in first-appearance order so an error names the first
+    bad cell; other cells are not keys (0.0/-0.0 and 1/1.0/True collide).
+    """
+    if {*map(type, col)} <= {str, type(MISSING)}:
+        memo = {v: _normalize_cell(v, spec) for v in dict.fromkeys(col)}
+        return tuple(map(memo.__getitem__, col))
+    return tuple(_normalize_cell(v, spec) for v in col)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column-major table plus optional per-record signals."""
@@ -236,11 +251,7 @@ class Dataset:
         if len(lengths) > 1:
             raise DataModelError("all columns must have the same number of cells")
         n = lengths.pop() if lengths else 0
-        normalized: dict[str, tuple[Any, ...]] = {}
-        for spec in cols:
-            normalized[spec.name] = tuple(
-                _normalize_cell(v, spec) for v in self.cells[spec.name]
-            )
+        normalized = {spec.name: _decode_column(self.cells[spec.name], spec) for spec in cols}
         for spec in cols:
             if spec.vtype == "ordinal":
                 observed = {v for v in normalized[spec.name] if v is not MISSING}
@@ -265,6 +276,9 @@ class Dataset:
         )
         object.__setattr__(self, "_n_records", n)
         object.__setattr__(self, "_specs", {c.name: c for c in cols})
+        object.__setattr__(
+            self, "_missing", {k: sum(map(is_, v, repeat(MISSING))) for k, v in normalized.items()}
+        )
 
     @property
     def n_records(self) -> int:
@@ -283,6 +297,11 @@ class Dataset:
     def column(self, name: str) -> tuple[Any, ...]:
         self.spec(name)
         return self.cells[name]
+
+    def missing_count(self, name: str) -> int:
+        """Number of MISSING cells in a column, counted once at build."""
+        self.spec(name)
+        return self._missing[name]  # type: ignore[attr-defined]
 
     def role_column(self, role: str) -> str | None:
         for c in self.columns:

@@ -443,16 +443,11 @@ def completeness(ds: Dataset, scope: Sequence[str] | None = None) -> float:
     cols = list(scope) if scope is not None else list(ds.column_names)
     if not cols:
         raise MetricInputError("completeness scope is empty")
-    total = 0
-    present = 0
-    for c in cols:
-        for v in ds.column(c):
-            total += 1
-            if v is not MISSING:
-                present += 1
+    missing = sum(map(ds.missing_count, cols))
+    total = len(cols) * ds.n_records
     if total == 0:
         raise MetricInputError("completeness requires at least one cell")
-    return present / total
+    return (total - missing) / total
 
 
 def patient_level_completeness(

@@ -488,6 +488,8 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
     p = _meas.SampleEntropyParams(m=_arg(params, "m", int, 2), r=_arg(params, "r", float, 0.2))
     max_records = _arg(params, "max_records", int, None)
     max_samples = _arg(params, "max_samples", int, None)
+    for name, cap in (("max_records", max_records), ("max_samples", max_samples)):
+        _require(cap is None or cap >= 1, f"entropy: {name} must be >= 1, got {cap}")
     indices = [i for i, blk in enumerate(ds.signals) if blk is not None]
     _require(bool(indices), "entropy: no records carry a signal")
     used: dict[str, Any] = {

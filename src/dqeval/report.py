@@ -13,7 +13,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import registry as _registry
 from .datamodel import ColumnSpec, DataModelError, Dataset, SignalBlock, parse_timestamp
 
 SIGNAL_FORMATS = ("f32le", "csv")
+_ROW_BLOCK = 2048  # table rows parsed and transposed at a time
 
 
 class DataLoadError(Exception):
@@ -146,6 +148,24 @@ def _read_signal_csv(path: str, sampling_hz: float, delimiter: str = ",") -> tup
     return np.array(rows[1:], dtype=float).T, float(sampling_hz), tuple(rows[0])
 
 
+def _read_columns(reader: Iterator[list[str]], positions: Mapping[str, int]) -> tuple[dict[str, list[str]], int]:
+    """The named columns of the table body and its row count, read in row blocks.
+
+    A row shorter than a column's position gives that column "". Equal
+    strings of one column are one object, so each is decoded once.
+    """
+    width = max(positions.values(), default=-1) + 1
+    seen: dict[str, dict[str, str]] = {name: {} for name in positions}
+    cells: dict[str, list[str]] = {name: [] for name in positions}
+    n_rows = 0
+    while block := list(islice(reader, _ROW_BLOCK)):
+        n_rows += len(block)
+        by_pos = list(zip(*(row if len(row) >= width else row + [""] * (width - len(row)) for row in block)))
+        for name, pos in positions.items():
+            cells[name].extend(map(seen[name].setdefault, by_pos[pos], by_pos[pos]))
+    return cells, n_rows
+
+
 def load_dataset(desc: DatasetDescriptor) -> Dataset:
     """Materialize a Dataset from its descriptor.
 
@@ -156,18 +176,17 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
     try:
         with open(desc.table_path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh, delimiter=desc.delimiter)
-            rows = list(reader)
-    except OSError as exc:
+            header = next(reader, None)
+            if header is None:
+                raise DataLoadError(f"{desc.table_path}: empty table")
+            positions = {}
+            for spec in desc.columns:
+                if spec.name not in header:
+                    raise DataLoadError(f"column {spec.name!r} not found in table header")
+                positions[spec.name] = header.index(spec.name)
+            cells, n_rows = _read_columns(reader, positions)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataLoadError(f"cannot read table {desc.table_path}: {exc}") from exc
-    if not rows:
-        raise DataLoadError(f"{desc.table_path}: empty table")
-    header = rows[0]
-    positions = {}
-    for spec in desc.columns:
-        if spec.name not in header:
-            raise DataLoadError(f"column {spec.name!r} not found in table header")
-        positions[spec.name] = header.index(spec.name)
-    records = rows[1:]
     if desc.row_index is not None:
         try:
             with open(desc.row_index, "r", encoding="utf-8") as fh:
@@ -179,15 +198,10 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
         not_int = [i for i in keep if isinstance(i, bool) or not isinstance(i, int)]
         if not_int:
             raise DataLoadError(f"row index entries must be integers, not {not_int[0]!r}")
-        outside = [i for i in keep if not 0 <= i < len(records)]
+        outside = [i for i in keep if not 0 <= i < n_rows]
         if outside:
-            raise DataLoadError(f"row index out of range: {outside[0]} not in 0..{len(records) - 1}")
-        records = [records[i] for i in keep]
-
-    cells = {
-        name: [row[pos] if pos < len(row) else "" for row in records]
-        for name, pos in positions.items()
-    }
+            raise DataLoadError(f"row index out of range: {outside[0]} not in 0..{n_rows - 1}")
+        cells = {name: [col[i] for i in keep] for name, col in cells.items()}
 
     dictionaries = {}
     for col, source in desc.dictionaries.items():

@@ -78,7 +78,7 @@ def _ph_one_direction(x: np.ndarray, p: PageHinkleyParams, sign: float) -> tuple
     mean = 0.0
     count = 0
     max_stat = 0.0
-    for t, xt in enumerate(x):
+    for t, xt in enumerate(x.tolist()):
         count += 1
         mean += (xt - mean) / count
         ph = p.alpha * ph + sign * (xt - mean) - p.delta

@@ -419,3 +419,14 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["cards", "show", "made_up_metric"]) == 1
     assert "unknown metric" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("option", ["--entropy-records", "--entropy-samples"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_harness_entropy_caps_below_one_are_usage_errors(tmp_path, demo_root, option, value):
+    out_dir = tmp_path / "harness"
+    res = runner.invoke(cli, ["ptbxl-harness", "--root", demo_root, "--now", "2e9",
+                              option, value, "--out", str(out_dir)])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.stderr
+    assert not out_dir.exists()

@@ -23,6 +23,8 @@ from dqeval.datamodel import (
     pooled_histograms,
     take_records,
 )
+from dqeval.harness import load_ptbxl
+from dqeval.report import load_dataset, parse_descriptor
 from tests.conftest import make_dataset
 
 
@@ -204,3 +206,59 @@ def test_take_records_full_index_is_identity():
     sub = take_records(ds, list(range(ds.n_records)), dataset_id=ds.dataset_id)
     assert sub.cells == ds.cells
     assert sub.columns == ds.columns
+
+
+def _one_column(vtype, cells):
+    return Dataset(columns=(ColumnSpec("x", vtype=vtype),), cells={"x": cells}).column("x")
+
+
+def test_negative_zero_numerical_cells_keep_their_sign():
+    for cells in (("-0.0", "0.0", "-0.0"), (-0.0, 0.0, -0.0)):
+        got = _one_column("numerical", cells)
+        assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0, -1.0]
+
+
+def test_equal_non_string_cells_of_other_types_decode_one_by_one():
+    got = _one_column("categorical", (1, 1.0, True, 1))
+    assert [type(v) for v in got] == [int, float, bool, int]
+    got = _one_column("numerical", (1, 1.0, True, "1"))
+    assert [(type(v), v) for v in got] == [(float, 1.0)] * 4
+
+
+def test_float_nan_cells_are_missing():
+    assert _one_column("numerical", (float("nan"), 2.0)) == (MISSING, 2.0)
+    assert _one_column("categorical", (float("nan"), "a")) == (MISSING, "a")
+
+
+def test_equal_cell_strings_of_a_loaded_column_are_one_object(tmp_path):
+    (tmp_path / "t.csv").write_text("sex,age\nfemale,1\nmale,2\nfemale,3\n", encoding="utf-8")
+    doc = {"table": {"path": "t.csv"}, "columns": [{"name": "sex", "vtype": "categorical"}]}
+    sex = load_dataset(parse_descriptor(doc, base_dir=str(tmp_path))).column("sex")
+    assert sex == ("female", "male", "female")
+    assert sex[0] is sex[2]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_non_numeric_error_names_the_first_bad_cell_in_row_order(order):
+    # twenty bad cells: a hash-ordered decode names the first by chance only
+    bad = [f"bad{i}" for i in range(20)][::order]
+    with pytest.raises(DataModelError, match=f"non-numeric cell '{bad[0]}'"):
+        _one_column("numerical", ("1", *bad, "2", *bad))
+
+
+def _assert_missing_counts_held(ds):
+    for name in ds.column_names:
+        assert ds.missing_count(name) == sum(v is MISSING for v in ds.column(name)), name
+
+
+def test_missing_counts_are_held_by_every_build(demo_root):
+    ds = make_dataset()
+    _assert_missing_counts_held(ds)
+    sub = take_records(ds, [2, 2, 0])
+    _assert_missing_counts_held(sub)
+    assert sub.missing_count("age") == 2
+    full = load_ptbxl(demo_root).dataset
+    _assert_missing_counts_held(full)
+    assert sum(map(full.missing_count, full.column_names)) > 0
+    with pytest.raises(DataModelError, match="unknown column"):
+        ds.missing_count("nope")

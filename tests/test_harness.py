@@ -341,3 +341,16 @@ def test_separate_loads_share_no_entropy(memo_root, monkeypatch):
     second = load_ptbxl(memo_root)
     assert evaluate_row(second.dataset, "entropy", "accuracy", params) == row
     assert len(calls) == 2 * n  # new blocks of the same content: all recomputed
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"max_records": -1}, {"max_records": 0}, {"max_samples": -200}, {"max_samples": 0}],
+    ids=["records-negative", "records-zero", "samples-negative", "samples-zero"],
+)
+def test_entropy_caps_below_one_are_error_rows(bundle, params):
+    (name, cap), = params.items()
+    row = evaluate_row(bundle.dataset, "entropy", "accuracy", params)
+    assert row["scope"] == "unresolved"
+    assert row["error"] == f"entropy: {name} must be >= 1, got {cap}"
+    assert row["value"] is None

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dqeval.datamodel import MISSING, Dataset, ColumnSpec
+from dqeval.datamodel import MISSING, ColumnSpec, DataModelError, Dataset, _normalize_cell
 from dqeval.report import (
+    _ROW_BLOCK,
     DataLoadError,
     _round2,
     build_report,
@@ -141,6 +145,18 @@ def test_load_dataset_rejects_missing_table(tmp_path):
         load_dataset(read_descriptor(_write_descriptor(tmp_path, _basic_doc())))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"rid,age\nr1,\xff\n", b'rid,age\nr1,"' + b"x" * 200_000 + b'"\n'],
+    ids=["not-utf8", "field-past-csv-limit"],
+)
+def test_table_that_does_not_parse_is_a_load_error(tmp_path, content):
+    (tmp_path / "table.csv").write_bytes(content)
+    doc = _basic_doc(columns=[{"name": "rid", "vtype": "identifier"}])
+    with pytest.raises(DataLoadError, match="cannot read table"):
+        load_dataset(read_descriptor(_write_descriptor(tmp_path, doc)))
+
+
 def test_load_dataset_rejects_empty_table(tmp_path):
     (tmp_path / "table.csv").write_text("", encoding="utf-8")
     with pytest.raises(DataLoadError, match="empty table"):
@@ -196,6 +212,86 @@ def test_dataset_validation_failures_surface_as_load_errors(table_dir):
     doc["columns"][1]["role"] = "timestamp"
     with pytest.raises(DataLoadError, match="at most one column"):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+# A header with an undeclared column and a declared order that is not the header's.
+STREAM_HEADER = ["when", "skip", "num", "grade", "cat"]
+STREAM_COLUMNS = [
+    {"name": "cat", "vtype": "categorical"},
+    {"name": "num", "vtype": "numerical"},
+    {"name": "when", "vtype": "datetime"},
+    {"name": "grade", "vtype": "ordinal", "ordinal_order": ["low", "mid", "high"]},
+]
+PADDED_MISSING = st.sampled_from(["", " ", "NA", " NA ", "\tnull", "None ", " nan"])
+STREAM_CELLS = {
+    "when": st.one_of(PADDED_MISSING, st.sampled_from(
+        ["1609545600", " 86400.5 ", "2021-01-02T00:00:00+00:00", "2020-05-01 10:00:00"])),
+    "skip": st.text(max_size=3),
+    "num": st.one_of(
+        PADDED_MISSING,
+        st.sampled_from(["-0.0", "0", " 1 ", "1e3", "x1", "x2"]),
+        st.floats(allow_nan=False).map(repr),
+    ),
+    "grade": st.one_of(PADDED_MISSING, st.sampled_from(["low", "mid", "high"])),
+    "cat": st.one_of(PADDED_MISSING, st.text(alphabet='ab ,"\n', max_size=4)),
+}
+
+
+@st.composite
+def _stream_tables(draw):
+    """A table of 0, 1, block +- 1 or two blocks + 3 rows, cycling through a few
+    drawn rows, some cut short, plus a row index that reorders and repeats."""
+    templates = draw(st.lists(
+        st.tuples(st.fixed_dictionaries(STREAM_CELLS), st.integers(0, len(STREAM_HEADER))),
+        min_size=1, max_size=6,
+    ))
+    rows = [[cells[name] for name in STREAM_HEADER][:width] for cells, width in templates]
+    n = draw(st.sampled_from([0, 1, _ROW_BLOCK - 1, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3]))
+    rnd = draw(st.randoms(use_true_random=False))
+    body = [rows[rnd.randrange(len(rows))] for _ in range(n)]
+    keep = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=30)) if n else None
+    return body, keep
+
+
+def _reference_cells(path, keep):
+    """All rows in memory, then one _normalize_cell per cell."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, records = rows[0], rows[1:]
+    if keep is not None:
+        records = [records[i] for i in keep]
+    cells = {}
+    for c in STREAM_COLUMNS:
+        spec = ColumnSpec(**c)
+        pos = header.index(spec.name)
+        cells[spec.name] = tuple(_normalize_cell(row[pos] if pos < len(row) else "", spec) for row in records)
+    return cells
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_stream_tables())
+def test_streamed_load_matches_the_all_rows_reference(tmp_path, table):
+    body, keep = table
+    with open(tmp_path / "table.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([STREAM_HEADER] + body)
+    doc = {"table": {"path": "table.csv"}, "columns": STREAM_COLUMNS}
+    if keep is not None:
+        (tmp_path / "keep.json").write_text(json.dumps(keep), encoding="utf-8")
+        doc["row_index"] = "keep.json"
+    desc = read_descriptor(_write_descriptor(tmp_path, doc))
+    try:
+        want = _reference_cells(desc.table_path, keep)
+    except DataModelError as exc:
+        with pytest.raises(DataLoadError) as info:
+            load_dataset(desc)
+        assert str(info.value) == str(exc)
+        return
+    ds = load_dataset(desc)
+    assert ds.n_records == len(want["cat"]) == (len(body) if keep is None else len(keep))
+    for name, cells in want.items():
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, ds.column(name))) == list(map(repr, cells))
+        assert ds.missing_count(name) == sum(v is MISSING for v in cells)
 
 
 def _write_f32(path, matrix, sampling_hz=100.0, names=("x", "y"), n_samples=None):
