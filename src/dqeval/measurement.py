@@ -61,8 +61,10 @@ class SampleEntropyParams:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise MetricInputError("sample entropy embedding length m must be >= 1")
-        if self.r <= 0:
-            raise MetricInputError("sample entropy tolerance fraction r must be > 0")
+        if not 0 < self.r < math.inf:
+            raise MetricInputError(
+                f"sample entropy tolerance fraction r must be finite and > 0, got {self.r}"
+            )
 
 
 # --- noise and detection -----------------------------------------------------
@@ -76,40 +78,129 @@ def shannon_entropy(c: CategoricalCounts | Histogram, base: float = math.e) -> f
     return float(h / math.log(base))
 
 
-_SAMPEN_BLOCK = 64
+# Template columns per chunk in 64-bit words, and template rows per block.
+_SAMPEN_BLOCK = 16
+_SAMPEN_ROWS = 1024
+
+
+def _rank_intervals(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per rank p of a sorted series, the ranks [lo[p], hi[p]) of its neighbours,
+    the q with |v[q] - v[p]| <= tol as computed, for a finite tol >= 0.
+
+    fl(x - a) is monotone in x, so the neighbours form one run of ranks.
+    searchsorted on v -/+ tol may misplace a bound where v -/+ tol rounds,
+    so each bound steps, one run of equal values at a time, until the
+    computed test holds on its inside rank and fails on its outside one.
+    """
+    # ranks shifted by one into v between -inf and inf, which no finite tol reaches
+    vp = np.concatenate(([-np.inf], v, [np.inf]))
+    lo = np.searchsorted(v, v - tol, "left") + 1
+    hi = np.searchsorted(v, v + tol, "right") + 1
+    # the ranks each side of both bounds: outside, inside, inside, outside
+    expect = np.array([[False], [True], [True], [False]])
+    while True:
+        inside = np.abs(vp[np.stack((lo - 1, lo, hi - 1, hi))] - v) <= tol
+        wrong = inside != expect
+        if not wrong.any():
+            return lo - 1, hi - 1
+        down, up, less, more = wrong
+        lo[down] = np.searchsorted(vp, vp[lo[down] - 1], "left")
+        lo[up] = np.searchsorted(vp, vp[lo[up]], "right")
+        hi[less] = np.searchsorted(vp, vp[hi[less] - 1], "left")
+        hi[more] = np.searchsorted(vp, vp[hi[more]], "right")
+
+
+def _prefix_table(order: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit table of the positions in [start, stop) by rank, and its row per rank.
+
+    Row r holds bit q - start of each window position q among the r lowest
+    ranked of them. below[x] counts the window positions in the first x
+    ranks, so the positions ranked in [x, y) are row below[y] ^ row below[x].
+    """
+    window = (order >= start) & (order < stop)
+    below = np.zeros(order.size + 1, np.intp)
+    np.cumsum(window, out=below[1:])
+    q = order[window] - start
+    table = np.zeros((q.size + 1, -(-(stop - start) // 64)), np.uint64)
+    table[np.arange(1, q.size + 1), q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
+    np.cumsum(table, axis=0, out=table)  # each row adds one new bit, so + is |
+    return table, below
+
+
+def _and_shifted(acc: np.ndarray, near: np.ndarray, o: int, words: int) -> None:
+    """acc &= the flat rows of near from row o on, shifted o bits down."""
+    ws, bs = divmod(o, 64)
+    at = o * words + ws
+    part = near[at : at + acc.size] >> bs
+    if bs:
+        part |= near[at + 1 : at + 1 + acc.size] << (64 - bs)
+    acc &= part
+
+
+def _row_hits(
+    table: np.ndarray, lo: np.ndarray, hi: np.ndarray, columns: np.ndarray, m: int, start: int, stop: int
+) -> tuple[int, int]:
+    """Matches of templates start..stop-1 at lengths m and m+1 in one column chunk.
+
+    Position q's neighbours in the chunk are table[hi[q]] ^ table[lo[q]];
+    columns masks the words to the chunk's templates.
+    """
+    words = table.shape[1]
+    b = a = 0
+    for s in range(start, stop, _SAMPEN_ROWS):
+        h = min(_SAMPEN_ROWS, stop - s)
+        # neighbours of positions s .. s+h+m-1, one row each, then the spare
+        # words a shift reads past the last row
+        near = np.zeros((h + m) * words + m // 64 + 1, np.uint64)
+        rows = near[: (h + m) * words].reshape(h + m, words)
+        table.take(hi[s : s + h + m], axis=0, out=rows, mode="clip")  # unbuffered
+        rows ^= table.take(lo[s : s + h + m], axis=0)
+        # a flat shift carries bits across rows only into the words past
+        # the chunk's templates, which acc holds clear
+        acc = (rows[:h] & columns).reshape(-1)
+        for o in range(1, m):
+            _and_shifted(acc, near, o, words)
+        b += int(np.bitwise_count(acc).sum())
+        _and_shifted(acc, near, m, words)
+        a += int(np.bitwise_count(acc).sum())
+    return b, a
 
 
 def _template_matches(u: np.ndarray, m: int, tol: float) -> tuple[int, int]:
     """Pairs i < j of the first n-m templates matching at lengths m and m+1.
 
     Templates i and j match at length L when |u[i+o] - u[j+o]| <= tol for
-    every o < L, the same inclusive test as Chebyshev distance <= tol.
+    every o < L, the same inclusive test as Chebyshev distance <= tol; tol
+    is finite and >= 0.
+
+    Bit-parallel: the neighbours N(q) of position q, the j with
+    |u[j] - u[q]| <= tol, are one rank interval of the sorted series, so
+    they are the XOR of two rows of a prefix table of bits by rank.
+    Template i matches the j in the AND over o < L of N(i+o) shifted o bits
+    down, counted with popcount. Columns j run in chunks of _SAMPEN_BLOCK
+    words and rows i, in blocks of _SAMPEN_ROWS, from the chunk start on:
+    the chunk's own square holds each self-match once and each pair twice,
+    every later row pairs once.
     """
-    k = u.size - m  # only the first n-m templates so both lengths pair up
+    n = u.size
+    k = n - m  # only the first n-m templates so both lengths pair up
+    order = np.argsort(u)
+    lo, hi = np.empty((2, n), np.intp)
+    lo[order], hi[order] = _rank_intervals(u[order], tol)
     b = a = 0
-    for s in range(0, k, _SAMPEN_BLOCK):
-        h = min(_SAMPEN_BLOCK, k - s)
-        w = k - s
-        # close[x, y] is |u[s+x] - u[s+y]| <= tol; earlier blocks paired the
-        # templates before s
-        d = u[s : s + h + m, None] - u[None, s:]
-        close = np.abs(d, out=d) <= tol
-        hit = close[:h, :w]
-        for o in range(1, m):
-            hit = hit & close[o : o + h, o : o + w]
-        b += _pairs_above_diagonal(hit)
-        a += _pairs_above_diagonal(hit & close[m : m + h, m : m + w])
+    for c in range(0, k, 64 * _SAMPEN_BLOCK):
+        w = min(64 * _SAMPEN_BLOCK, k - c)
+        # positions [c, c+w+m): the chunk's templates and the shifts of each
+        table, below = _prefix_table(order, c, c + w + m)
+        lo_c, hi_c = below[lo], below[hi]
+        columns = np.zeros(table.shape[1], np.uint64)
+        columns[: w // 64] = ~np.uint64(0)
+        columns[w // 64] = (np.uint64(1) << np.uint64(w % 64)) - np.uint64(1)
+        sq_b, sq_a = _row_hits(table, lo_c, hi_c, columns, m, c, c + w)
+        later_b, later_a = _row_hits(table, lo_c, hi_c, columns, m, c + w, k)
+        b += (sq_b - w) // 2 + later_b
+        a += (sq_a - w) // 2 + later_a
     return b, a
-
-
-def _pairs_above_diagonal(hit: np.ndarray) -> int:
-    """Pairs j > i among the hits of a row block whose first columns are its rows.
-
-    The square holds one self-match per row and each of its pairs twice;
-    every later column is a pair j > i, counted once.
-    """
-    h = hit.shape[0]
-    return int(np.count_nonzero(hit)) - (int(np.count_nonzero(hit[:, :h])) + h) // 2
 
 
 def sample_entropy(
@@ -119,13 +210,14 @@ def sample_entropy(
 
     Templates of length m and m+1 are compared under the Chebyshev distance
     with tolerance r * std; self-matches are excluded. A constant series
-    returns 0; too few template matches return NaN with a warning.
+    returns 0; too few template matches return NaN with a warning; a
+    tolerance that overflows is an input error.
 
-    The match counts are exact and need no n x n distance matrix: two
-    templates match when every pointwise difference is within tolerance,
-    so blocks of _SAMPEN_BLOCK templates are compared against the later
-    templates only, with one boolean table of (block + m) x n pointwise
-    matches at a time. Memory is O(n) per block, not O(n^2).
+    The match counts A and B are exact integers, counted in O(n) memory
+    with no n x n matrix: the points within tolerance of a point are one run
+    of ranks of the sorted series, held as a bitset, and a template's
+    matches are the AND of its points' bitsets shifted into line, counted
+    with popcount 64 templates per machine word (see _template_matches).
     """
     u = _values(series)
     n = u.size
@@ -133,11 +225,15 @@ def sample_entropy(
         raise MetricInputError(f"sample_entropy needs at least m+2={p.m + 2} points")
     if not np.isfinite(u).all():
         raise MetricInputError("sample_entropy needs finite values")
-    sd = float(u.std())
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sd = float(u.std())
     if sd == 0:
         _warn("sample_entropy: constant series, entropy 0 by convention")
         return 0.0
-    b, a = _template_matches(u, p.m, p.r * sd)
+    tol = p.r * sd
+    if not math.isfinite(tol):
+        raise MetricInputError(f"sample_entropy tolerance r * std is not finite: {tol}")
+    b, a = _template_matches(u, p.m, tol)
     if b == 0 or a == 0:
         _warn("sample_entropy undefined: insufficient template matches")
         return float("nan")

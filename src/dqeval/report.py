@@ -240,7 +240,7 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
                         raise DataLoadError("csv signal format requires sampling_hz in the descriptor")
                     samples, hz, names = _read_signal_csv(path, src.sampling_hz)
                 blocks.append(SignalBlock(samples=samples, sampling_hz=hz, channel_names=names))
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError, csv.Error) as exc:
                 raise DataLoadError(f"cannot read signal {path}: {exc}") from exc
         signals = tuple(blocks)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,11 @@ from scipy.spatial.distance import cdist
 
 from dqeval.datamodel import MISSING, CategoricalCounts, ColumnSpec, Dataset, RatingsMatrix
 from dqeval.distribution import MetricInputError, MetricWarning
+import dqeval.measurement as measurement
 from dqeval.measurement import (
     RepeatedMeasures,
     SampleEntropyParams,
+    _rank_intervals,
     _template_matches,
     bland_altman_cr,
     cohens_kappa,
@@ -154,6 +157,97 @@ def test_template_matches_pin_the_inclusive_tolerance(m):
     same_phase = (k // 2) * (k // 2 - 1) // 2 + ((k + 1) // 2) * ((k + 1) // 2 - 1) // 2
     assert _template_matches(u, m, float(np.nextafter(1.0, 0.0))) == (same_phase, same_phase)
     assert _chebyshev_counts(u, m, 1.0) == (every_pair, every_pair)
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    n=st.integers(0, 300),
+    kind=st.sampled_from(["normal", "walk", "quantised", "levels"]),
+    r=st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    words=st.sampled_from([1, 2]),
+    rows=st.sampled_from([1, 5, 64]),
+)
+@settings(max_examples=120, deadline=None)
+def test_template_matches_equal_cdist_counts_across_small_chunks_and_blocks(m, n, kind, r, seed, words, rows):
+    # chunks of 64 or 128 columns and blocks of a few rows put chunk and
+    # block edges, and rows that straddle them, inside n <= 300
+    n = max(n, m + 2)
+    u = _series(kind, n, seed)
+    tol = r * float(u.std())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "_SAMPEN_BLOCK", words)
+        mp.setattr(measurement, "_SAMPEN_ROWS", rows)
+        assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 70])
+@pytest.mark.parametrize("words", [1, 16])
+def test_template_matches_shift_across_words(m, words, monkeypatch):
+    # a noisy period of 10 samples: templates a whole number of periods
+    # apart often match at every length, so neither count is 0
+    t = np.arange(260)
+    u = np.sin(2 * np.pi * t / 10) + 0.05 * np.random.default_rng(m).normal(size=t.size)
+    tol = 0.2 * float(u.std())
+    monkeypatch.setattr(measurement, "_SAMPEN_BLOCK", words)
+    got = _template_matches(u, m, tol)
+    assert got == _chebyshev_counts(u, m, tol)
+    assert min(got) > 20
+
+
+def _brute_rank_intervals(v, tol):
+    near = np.abs(v[None, :] - v[:, None]) <= tol
+    return near.argmax(axis=1), v.size - near[:, ::-1].argmax(axis=1)
+
+
+def test_rank_intervals_trust_only_the_computed_difference():
+    # tol = 0.7: -3.0 + tol and -3.0 - tol round to -2.3 and -3.7, yet the
+    # computed |-2.3 - (-3.0)| and |-3.7 - (-3.0)| exceed tol; -1.0 + tol
+    # rounds below -0.3, yet |-0.3 - (-1.0)| rounds to tol. Each value and
+    # its two ulp neighbours appear three times.
+    tol = 0.7
+    up, down = np.inf, -np.inf
+    values = [-3.0, -1.0]
+    for edge in (-2.3, -3.7, -0.3, -1.7):
+        values += [np.nextafter(edge, down), edge, np.nextafter(edge, up)]
+    v = np.sort(np.repeat(values, 3))
+    want_lo, want_hi = _brute_rank_intervals(v, tol)
+    # searchsorted on v -/+ tol alone misplaces bounds on both sides
+    assert (np.searchsorted(v, v - tol, "left") != want_lo).any()
+    assert (np.searchsorted(v, v + tol, "right") != want_hi).any()
+    lo, hi = _rank_intervals(v, tol)
+    assert lo.tolist() == want_lo.tolist()
+    assert hi.tolist() == want_hi.tolist()
+    u = np.random.default_rng(3).permutation(np.tile(v, 2))
+    for m in (1, 2):
+        assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+
+
+def test_sample_entropy_memory_stays_linear():
+    # the kernel holds O(n) arrays and one chunk of bits at a time; the
+    # n x n/64 words of one whole table would be 50 MB at this length
+    u = np.cumsum(np.random.default_rng(0).normal(size=20_000))
+    tracemalloc.start()
+    try:
+        sample_entropy(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -0.2])
+def test_sample_entropy_params_need_a_finite_positive_r(r):
+    with pytest.raises(MetricInputError, match="finite and > 0"):
+        SampleEntropyParams(r=r)
+
+
+def test_sample_entropy_rejects_a_tolerance_that_overflows():
+    # finite values whose std overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricInputError, match="not finite"):
+            sample_entropy([1e308, -1e308] * 5)
 
 
 def test_sample_entropy_constant_zero_with_warning():

@@ -534,6 +534,9 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("syntactic_accuracy", {"column": "code", "dictionary": "I21"}),
         ("label_granularity", {"hierarchy": "abc"}),
         ("label_granularity", {"hierarchy": {"a": "bc"}}),
+        # a tolerance fraction that is not a finite positive number
+        ("entropy", {"r": "nan"}),
+        ("entropy", {"r": "inf"}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):

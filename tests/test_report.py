@@ -357,8 +357,12 @@ def test_csv_signals_need_a_declared_rate(table_dir):
 
 @pytest.mark.parametrize(
     "text",
-    ["lead1,lead2\n0.1,0.5\n0.2\n", "lead1,lead2,lead3\n0.1,0.5\n0.2,0.6\n"],
-    ids=["ragged-rows", "more-names-than-channels"],
+    [
+        "lead1,lead2\n0.1,0.5\n0.2\n",
+        "lead1,lead2,lead3\n0.1,0.5\n0.2,0.6\n",
+        'lead1,lead2\n"' + "1" * 200_000 + '",0.5\n',
+    ],
+    ids=["ragged-rows", "more-names-than-channels", "field-past-csv-limit"],
 )
 def test_csv_signal_that_does_not_decode_is_a_load_error(table_dir, text):
     sig_dir = table_dir / "sig"
