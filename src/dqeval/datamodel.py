@@ -8,8 +8,9 @@ participate in arithmetic; each metric decides its own deletion policy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from itertools import repeat
 from operator import is_
 from typing import Any, Iterator, Mapping, Sequence
@@ -117,11 +118,9 @@ class CategoricalCounts:
 
     @classmethod
     def from_values(cls, values: Sequence[Any]) -> "CategoricalCounts":
-        acc: dict[Any, float] = {}
-        for v in values:
-            if v is MISSING:
-                continue
-            acc[v] = acc.get(v, 0.0) + 1.0
+        """Counts of the non-missing values in first-appearance order."""
+        acc = Counter(values)
+        acc.pop(MISSING, None)
         return cls.from_mapping(acc)
 
     def as_dict(self) -> dict[Any, float]:
@@ -176,6 +175,9 @@ class RatingsMatrix:
         return tuple(row[j] for row in self.ratings)
 
 
+_EPOCH = datetime(1970, 1, 1)
+
+
 def parse_timestamp(value: Any) -> float:
     """Epoch seconds from a number or an ISO-8601 string; naive means UTC."""
     if isinstance(value, (int, float)):
@@ -190,7 +192,7 @@ def parse_timestamp(value: Any) -> float:
     except ValueError:
         raise DataModelError(f"cannot parse timestamp {value!r}") from None
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        return (dt - _EPOCH).total_seconds()
     return dt.timestamp()
 
 
@@ -423,10 +425,8 @@ def histogram(s: Sample, binning: Binning = DEFAULT_BINNING) -> Histogram:
         counts = CategoricalCounts.from_mapping({"bin0": float(len(s))})
         return Histogram(counts, edges, tuple(warns))
     idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, len(edges) - 2)
-    acc: dict[str, float] = {f"bin{i}": 0.0 for i in range(len(edges) - 1)}
-    for i in idx:
-        acc[f"bin{int(i)}"] += 1.0
-    counts = CategoricalCounts.from_mapping(acc)
+    tally = np.bincount(idx, minlength=len(edges) - 1)
+    counts = CategoricalCounts.from_mapping({f"bin{i}": c for i, c in enumerate(tally.tolist())})
     return Histogram(counts, tuple(float(e) for e in edges), tuple(warns))
 
 

@@ -295,21 +295,46 @@ def median_heuristic_bandwidth(
     return med
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in ascending lexicographic order, their
+    counts, and the inverse: a[i] equals rows[inverse[i]].
+
+    One lexsort over the columns, boundaries where adjacent rows differ
+    (`!=`, so 0.0 and -0.0 are one row and every NaN row its own).
+    """
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    new = np.ones(len(ranked), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return ranked[starts], np.diff(np.append(starts, len(ranked))), inverse
+
+
 _KERNEL_BLOCK = 64
 
 
 def _kernel_mean(
-    k: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray, y: np.ndarray
+    k: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: tuple[np.ndarray, np.ndarray],
+    y: tuple[np.ndarray, np.ndarray],
 ) -> float:
-    """Mean of k over all row pairs of x and y, one block of x rows at a time.
+    """Mean of k over all row pairs of two samples, each given as its
+    distinct rows and their counts (see distinct_rows).
 
-    Memory is O(block * len(y)). mmd uses this one helper for every term,
-    with no symmetry shortcut, so mmd(x, x) is exactly 0.
+    Sums c_x[block] @ k(u_x[block], u_y) @ c_y one block of distinct x rows
+    at a time: the same sum as over every row pair, in O(block * distinct)
+    memory and O(distinct_x * distinct_y) kernel evaluations, which is the
+    full O(n^2) when every value is distinct. mmd uses this one helper for
+    every term, with no symmetry shortcut, so mmd(x, x) is exactly 0.
     """
+    (ux, cx), (uy, cy) = x, y
+    wx, wy = cx.astype(float), cy.astype(float)
     total = 0.0
-    for s in range(0, x.shape[0], _KERNEL_BLOCK):
-        total += k(x[s : s + _KERNEL_BLOCK], y).sum()
-    return float(total / (x.shape[0] * y.shape[0]))
+    for s in range(0, ux.shape[0], _KERNEL_BLOCK):
+        total += wx[s : s + _KERNEL_BLOCK] @ k(ux[s : s + _KERNEL_BLOCK], uy) @ wy
+    return float(total / (cx.sum() * cy.sum()))
 
 
 def mmd(
@@ -326,7 +351,8 @@ def mmd(
 
     kernel "rbf" uses exp(-||x-y||^2 / (2 bandwidth^2)) with the median
     heuristic when bandwidth is None; "polynomial" uses (x.y/d + coef)^degree.
-    Each kernel mean is summed in row blocks: O(n^2) time, O(n) memory.
+    Each kernel mean runs over the distinct points weighted by their
+    counts, in row blocks: O(distinct^2) time, O(distinct) memory.
     Large inputs may be subsampled (seed recorded by the caller).
     """
     rng = np.random.default_rng(seed)
@@ -354,7 +380,8 @@ def mmd(
 
     else:
         raise MetricInputError(f"unknown kernel {kernel!r}")
-    mmd2 = _kernel_mean(k, ma, ma) + _kernel_mean(k, mb, mb) - 2.0 * _kernel_mean(k, ma, mb)
+    ga, gb = distinct_rows(ma)[:2], distinct_rows(mb)[:2]
+    mmd2 = _kernel_mean(k, ga, ga) + _kernel_mean(k, gb, gb) - 2.0 * _kernel_mean(k, ga, gb)
     return math.sqrt(max(mmd2, 0.0))
 
 

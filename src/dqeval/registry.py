@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings as _pywarnings
 import weakref
 from dataclasses import dataclass, field
@@ -225,6 +226,22 @@ def _args(params: Mapping[str, Any], declared: Sequence[Param]) -> dict[str, Any
     return {name: _arg(params, name, cast, default) for name, cast, default in declared}
 
 
+def integer(value: Any) -> int:
+    """An int, or an integral float such as 3.0; never 2.7 or a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return operator.index(value)
+
+
+def boolean(value: Any) -> bool:
+    """JSON true or false; "false", "0", 0 and 1 are not bools."""
+    if value is True or value is False:
+        return value
+    raise TypeError(f"not a bool: {value!r}")
+
+
 def column_list(value: Any) -> list:
     """A JSON list of column names; a bare string is not one."""
     if not isinstance(value, (list, tuple)):
@@ -437,7 +454,7 @@ def _counts_pair(
             (a, b), scope, used = _split(ds, col, params["group_column"])
             return CategoricalCounts.from_values(a), CategoricalCounts.from_values(b), scope, used
         raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
-    bins = _arg(params, "bins", int, 10)
+    bins = _arg(params, "bins", integer, 10)
     samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
     ha, hb = pooled_histograms(samples[0], samples[1], Binning.equal_width(bins))
     used["bins"] = bins
@@ -485,9 +502,9 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
         value = _meas.shannon_entropy(counts)
         return value, f"column:{col}", {"column": col, "form": "shannon", "base": "e"}
     _require(ds.signals is not None, "entropy needs signals or a categorical column")
-    p = _meas.SampleEntropyParams(m=_arg(params, "m", int, 2), r=_arg(params, "r", float, 0.2))
-    max_records = _arg(params, "max_records", int, None)
-    max_samples = _arg(params, "max_samples", int, None)
+    p = _meas.SampleEntropyParams(m=_arg(params, "m", integer, 2), r=_arg(params, "r", float, 0.2))
+    max_records = _arg(params, "max_records", integer, None)
+    max_samples = _arg(params, "max_samples", integer, None)
     for name, cap in (("max_records", max_records), ("max_samples", max_samples)):
         _require(cap is None or cap >= 1, f"entropy: {name} must be >= 1, got {cap}")
     indices = [i for i, blk in enumerate(ds.signals) if blk is not None]
@@ -664,8 +681,8 @@ def _ev_littles(metric, ds, params, ds_b, seed):
     _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
     for c in cols:
         _require_vtype(ds, c, ("numerical",), metric)
-    args = _args(params, (("tol", float, 1e-6), ("max_iter", int, 200)))
-    res = _struct.littles_mcar_test(list(zip(*map(ds.column, cols))), **args)
+    args = _args(params, (("tol", float, 1e-6), ("max_iter", integer, 200)))
+    res = _struct.littles_mcar_test(_struct.float_columns(ds, cols), **args)
     for w in res.warnings:
         _pywarnings.warn(w, MetricWarning, stacklevel=2)
     value = {"statistic": res.statistic, "df": res.df, "p_value": res.p_value}
@@ -674,7 +691,7 @@ def _ev_littles(metric, ds, params, ds_b, seed):
 
 def _subsample(params: dict, used: dict, seed: int | None) -> int | None:
     """The subsample size, echoed with the seed that draws it."""
-    size = _arg(params, "subsample", int, None)
+    size = _arg(params, "subsample", integer, None)
     if size is not None:
         used.update(subsample=size, seed=seed)
     return size
@@ -694,7 +711,7 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
         used["bandwidth"] = float(bandwidth)
         value = _dist.mmd(mats[0], mats[1], kernel="rbf", bandwidth=float(bandwidth))
     else:
-        args = _args(params, (("degree", int, 3), ("coef", float, 1.0)))
+        args = _args(params, (("degree", integer, 3), ("coef", float, 1.0)))
         used.update(args)
         value = _dist.mmd(mats[0], mats[1], kernel=kernel, **args)
     return value, scope, used
@@ -772,7 +789,7 @@ def _ev_frechet(metric, ds, params, ds_b, seed):
 
 def _ev_kid(metric, ds, params, ds_b, seed):
     ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
-    args = _args(params, (("degree", int, 3), ("coef", float, 1.0)))
+    args = _args(params, (("degree", integer, 3), ("coef", float, 1.0)))
     used.update(args)
     subsample = _subsample(params, used, seed)
     return _dist.kid(ea, eb, **args, subsample=subsample, seed=seed), scope, used
@@ -898,7 +915,7 @@ _EVALUATORS: dict[str, Evaluator] = {
     "cramers_v": _pair(
         lambda a, b, bias_correction: _corr.cramers_v(a, b, bias_correction=bias_correction),
         _LABELS,
-        ("bias_correction", bool, False),
+        ("bias_correction", boolean, False),
     ),
 }
 

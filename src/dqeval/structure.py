@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import chi2
 
 from .datamodel import MISSING, CategoricalCounts, Dataset, Sample
-from .distribution import MetricInputError, _values, _warn
+from .distribution import MetricInputError, _values, _warn, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -331,46 +331,78 @@ class McarTestResult:
     warnings: tuple[str, ...] = ()
 
 
-def _em_normal(x: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, bool, bool]:
-    """ML mean/covariance of incomplete rows under normality."""
+class _Pattern(NamedTuple):
+    """Rows sharing one missingness pattern, as sufficient statistics."""
+
+    o: np.ndarray  # observed column indices
+    k: int  # row count
+    sx: np.ndarray  # sum of x_o over the rows
+    sxx: np.ndarray  # x_o^T x_o over the rows
+
+
+def _patterns(x: np.ndarray) -> list[_Pattern]:
+    """Missingness patterns of x (NaN = missing) in ascending mask order,
+    with each pattern's rows reduced to k, sum x_o and x_o^T x_o."""
+    missing = np.isnan(x)
+    masks, counts, inverse = distinct_rows(~missing)
+    ranked = np.where(missing, 0.0, x)[np.argsort(inverse, kind="stable")]
+    out = []
+    for obs, rows in zip(masks, np.split(ranked, np.cumsum(counts)[:-1])):
+        o = np.flatnonzero(obs)
+        xo = rows[:, o]
+        out.append(_Pattern(o, len(rows), xo.sum(axis=0), xo.T @ xo))
+    return out
+
+
+def _em_normal(
+    x: np.ndarray, patterns: Sequence[_Pattern], tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """ML mean/covariance of incomplete rows under normality.
+
+    EM on per-pattern sufficient statistics (Little 1988; Schafer 1997,
+    ch. 5): the E-step fills a pattern's missing block by the affine map
+    x_mi = c + coef^T x_o, so sum(filled) and sum(filled filled^T) follow in
+    closed form from k, sum x_o and x_o^T x_o, plus k times the conditional
+    covariance. Exact in real arithmetic against refilling every row; the
+    work per iteration depends on the patterns, not on the rows.
+    """
     n, p = x.shape
     mu = np.nanmean(x, axis=0)
     var = np.nanvar(x, axis=0)
     if np.any(~np.isfinite(mu)) or np.any(~np.isfinite(var)):
         raise MetricInputError("a column is entirely missing")
     sigma = np.diag(np.maximum(var, 1e-12))
-    masks = ~np.isnan(x)
-    patterns: dict[tuple[bool, ...], np.ndarray] = {}
-    for key in {tuple(row) for row in masks}:
-        patterns[key] = x[(masks == np.array(key)).all(axis=1)]
+    # per pattern: its missing columns, the index tuples, the augmented
+    # moments [[x_o^T x_o, sum x_o], [sum x_o^T, k]] and the fill map, which
+    # takes [x_o; 1] to the filled row: identity on o, (coef^T, c) on mi
+    prepared = []
+    for pat in patterns:
+        mi = np.setdiff1d(np.arange(p), pat.o)
+        moments = np.block([[pat.sxx, pat.sx[:, None]], [pat.sx[None, :], np.array([[pat.k]])]])
+        fill = np.zeros((p, len(pat.o) + 1))
+        fill[pat.o, np.arange(len(pat.o))] = 1.0
+        prepared.append((pat, mi, np.ix_(pat.o, pat.o), np.ix_(pat.o, mi), np.ix_(mi, mi), moments, fill))
     ridged = False
     converged = False
     for _ in range(max_iter):
         sx = np.zeros(p)
         sxx = np.zeros((p, p))
-        for key, rows in patterns.items():
-            obs = np.array(key)
-            k = rows.shape[0]
-            if obs.all():
-                sx += rows.sum(axis=0)
-                sxx += rows.T @ rows
+        for pat, mi, oo, om, mm, moments, fill in prepared:
+            if not mi.size:
+                sx += pat.sx
+                sxx += pat.sxx
                 continue
-            o, mi = np.where(obs)[0], np.where(~obs)[0]
-            soo = sigma[np.ix_(o, o)]
-            som = sigma[np.ix_(o, mi)]
-            smm = sigma[np.ix_(mi, mi)]
+            soo, som = sigma[oo], sigma[om]
             try:
                 coef = np.linalg.solve(soo, som)
             except np.linalg.LinAlgError:
-                coef = np.linalg.solve(soo + 1e-8 * np.eye(len(o)), som)
+                coef = np.linalg.solve(soo + 1e-8 * np.eye(len(pat.o)), som)
                 ridged = True
-            cond_cov = smm - som.T @ coef
-            filled = np.empty((k, p))
-            filled[:, o] = rows[:, o]
-            filled[:, mi] = mu[mi] + (rows[:, o] - mu[o]) @ coef
-            sx += filled.sum(axis=0)
-            sxx += filled.T @ filled
-            sxx[np.ix_(mi, mi)] += k * cond_cov
+            fill[mi, :-1] = coef.T
+            fill[mi, -1] = mu[mi] - mu[pat.o] @ coef
+            sx += fill @ moments[:, -1]
+            sxx += fill @ moments @ fill.T
+            sxx[mm] += pat.k * (sigma[mm] - som.T @ coef)
         mu_new = sx / n
         sigma_new = sxx / n - np.outer(mu_new, mu_new)
         scale = 1.0 + max(np.abs(mu_new).max(), np.abs(sigma_new).max())
@@ -382,6 +414,14 @@ def _em_normal(x: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np
     return mu, sigma, converged, ridged
 
 
+def float_columns(ds: Dataset, cols: Sequence[str]) -> np.ndarray:
+    """Numerical columns as one float64 array, MISSING as NaN."""
+    x = np.empty((ds.n_records, len(cols)))
+    for j, c in enumerate(cols):
+        x[:, j] = ds.column(c)
+    return x
+
+
 def littles_mcar_test(
     data: Dataset | np.ndarray | Sequence[Sequence[float | None]],
     tol: float = 1e-6,
@@ -391,15 +431,17 @@ def littles_mcar_test(
 
     Fits mean and covariance by EM under normality, then compares each
     missingness pattern's observed means against the fit: d2 is chi-squared
-    with sum(p_j) - p degrees of freedom when MCAR holds.
+    with sum(p_j) - p degrees of freedom when MCAR holds. The rows are
+    grouped by pattern once; EM and d2 both run on the per-pattern sums,
+    and d2 adds the patterns in descending mask order.
     """
     if isinstance(data, Dataset):
         cols = [c.name for c in data.columns if c.vtype == "numerical"]
         if len(cols) < 2:
             raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
-        x = np.array(
-            [[np.nan if v is MISSING else float(v) for v in data.column(c)] for c in cols]
-        ).T
+        x = float_columns(data, cols)
+    elif isinstance(data, np.ndarray):
+        x = data.astype(float)
     else:
         x = np.array(
             [[np.nan if v is None else float(v) for v in row] for row in data], dtype=float
@@ -412,25 +454,21 @@ def littles_mcar_test(
         warns.append(f"{int((~keep).sum())} fully missing rows dropped")
         x = x[keep]
     n, p = x.shape
-    masks = ~np.isnan(x)
-    pattern_keys = sorted({tuple(row) for row in masks}, reverse=True)
-    if len(pattern_keys) < 2:
-        if masks.all():
+    patterns = _patterns(x)
+    if len(patterns) < 2:
+        if patterns and patterns[0].o.size == p:
             raise MetricInputError("data is complete: nothing to test")
         raise MetricInputError("littles_mcar_test needs >= 2 missingness patterns")
-    mu, sigma, converged, ridged = _em_normal(x, tol, max_iter)
+    mu, sigma, converged, ridged = _em_normal(x, patterns, tol, max_iter)
     if not converged:
         warns.append(f"EM did not converge within {max_iter} iterations")
     if ridged:
         warns.append("singular observed covariance ridged by 1e-8")
     d2 = 0.0
     df = -p
-    for key in pattern_keys:
-        obs = np.array(key)
-        rows = x[(masks == obs).all(axis=1)]
-        o = np.where(obs)[0]
-        ybar = rows[:, o].mean(axis=0)
-        diff = ybar - mu[o]
+    for pat in reversed(patterns):
+        o = pat.o
+        diff = pat.sx / pat.k - mu[o]
         soo = sigma[np.ix_(o, o)]
         try:
             sol = np.linalg.solve(soo, diff)
@@ -438,7 +476,7 @@ def littles_mcar_test(
             sol = np.linalg.solve(soo + 1e-8 * np.eye(len(o)), diff)
             if "singular observed covariance ridged by 1e-8" not in warns:
                 warns.append("singular observed covariance ridged by 1e-8")
-        d2 += rows.shape[0] * float(diff @ sol)
+        d2 += pat.k * float(diff @ sol)
         df += len(o)
     if df <= 0:
         raise MetricInputError("littles_mcar_test has no degrees of freedom")
@@ -446,7 +484,7 @@ def littles_mcar_test(
         statistic=float(d2),
         df=int(df),
         p_value=float(chi2.sf(d2, df)),
-        n_patterns=len(pattern_keys),
+        n_patterns=len(patterns),
         converged=converged,
         warnings=tuple(warns),
     )

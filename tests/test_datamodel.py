@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dqeval.datamodel import (
     column_sample,
     group_by,
     histogram,
+    parse_timestamp,
     pooled_histograms,
     take_records,
 )
@@ -199,6 +201,54 @@ def test_take_records_bounds_checked():
 def test_histogram_counts_always_sum_to_sample_size(values):
     h = histogram(Sample(tuple(values)), Binning.equal_width(7))
     assert h.counts.total == float(len(values))
+
+
+def _counts_by_dict_loop(values):
+    acc = {}
+    for v in values:
+        if v is MISSING:
+            continue
+        acc[v] = acc.get(v, 0.0) + 1.0
+    return CategoricalCounts.from_mapping(acc)
+
+
+# 1, 1.0 and True are one dict key, kept as whichever came first
+cells = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from("abc")
+)
+
+
+@given(st.lists(cells, max_size=40))
+def test_counts_from_values_equal_the_dict_loop(values):
+    got, ref = CategoricalCounts.from_values(values).counts, _counts_by_dict_loop(values).counts
+    assert got == ref
+    assert [(type(k), type(c)) for k, c in got] == [(type(k), type(c)) for k, c in ref]
+
+
+def _histogram_by_dict_loop(values, edges):
+    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
+    acc = {f"bin{i}": 0.0 for i in range(len(edges) - 1)}
+    for i in idx:
+        acc[f"bin{int(i)}"] += 1.0
+    return CategoricalCounts.from_mapping(acc)
+
+
+@given(
+    st.lists(st.integers(-20, 20) | st.floats(-1e3, 1e3), min_size=1, max_size=60),
+    st.sampled_from([Binning.equal_width(1), Binning.equal_width(7), Binning.quantile(4),
+                     Binning.explicit_edges([-5.0, 0.0, 5.0])]),
+)
+def test_histogram_counts_equal_the_dict_loop(values, binning):
+    h = histogram(Sample(tuple(float(v) for v in values)), binning)
+    if len(h.edges) > 2 or h.edges[0] != h.edges[-1]:
+        assert h.counts.counts == _histogram_by_dict_loop(np.array(values, float), h.edges).counts
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)))
+def test_naive_timestamps_parse_as_utc_aware_ones(dt):
+    want = dt.replace(tzinfo=timezone.utc).timestamp()
+    assert parse_timestamp(dt.isoformat()) == want
+    assert parse_timestamp(dt.isoformat() + "+00:00") == want
 
 
 def test_take_records_full_index_is_identity():

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,9 +255,20 @@ def test_energy_1d_matches_pairwise_sums(kind, na, nb):
 
 def _mmd_three_matrix_oracle(a, b, kernel):
     """Biased MMD from the full k(a,a), k(b,b) and k(a,b) matrices."""
-    a, b = np.asarray(a, float).reshape(-1, 1), np.asarray(b, float).reshape(-1, 1)
+    a, b = (np.asarray(v, float) for v in (a, b))
+    if a.ndim == 1:
+        a, b = a.reshape(-1, 1), b.reshape(-1, 1)
     mmd2 = kernel(a, a).mean() + kernel(b, b).mean() - 2.0 * kernel(a, b).mean()
     return math.sqrt(max(mmd2, 0.0))
+
+
+def _mmd_oracle_for(kernel, a, b):
+    if kernel == "rbf":
+        bw = median_heuristic_bandwidth(a, b)
+        return _mmd_three_matrix_oracle(
+            a, b, lambda x, y: np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * bw * bw))
+        )
+    return _mmd_three_matrix_oracle(a, b, lambda x, y: (x @ y.T / x.shape[1] + 1.0) ** 3)
 
 
 @pytest.mark.parametrize("kernel", ["rbf", "polynomial"])
@@ -264,15 +276,62 @@ def test_mmd_blocks_match_the_three_matrix_formula(kernel):
     n = 2 * dist_mod._KERNEL_BLOCK + 37  # crosses two block boundaries
     rng = np.random.default_rng(5)
     a, b = rng.normal(0.0, 1.0, n), rng.normal(0.8, 1.3, n - 90)
-    if kernel == "rbf":
-        bw = median_heuristic_bandwidth(a, b)
-        ref = _mmd_three_matrix_oracle(
-            a, b, lambda x, y: np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * bw * bw))
-        )
-    else:
-        ref = _mmd_three_matrix_oracle(a, b, lambda x, y: (x @ y.T + 1.0) ** 3)
-    assert mmd(a, b, kernel=kernel) == pytest.approx(ref, rel=1e-12)
+    assert mmd(a, b, kernel=kernel) == pytest.approx(_mmd_oracle_for(kernel, a, b), rel=1e-12)
     assert mmd(a, a, kernel=kernel) == 0.0
+
+
+def _mmd_inputs(kind, rng):
+    """Two samples: heavily tied integers, continuous values, or 2-D
+    embeddings whose rows repeat."""
+    if kind == "tied":
+        return rng.integers(-6, 7, 900).astype(float), rng.integers(-4, 9, 700).astype(float)
+    if kind == "continuous":
+        return rng.normal(0.0, 1.0, 300), rng.normal(0.5, 1.2, 250)
+    pool = np.round(rng.normal(0.0, 1.0, (40, 2)), 1)
+    a, b = pool[rng.integers(0, 40, 500)], pool[rng.integers(0, 30, 400)] + [0.2, 0.0]
+    return EmbeddingSet(a), EmbeddingSet(b)
+
+
+@pytest.mark.parametrize("kind", ["tied", "continuous", "embeddings"])
+@pytest.mark.parametrize("kernel", ["rbf", "polynomial"])
+def test_mmd_over_distinct_rows_matches_the_three_matrix_formula(kernel, kind):
+    a, b = _mmd_inputs(kind, np.random.default_rng(12))
+    mats = [v.vectors if isinstance(v, EmbeddingSet) else v for v in (a, b)]
+    assert mmd(a, b, kernel=kernel) == pytest.approx(_mmd_oracle_for(kernel, *mats), rel=1e-12)
+    assert mmd(a, a, kernel=kernel) == 0.0
+    assert mmd(b, b, kernel=kernel) == 0.0
+
+
+def test_mmd_kernel_mean_memory_stays_blocked():
+    # 3000 + 3000 distinct values: one distinct x distinct kernel matrix
+    # would be 72 MB; a 64-row block against 3000 columns is 1.5 MB
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(0.0, 1.0, 3000), rng.normal(0.3, 1.0, 3000)
+    for kernel in ("rbf", "polynomial"):
+        tracemalloc.start()
+        try:
+            mmd(a, b, kernel=kernel, bandwidth=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, kernel
+
+
+finite_rows = st.lists(
+    st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.sampled_from([-1.0, 0.0, 3.0])),
+    min_size=1, max_size=40,
+)
+
+
+@given(finite_rows)
+def test_distinct_rows_count_each_row_once(rows):
+    a = np.array(rows)
+    distinct, counts, inverse = dist_mod.distinct_rows(a)
+    ref, ref_inverse, ref_counts = np.unique(a, axis=0, return_inverse=True, return_counts=True)
+    np.testing.assert_array_equal(distinct, ref)
+    np.testing.assert_array_equal(counts, ref_counts)
+    np.testing.assert_array_equal(inverse, ref_inverse.ravel())
+    np.testing.assert_array_equal(distinct[inverse], a)
 
 
 @given(samples, samples)

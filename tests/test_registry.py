@@ -537,6 +537,16 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         # a tolerance fraction that is not a finite positive number
         ("entropy", {"r": "nan"}),
         ("entropy", {"r": "inf"}),
+        # integer parameters given a fraction, a bool or a string
+        ("entropy", {"m": 2.7}),
+        ("entropy", {"max_samples": 50.9}),
+        ("kl_divergence", {"column": "age", "group_column": "sex", "bins": 7.9}),
+        ("entropy", {"m": True}),
+        ("littles_test", {"max_iter": "200"}),
+        # bool parameters given anything but JSON true or false
+        ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": "false"}),
+        ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": "0"}),
+        ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": 0}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):
@@ -545,6 +555,15 @@ def test_input_faults_become_error_rows(clinic, metric_id, params):
     row = evaluate_row(clinic, metric_id, "accuracy", params)
     assert row["scope"] == "unresolved"
     assert row["error"]
+
+
+def test_integral_floats_are_read_as_ints(clinic):
+    as_float = evaluate_row(clinic, "kl_divergence", "homogeneity",
+                            {"column": "age", "group_column": "sex", "bins": 7.0})
+    as_int = evaluate_row(clinic, "kl_divergence", "homogeneity",
+                          {"column": "age", "group_column": "sex", "bins": 7})
+    assert as_float == as_int
+    assert as_float["params"]["bins"] == 7 and type(as_float["params"]["bins"]) is int
 
 
 UNPARSABLE_PARAMETER_FILES = {

@@ -34,6 +34,7 @@ from dqeval.structure import (
     sampling_frequency,
     syntactic_accuracy,
 )
+from dqeval.structure import _em_normal, _patterns
 from tests.conftest import make_dataset
 
 
@@ -325,6 +326,154 @@ def test_littles_on_dataset_uses_numerical_columns():
     )
     res = littles_mcar_test(ds)
     assert res.n_patterns == 2
+
+
+def _em_normal_per_row(x, tol, max_iter):
+    """EM that refills every row each iteration: the reference for _em_normal."""
+    n, p = x.shape
+    mu = np.nanmean(x, axis=0)
+    var = np.nanvar(x, axis=0)
+    if np.any(~np.isfinite(mu)) or np.any(~np.isfinite(var)):
+        raise MetricInputError("a column is entirely missing")
+    sigma = np.diag(np.maximum(var, 1e-12))
+    masks = ~np.isnan(x)
+    patterns = {key: x[(masks == np.array(key)).all(axis=1)] for key in {tuple(row) for row in masks}}
+    ridged = converged = False
+    for _ in range(max_iter):
+        sx = np.zeros(p)
+        sxx = np.zeros((p, p))
+        for key, rows in patterns.items():
+            obs = np.array(key)
+            k = rows.shape[0]
+            if obs.all():
+                sx += rows.sum(axis=0)
+                sxx += rows.T @ rows
+                continue
+            o, mi = np.where(obs)[0], np.where(~obs)[0]
+            soo, som, smm = sigma[np.ix_(o, o)], sigma[np.ix_(o, mi)], sigma[np.ix_(mi, mi)]
+            try:
+                coef = np.linalg.solve(soo, som)
+            except np.linalg.LinAlgError:
+                coef = np.linalg.solve(soo + 1e-8 * np.eye(len(o)), som)
+                ridged = True
+            filled = np.empty((k, p))
+            filled[:, o] = rows[:, o]
+            filled[:, mi] = mu[mi] + (rows[:, o] - mu[o]) @ coef
+            sx += filled.sum(axis=0)
+            sxx += filled.T @ filled
+            sxx[np.ix_(mi, mi)] += k * (smm - som.T @ coef)
+        mu_new = sx / n
+        sigma_new = sxx / n - np.outer(mu_new, mu_new)
+        scale = 1.0 + max(np.abs(mu_new).max(), np.abs(sigma_new).max())
+        step = max(np.abs(mu_new - mu).max(), np.abs(sigma_new - sigma).max())
+        mu, sigma = mu_new, sigma_new
+        if step / scale < tol:
+            converged = True
+            break
+    return mu, sigma, converged, ridged
+
+
+def _littles_per_row(x, tol=1e-6, max_iter=200):
+    """Little's d2 over set-of-tuples patterns on the per-row EM fit, with the
+    test's own input errors: (statistic, df, n_patterns, converged, ridged)."""
+    x = x[~np.all(np.isnan(x), axis=1)]
+    masks = ~np.isnan(x)
+    keys = sorted({tuple(row) for row in masks}, reverse=True)
+    if len(keys) < 2:
+        if masks.all():
+            raise MetricInputError("data is complete: nothing to test")
+        raise MetricInputError("littles_mcar_test needs >= 2 missingness patterns")
+    mu, sigma, converged, ridged = _em_normal_per_row(x, tol, max_iter)
+    d2, df = 0.0, -x.shape[1]
+    for key in keys:
+        obs = np.array(key)
+        rows = x[(masks == obs).all(axis=1)]
+        o = np.where(obs)[0]
+        diff = rows[:, o].mean(axis=0) - mu[o]
+        soo = sigma[np.ix_(o, o)]
+        try:
+            sol = np.linalg.solve(soo, diff)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.solve(soo + 1e-8 * np.eye(len(o)), diff)
+            ridged = True
+        d2 += rows.shape[0] * float(diff @ sol)
+        df += len(o)
+    if df <= 0:
+        raise MetricInputError("littles_mcar_test has no degrees of freedom")
+    return d2, df, len(keys), converged, ridged
+
+
+@st.composite
+def _incomplete_tables(draw):
+    """(x with NaN for missing, kind): correlated normal columns, rounded to
+    integers half the time, under one of four missingness designs."""
+    p = draw(st.integers(2, 5))
+    n = draw(st.integers(15 * p, 150))
+    kind = draw(st.sampled_from(["mcar", "mnar", "no_complete_row", "ridge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(p, p))
+    x = rng.multivariate_normal(rng.uniform(-10, 10, p), a @ a.T + p * np.eye(p), size=n)
+    if draw(st.booleans()):
+        x = np.round(x)
+    mask = rng.random(x.shape) < rng.uniform(0.05, 0.35)
+    if kind == "mnar":  # a value is missing when it is large
+        mask = x > np.quantile(x, rng.uniform(0.4, 0.9), axis=0)
+        mask[:, 0] = False
+    elif kind == "no_complete_row":
+        mask[np.arange(n), rng.integers(0, p, n)] = True
+    elif kind == "ridge":
+        # an always-observed zero column: from the second EM iteration on its
+        # row of sigma is exactly 0, so every observed block is singular
+        x[:, 0] = 0.0
+        mask[:, 0] = False
+    x[mask] = np.nan
+    return x, kind
+
+
+@given(_incomplete_tables())
+@settings(max_examples=60, deadline=None)
+def test_littles_matches_the_per_row_oracle(table):
+    x, kind = table
+    try:
+        ref = _littles_per_row(x)
+    except MetricInputError as exc:
+        with pytest.raises(MetricInputError, match=f"^{exc}$"):
+            littles_mcar_test(x)
+        return
+    got = littles_mcar_test(x)
+    # a statistic at the rounding floor is 0 in exact arithmetic (the zero
+    # column with one other column leaves nothing to test)
+    assert got.statistic == pytest.approx(ref[0], rel=1e-12, abs=1e-20)
+    assert (got.df, got.n_patterns, got.converged) == ref[1:4]
+    assert ("singular observed covariance ridged by 1e-8" in got.warnings) == ref[4]
+    if kind == "ridge":
+        assert ref[4]
+    if kind == "no_complete_row":
+        assert not (~np.isnan(x)).all(axis=1).any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_em_on_pattern_sums_matches_the_per_row_em(seed):
+    # integer columns with three-way missingness, the shape of a metadata table
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.multivariate_normal([60, 166, 70], [[300, 20, 40], [20, 90, 60], [40, 60, 200]], 3000))
+    x[rng.random(x.shape) < [0.05, 0.6, 0.5]] = np.nan
+    x = x[~np.isnan(x).all(axis=1)]
+    mu, sigma, converged, ridged = _em_normal(x, _patterns(x), 1e-6, 200)
+    ref_mu, ref_sigma, ref_converged, ref_ridged = _em_normal_per_row(x, 1e-6, 200)
+    np.testing.assert_allclose(mu, ref_mu, rtol=1e-12)
+    np.testing.assert_allclose(sigma, ref_sigma, rtol=1e-12)
+    assert (converged, ridged) == (ref_converged, ref_ridged) == (True, False)
+
+
+def test_patterns_hold_each_patterns_sums_in_ascending_mask_order():
+    x = np.array([[1.0, np.nan], [2.0, 5.0], [np.nan, 7.0], [3.0, np.nan], [4.0, 6.0]])
+    got = [(p.o.tolist(), p.k, p.sx.tolist(), p.sxx.tolist()) for p in _patterns(x)]
+    assert got == [
+        ([1], 1, [7.0], [[49.0]]),
+        ([0], 2, [4.0], [[10.0]]),
+        ([0, 1], 2, [6.0, 11.0], [[20.0, 34.0], [34.0, 61.0]]),
+    ]
 
 
 def test_littles_requires_two_numeric_columns():
