@@ -297,7 +297,8 @@ def median_heuristic_bandwidth(
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D array in ascending lexicographic order, their
-    counts, and the inverse: a[i] equals rows[inverse[i]].
+    counts, and the stable sort order: a[order] lists each distinct row's
+    copies together, in that order, counts[j] of them for rows[j].
 
     One lexsort over the columns, boundaries where adjacent rows differ
     (`!=`, so 0.0 and -0.0 are one row and every NaN row its own).
@@ -306,10 +307,8 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ranked = a[order]
     new = np.ones(len(ranked), dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
-    return ranked[starts], np.diff(np.append(starts, len(ranked))), inverse
+    return ranked[starts], np.diff(np.append(starts, len(ranked))), order
 
 
 _KERNEL_BLOCK = 64

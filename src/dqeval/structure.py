@@ -344,8 +344,8 @@ def _patterns(x: np.ndarray) -> list[_Pattern]:
     """Missingness patterns of x (NaN = missing) in ascending mask order,
     with each pattern's rows reduced to k, sum x_o and x_o^T x_o."""
     missing = np.isnan(x)
-    masks, counts, inverse = distinct_rows(~missing)
-    ranked = np.where(missing, 0.0, x)[np.argsort(inverse, kind="stable")]
+    masks, counts, order = distinct_rows(~missing)
+    ranked = np.where(missing, 0.0, x)[order]
     out = []
     for obs, rows in zip(masks, np.split(ranked, np.cumsum(counts)[:-1])):
         o = np.flatnonzero(obs)
@@ -440,12 +440,8 @@ def littles_mcar_test(
         if len(cols) < 2:
             raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
         x = float_columns(data, cols)
-    elif isinstance(data, np.ndarray):
-        x = data.astype(float)
     else:
-        x = np.array(
-            [[np.nan if v is None else float(v) for v in row] for row in data], dtype=float
-        )
+        x = np.array(data, dtype=float)  # None becomes NaN
     if x.ndim != 2 or x.shape[1] < 2:
         raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
     keep = ~np.all(np.isnan(x), axis=1)

@@ -326,12 +326,14 @@ finite_rows = st.lists(
 @given(finite_rows)
 def test_distinct_rows_count_each_row_once(rows):
     a = np.array(rows)
-    distinct, counts, inverse = dist_mod.distinct_rows(a)
-    ref, ref_inverse, ref_counts = np.unique(a, axis=0, return_inverse=True, return_counts=True)
+    distinct, counts, order = dist_mod.distinct_rows(a)
+    ref, ref_counts = np.unique(a, axis=0, return_counts=True)
     np.testing.assert_array_equal(distinct, ref)
     np.testing.assert_array_equal(counts, ref_counts)
-    np.testing.assert_array_equal(inverse, ref_inverse.ravel())
-    np.testing.assert_array_equal(distinct[inverse], a)
+    np.testing.assert_array_equal(np.sort(order), np.arange(len(a)))
+    np.testing.assert_array_equal(a[order], np.repeat(distinct, counts, axis=0))
+    for group in np.split(order, np.cumsum(counts)[:-1]):
+        assert np.all(np.diff(group) > 0)  # stable: original order within a group
 
 
 @given(samples, samples)

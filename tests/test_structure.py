@@ -288,6 +288,9 @@ def test_littles_accepts_arrays_and_reports_df():
     assert res.converged
     assert 0.0 <= res.p_value <= 1.0
     assert any("normal" in w for w in res.warnings)
+    x = _mcar_data(rng, n=60)
+    rows = [[None if math.isnan(v) else float(v) for v in row] for row in x]
+    assert littles_mcar_test(rows) == littles_mcar_test(x)
 
 
 def test_littles_statistic_affine_invariant():
