@@ -108,49 +108,18 @@ def cards_export(fmt: str, out_dir: str) -> None:
     click.echo(f"wrote {len(_registry.all_cards())} cards to {out_dir}")
 
 
-def _interactive_profile() -> dict:
-    trees = _selection.builtin_trees()
-    profile: dict = {}
-    click.echo("Answer each question, or press enter to skip it.")
-    for dim in [t for t in trees if t not in _selection.SUBTREE_NAMES]:
-        tree = trees[dim]
-        node = tree.node(tree.root)
-        # walk this dimension's active path, descending into subtrees
-        stack = [(tree, node)]
-        while stack:
-            current_tree, node = stack.pop()
-            if isinstance(node, _selection.Leaf):
-                continue
-            if isinstance(node, _selection.SubtreeRef):
-                sub = trees[node.subtree]
-                stack.append((sub, sub.node(sub.root)))
-                continue
-            key = node.question_key if current_tree is tree else f"{dim}:{node.question_key}"
-            if key in profile or node.question_key in profile:
-                answer = profile.get(key, profile.get(node.question_key))
-            else:
-                labels = [label for label, _ in node.answers]
-                answer = None
-                while True:
-                    raw = click.prompt(
-                        f"[{dim}] {node.text} {labels}", default="", show_default=False
-                    )
-                    if not raw.strip():
-                        break
-                    tokens = [t.strip() for t in raw.split(",") if t.strip()]
-                    normed = {_selection._norm(l) for l in labels}
-                    if all(_selection._norm(t) in normed for t in tokens):
-                        answer = tokens if len(tokens) > 1 else tokens[0]
-                        profile[key] = answer
-                        break
-                    click.echo(f"please answer with one of {labels} (comma-separate multiple)")
-            if answer is None:
-                continue
-            tokens = answer if isinstance(answer, list) else [answer]
-            for label, child in node.answers:
-                if any(_selection._norm(t) == _selection._norm(label) for t in tokens):
-                    stack.append((current_tree, current_tree.node(child)))
-    return profile
+def _ask(dim: str, question: _selection.Question):
+    """Prompt until the answer is blank (skip) or every comma-separated label is valid."""
+    labels = [label for label, _ in question.answers]
+    normed = {_selection._norm(label) for label in labels}
+    while True:
+        raw = click.prompt(f"[{dim}] {question.text} {labels}", default="", show_default=False)
+        tokens = [t.strip() for t in raw.split(",") if t.strip()]
+        if not tokens:
+            return None
+        if all(_selection._norm(t) in normed for t in tokens):
+            return tokens if len(tokens) > 1 else tokens[0]
+        click.echo(f"please answer with one of {labels} (comma-separate multiple)")
 
 
 @cli.command("select")
@@ -164,11 +133,10 @@ def select_cmd(ctx, profile_path, interactive, mode, out_path) -> None:
     if interactive == (profile_path is not None):
         raise click.UsageError("provide exactly one of --profile FILE or --interactive")
     if interactive:
-        profile = _interactive_profile()
-    else:
-        profile = _read_json(profile_path, "profile")
+        click.echo("Answer each question, or press enter to skip it.")
+    profile = {} if interactive else _read_json(profile_path, "profile")
     try:
-        sel = _selection.select_all(profile, mode=mode)
+        sel = _selection.select_all(profile, mode=mode, ask=_ask if interactive else None)
     except _selection.SelectionError as exc:
         raise click.UsageError(str(exc))
     doc = _selection.rationale_document(sel, params={"mode": mode, "seed": ctx.obj["seed"]})

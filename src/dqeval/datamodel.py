@@ -363,94 +363,28 @@ def group_by(ds: Dataset, col: str) -> tuple[dict[Any, list[int]], list[int]]:
     return groups, missing
 
 
-@dataclass(frozen=True)
-class Binning:
-    """Discretization rule: equal_width(k), quantile(k) or explicit_edges."""
-
-    kind: str
-    k: int = 0
-    edges: tuple[float, ...] = ()
-
-    @classmethod
-    def equal_width(cls, k: int) -> "Binning":
-        return cls("equal_width", k=k)
-
-    @classmethod
-    def quantile(cls, k: int) -> "Binning":
-        return cls("quantile", k=k)
-
-    @classmethod
-    def explicit_edges(cls, edges: Sequence[float]) -> "Binning":
-        return cls("explicit_edges", edges=tuple(float(e) for e in edges))
-
-
-DEFAULT_BINNING = Binning.equal_width(10)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Binned counts with the edges that produced them."""
-
-    counts: CategoricalCounts
-    edges: tuple[float, ...]
-    warnings: tuple[str, ...] = ()
-
-
-def _bin_edges(s: Sample, binning: Binning) -> tuple[tuple[float, ...], list[str]]:
-    warnings: list[str] = []
-    if binning.kind == "explicit_edges":
-        if len(binning.edges) < 2:
-            raise DataModelError("explicit_edges needs at least two edges")
-        return binning.edges, warnings
-    if binning.k < 1:
-        raise DataModelError("bin count must be >= 1")
-    lo, hi = float(s.values.min()), float(s.values.max())
-    if binning.kind == "equal_width":
-        if lo == hi:
-            warnings.append("degenerate range: all values equal, one occupied bin")
-            return (lo, hi), warnings
-        return tuple(np.linspace(lo, hi, binning.k + 1)), warnings
-    if binning.kind == "quantile":
-        qs = np.quantile(s.values, np.linspace(0, 1, binning.k + 1))  # type 7
-        return tuple(qs), warnings
-    raise DataModelError(f"unknown binning kind {binning.kind!r}")
-
-
-def histogram(s: Sample, binning: Binning = DEFAULT_BINNING) -> Histogram:
-    """Bin a sample; counts always sum to the sample size."""
-    if len(s) == 0:
-        raise DataModelError("cannot bin an empty sample")
-    edges, warns = _bin_edges(s, binning)
-    if len(edges) == 2 and edges[0] == edges[1]:
-        counts = CategoricalCounts.from_mapping({"bin0": float(len(s))})
-        return Histogram(counts, edges, tuple(warns))
-    idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, len(edges) - 2)
-    tally = np.bincount(idx, minlength=len(edges) - 1)
-    counts = CategoricalCounts.from_mapping({f"bin{i}": c for i, c in enumerate(tally.tolist())})
-    return Histogram(counts, tuple(float(e) for e in edges), tuple(warns))
-
-
-def pooled_histograms(
-    a: Sample, b: Sample, binning: Binning = DEFAULT_BINNING
-) -> tuple[Histogram, Histogram]:
-    """Bin two samples over shared edges from their pooled min-max range.
+def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[CategoricalCounts, CategoricalCounts]:
+    """Counts of two samples in `bins` equal-width bins over their pooled
+    min-max range, keyed bin0, bin1, ...; a constant pooled sample is one bin.
 
     Shared edges are required by the divergence ops, whose bins must match.
     """
-    if binning.kind == "explicit_edges":
-        edges = binning.edges
-    else:
-        pooled = Sample(np.concatenate([a.values, b.values]))
-        edges, _ = _bin_edges(pooled, binning)
-    shared = Binning.explicit_edges(edges) if len(edges) >= 2 else binning
-    if len(edges) == 2 and edges[0] == edges[1]:
-        # constant pooled sample: both histograms collapse to one bin
-        ha = Histogram(CategoricalCounts.from_mapping({"bin0": float(len(a))}), tuple(edges),
-                       ("degenerate range: all values equal, one occupied bin",))
-        hb = Histogram(CategoricalCounts.from_mapping({"bin0": float(len(b))}), tuple(edges),
-                       ("degenerate range: all values equal, one occupied bin",))
-        return ha, hb
-    return histogram(a, shared), histogram(b, shared)
+    if bins < 1:
+        raise DataModelError("bin count must be >= 1")
+    if len(a) == 0 or len(b) == 0:
+        raise DataModelError("cannot bin an empty sample")
+    lo = min(a.values.min(), b.values.min())
+    hi = max(a.values.max(), b.values.max())
+    if lo == hi:
+        return tuple(CategoricalCounts.from_mapping({"bin0": float(len(s))}) for s in (a, b))
+    edges = np.linspace(lo, hi, bins + 1)
+
+    def count(s: Sample) -> CategoricalCounts:
+        idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, bins - 1)
+        tally = np.bincount(idx, minlength=bins).tolist()
+        return CategoricalCounts.from_mapping({f"bin{i}": c for i, c in enumerate(tally)})
+
+    return count(a), count(b)
 
 
 def take_records(ds: Dataset, indices: Sequence[int], dataset_id: str | None = None) -> Dataset:

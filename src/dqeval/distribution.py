@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as _st
 from scipy.spatial.distance import cdist
 
-from .datamodel import CategoricalCounts, Histogram, Sample
+from .datamodel import CategoricalCounts, Sample
 
 SMOOTH_EPS = 1e-6
 
@@ -343,8 +343,6 @@ def mmd(
     bandwidth: float | None = None,
     degree: int = 3,
     coef: float = 1.0,
-    subsample: int | None = None,
-    seed: int | None = None,
 ) -> float:
     """Biased maximum mean discrepancy estimate (square root scale).
 
@@ -352,11 +350,8 @@ def mmd(
     heuristic when bandwidth is None; "polynomial" uses (x.y/d + coef)^degree.
     Each kernel mean runs over the distinct points weighted by their
     counts, in row blocks: O(distinct^2) time, O(distinct) memory.
-    Large inputs may be subsampled (seed recorded by the caller).
     """
-    rng = np.random.default_rng(seed)
-    ma = _maybe_subsample(_as_matrix(a), subsample, rng)
-    mb = _maybe_subsample(_as_matrix(b), subsample, rng)
+    ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape[0] < 2 or mb.shape[0] < 2:
         raise MetricInputError("mmd requires at least two points per sample")
     if ma.shape[1] != mb.shape[1]:
@@ -418,15 +413,7 @@ def energy_distance(
 # --- divergences -------------------------------------------------------------
 
 
-def _aligned_props(
-    p: CategoricalCounts | Histogram, q: CategoricalCounts | Histogram
-) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, Histogram) != isinstance(q, Histogram):
-        raise MetricInputError("divergence inputs must both be counts or both histograms")
-    if isinstance(p, Histogram) and isinstance(q, Histogram):
-        if p.edges != q.edges:
-            raise MetricInputError("histogram inputs must share bin edges")
-        p, q = p.counts, q.counts
+def _aligned_props(p: CategoricalCounts, q: CategoricalCounts) -> tuple[np.ndarray, np.ndarray]:
     keys = list(dict.fromkeys(list(p.categories) + list(q.categories)))
     pd_, qd = p.as_dict(), q.as_dict()
     pv = np.array([pd_.get(k, 0.0) for k in keys], dtype=float)
@@ -436,22 +423,13 @@ def _aligned_props(
     return pv / pv.sum(), qv / qv.sum()
 
 
-def smoothing_engaged(p: CategoricalCounts | Histogram, q: CategoricalCounts | Histogram) -> bool:
-    """True when either side has a zero bin, so default-mode smoothing bites."""
-    pv, qv = _aligned_props(p, q)
-    return bool((pv == 0).any() or (qv == 0).any())
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 def divergence(
-    kind: str,
-    p: CategoricalCounts | Histogram,
-    q: CategoricalCounts | Histogram,
-    smoothing: str = "default",
+    kind: str, p: CategoricalCounts, q: CategoricalCounts, smoothing: str = "default"
 ) -> float:
     """KL, Jensen-Shannon (nats) or population stability index.
 

@@ -18,7 +18,6 @@ from .datamodel import (
     MISSING,
     CategoricalCounts,
     Dataset,
-    Histogram,
     RatingsMatrix,
     Sample,
 )
@@ -70,10 +69,9 @@ class SampleEntropyParams:
 # --- noise and detection -----------------------------------------------------
 
 
-def shannon_entropy(c: CategoricalCounts | Histogram, base: float = math.e) -> float:
+def shannon_entropy(c: CategoricalCounts, base: float = math.e) -> float:
     """Shannon entropy of a categorical or binned distribution."""
-    counts = c.counts if isinstance(c, Histogram) else c
-    props = [p for p in counts.proportions().values() if p > 0]
+    props = [p for p in c.proportions().values() if p > 0]
     h = -sum(p * math.log(p) for p in props)
     return float(h / math.log(base))
 

@@ -25,7 +25,6 @@ from . import structure as _struct
 from .cards import Applicability, MetricCard, RegistryError  # noqa: F401  (re-exported)
 from .datamodel import (
     MISSING,
-    Binning,
     CategoricalCounts,
     DataModelError,
     Dataset,
@@ -35,7 +34,7 @@ from .datamodel import (
     coded,
     column_sample,
     group_by,
-    pooled_histograms,
+    pooled_counts,
     present_sample,
 )
 from .distribution import MetricInputError, MetricWarning
@@ -257,7 +256,9 @@ def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
 
 
 def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
-    return RatingsMatrix(tuple(zip(*map(ds.column, cols))), rater_names=tuple(cols))
+    """Rater columns as items x raters, ordinal labels coded by rank."""
+    columns = [coded(ds, col) for col in cols]
+    return RatingsMatrix(tuple(zip(*columns)), rater_names=tuple(cols))
 
 
 # Runners, one per input shape. Each resolves and type-checks its columns,
@@ -456,10 +457,10 @@ def _counts_pair(
         raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
     bins = _arg(params, "bins", integer, 10)
     samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
-    ha, hb = pooled_histograms(samples[0], samples[1], Binning.equal_width(bins))
+    ca, cb = pooled_counts(samples[0], samples[1], bins)
     used["bins"] = bins
     used["binning"] = "equal_width"
-    return ha.counts, hb.counts, scope, used
+    return ca, cb, scope, used
 
 
 # bespoke evaluators: (metric, ds, params, ds_b, seed) -> (value, scope, params_used)
@@ -669,6 +670,7 @@ def _ev_ess(metric, ds, params, ds_b, seed):
         w_col is not None,
         "effective_sample_size needs a weight column or (n, cluster_size, icc)",
     )
+    _require_vtype(ds, w_col, ("numerical",), metric)
     weights = [v for v in ds.column(w_col) if v is not MISSING]
     value = _struct.effective_sample_size(weights=weights)
     return value, f"column:{w_col}", {"form": "weighted", "weight_column": w_col}
@@ -830,7 +832,7 @@ _EVALUATORS: dict[str, Evaluator] = {
         pair=True,
     ),
     "fleiss_kappa": _raters(lambda m: _meas.fleiss_kappa(m)),
-    "kendalls_w": _raters(lambda m: _meas.kendalls_w(m)),
+    "kendalls_w": _raters(lambda m: _meas.kendalls_w(m), vtypes=_NUMERIC),
     "krippendorff_alpha": _raters(
         lambda m, level: _meas.krippendorff_alpha(m, level=level), ("level", str, "nominal")
     ),
@@ -851,7 +853,7 @@ _EVALUATORS: dict[str, Evaluator] = {
     "dataset_size": lambda metric, ds, *_: (_struct.dataset_size(ds), "global", {}),
     "granularity": lambda metric, ds, *_: (_struct.granularity(ds), "global", {"role": "feature"}),
     "sampling_frequency": _ev_sampling_frequency,
-    "resolution": _pair(_resolution, None, keys=("width_column", "height_column")),
+    "resolution": _pair(_resolution, ("numerical",), keys=("width_column", "height_column")),
     "label_granularity": _ev_label_granularity,
     "generalized_imbalance_ratio": _column(
         lambda c: _struct.imbalance_ratio(c), _LABELS, read=_counts, role="target"
@@ -902,6 +904,7 @@ _EVALUATORS: dict[str, Evaluator] = {
     "concordance_cc": _pair(
         lambda a, b: _corr.concordance_cc(list(a), list(b)),
         _NUMERIC,
+        read=coded,
         notes={"moments": "population (1/n)"},
     ),
     "goodman_kruskal_gamma": _correlation("goodman_kruskal_gamma", _NUMERIC),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import cards as _cards
 from . import registry as _registry
@@ -222,12 +222,17 @@ def _collect_below(tree: DecisionTree, node: Node) -> tuple[str, ...]:
     return _dedup(found)
 
 
+# (dimension, question) -> an answer label, a list of them, or None to skip
+Ask = Callable[[str, Question], Any]
+
+
 def traverse(
     tree: DecisionTree,
     profile: Mapping[str, Any],
     mode: str = "partial",
     subtrees: Mapping[str, DecisionTree] | None = None,
     dimension: str | None = None,
+    ask: Ask | None = None,
 ) -> DimensionSelection:
     """Walk one tree guided by the profile.
 
@@ -236,7 +241,12 @@ def traverse(
     below it as recommended. Profile keys may be dimension-scoped
     ("homogeneity:dist_aspect") to answer shared-subtree questions
     differently per dimension. List-valued answers follow every matching
-    branch.
+    branch, in label order.
+
+    ask, when given, is called for each question on the active path that
+    the profile leaves open; a non-None answer is stored in the profile
+    (which must then be a dict) under "dimension:key" for a shared-subtree
+    question and the bare key otherwise, so later questions reuse it.
     """
     if mode not in ("strict", "partial"):
         raise SelectionError(f"unknown traversal mode {mode!r}")
@@ -260,7 +270,7 @@ def traverse(
             if subtrees is None:
                 expansions.append(Expansion(node.subtree, node.context, ()))
                 return
-            frag = traverse(subtrees[node.subtree], profile, mode=mode, dimension=dim)
+            frag = traverse(subtrees[node.subtree], profile, mode=mode, dimension=dim, ask=ask)
             expansions.append(Expansion(node.subtree, node.context, frag.metrics))
             metrics.extend(frag.metrics)
             trace.extend(frag.trace)
@@ -270,6 +280,11 @@ def traverse(
             return
         labels = [label for label, _ in node.answers]
         answer = _profile_answer(profile, dim, node.question_key)
+        if answer is None and ask is not None:
+            answer = ask(dim, node)
+            if answer is not None:
+                key = f"{dim}:{node.question_key}" if tree.name in SUBTREE_NAMES else node.question_key
+                profile[key] = answer  # type: ignore[index]
         if answer is None:
             if mode == "strict":
                 raise SelectionError(
@@ -303,18 +318,23 @@ def traverse(
     )
 
 
-def select_all(profile: Mapping[str, Any], mode: str = "partial") -> SelectionResult:
+def select_all(
+    profile: Mapping[str, Any], mode: str = "partial", ask: Ask | None = None
+) -> SelectionResult:
     """Traverse every dimension tree, expanding shared subtrees in place.
 
     Per-dimension gaps (unanswered questions, prerequisite leaves such as
-    a single annotator) are recorded in the fragments, never raised.
+    a single annotator) are recorded in the fragments, never raised. ask
+    (see traverse) fills open questions; the result's profile holds the
+    answers it gave, the caller's profile is left as it was.
     """
     trees = builtin_trees()
     subtrees = {name: trees[name] for name in SUBTREE_NAMES}
+    answers = dict(profile)
     selections = []
     for dim in _cards.DIMENSIONS:
-        selections.append(traverse(trees[dim], profile, mode=mode, subtrees=subtrees))
-    return SelectionResult(selections=tuple(selections), profile=dict(profile))
+        selections.append(traverse(trees[dim], answers, mode=mode, subtrees=subtrees, ask=ask))
+    return SelectionResult(selections=tuple(selections), profile=answers)
 
 
 def _library_version() -> str:

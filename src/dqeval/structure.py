@@ -149,7 +149,10 @@ def sampling_frequency(ds: Dataset) -> float | tuple[float, ...]:
 
 def resolution(image_meta: Sequence[tuple[int, int]]) -> dict[str, Any]:
     """Pixel dimensions per image with min and median by area."""
-    sizes = [(int(w), int(h)) for w, h in image_meta]
+    try:
+        sizes = [(int(w), int(h)) for w, h in image_meta]
+    except (OverflowError, ValueError) as exc:
+        raise MetricInputError(f"resolution needs finite pixel dimensions: {exc}") from None
     if not sizes:
         raise MetricInputError("resolution requires at least one image")
     by_area = sorted(sizes, key=lambda wh: (wh[0] * wh[1], wh))
@@ -444,6 +447,11 @@ def littles_mcar_test(
         x = np.array(data, dtype=float)  # None becomes NaN
     if x.ndim != 2 or x.shape[1] < 2:
         raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
+    if np.isinf(x).any():
+        row, col = np.argwhere(np.isinf(x))[0]
+        raise MetricInputError(
+            f"littles_mcar_test needs finite values; row {row}, column {col} holds {x[row, col]}"
+        )
     keep = ~np.all(np.isnan(x), axis=1)
     warns: list[str] = ["assumes multivariate normality of the observed data"]
     if not keep.all():

@@ -430,3 +430,14 @@ def test_harness_entropy_caps_below_one_are_usage_errors(tmp_path, demo_root, op
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.stderr
     assert not out_dir.exists()
+
+
+def test_select_interactive_strict_mode_stops_at_a_skipped_question(tmp_path):
+    out = tmp_path / "selection.json"
+    res = runner.invoke(
+        cli, ["select", "--interactive", "--mode", "strict", "--out", str(out)], input="general\n\n"
+    )
+    assert res.exit_code == 2
+    assert "question 'ground_truth' is unanswered" in res.stderr
+    assert "[noisy_labels]" not in res.stdout
+    assert not out.exists()

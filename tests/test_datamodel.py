@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dqeval.datamodel import (
     MISSING,
-    Binning,
     CategoricalCounts,
     ColumnSpec,
     DataModelError,
@@ -20,9 +19,8 @@ from dqeval.datamodel import (
     SignalBlock,
     column_sample,
     group_by,
-    histogram,
     parse_timestamp,
-    pooled_histograms,
+    pooled_counts,
     take_records,
 )
 from dqeval.harness import load_ptbxl
@@ -160,23 +158,30 @@ def test_signals_must_match_record_count():
 
 
 def test_histogram_equal_width_counts_sum_to_n():
-    h = histogram(Sample((0.0, 1.0, 2.0, 3.0, 4.0)), Binning.equal_width(2))
-    assert h.counts.total == 5.0
-    assert h.edges == (0.0, 2.0, 4.0)
-    assert h.counts.as_dict() == {"bin0": 2.0, "bin1": 3.0}
+    s = Sample((0.0, 1.0, 2.0, 3.0, 4.0))
+    ca, cb = pooled_counts(s, s, 2)
+    assert ca.as_dict() == cb.as_dict() == {"bin0": 2.0, "bin1": 3.0}
 
 
-def test_histogram_constant_sample_degenerates_with_warning():
-    h = histogram(Sample((2.0, 2.0, 2.0)), Binning.equal_width(4))
-    assert h.counts.as_dict() == {"bin0": 3.0}
-    assert any("degenerate" in w for w in h.warnings)
+def test_pooled_counts_constant_sample_is_one_bin():
+    ca, cb = pooled_counts(Sample((2.0, 2.0, 2.0)), Sample((2.0,)), 4)
+    assert ca.as_dict() == {"bin0": 3.0}
+    assert cb.as_dict() == {"bin0": 1.0}
 
 
-def test_pooled_histograms_share_edges():
-    ha, hb = pooled_histograms(Sample((0.0, 1.0)), Sample((9.0, 10.0)), Binning.equal_width(5))
-    assert ha.edges == hb.edges
-    assert ha.edges[0] == 0.0 and ha.edges[-1] == 10.0
-    assert ha.counts.total == 2.0 and hb.counts.total == 2.0
+def test_pooled_counts_share_the_pooled_range():
+    # edges 0, 2, ..., 10: each sample fills only the bins its own range meets
+    ca, cb = pooled_counts(Sample((0.0, 1.0)), Sample((9.0, 10.0)), 5)
+    assert ca.as_dict() == {"bin0": 2.0, "bin1": 0.0, "bin2": 0.0, "bin3": 0.0, "bin4": 0.0}
+    assert cb.as_dict() == {"bin0": 0.0, "bin1": 0.0, "bin2": 0.0, "bin3": 0.0, "bin4": 2.0}
+
+
+def test_pooled_counts_reject_no_bins_and_empty_sides():
+    with pytest.raises(DataModelError, match="bin count must be >= 1"):
+        pooled_counts(Sample((1.0,)), Sample((2.0,)), 0)
+    for a, b in ((Sample(()), Sample((1.0,))), (Sample((1.0,)), Sample(())), (Sample(()), Sample(()))):
+        with pytest.raises(DataModelError, match="cannot bin an empty sample"):
+            pooled_counts(a, b, 3)
 
 
 def test_take_records_slices_cells_and_signals():
@@ -197,10 +202,13 @@ def test_take_records_bounds_checked():
         take_records(make_dataset(), [0, 6])
 
 
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60))
-def test_histogram_counts_always_sum_to_sample_size(values):
-    h = histogram(Sample(tuple(values)), Binning.equal_width(7))
-    assert h.counts.total == float(len(values))
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
+)
+def test_histogram_counts_always_sum_to_sample_size(a, b):
+    ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), 7)
+    assert (ca.total, cb.total) == (float(len(a)), float(len(b)))
 
 
 def _counts_by_dict_loop(values):
@@ -226,22 +234,26 @@ def test_counts_from_values_equal_the_dict_loop(values):
 
 
 def _histogram_by_dict_loop(values, edges):
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
     acc = {f"bin{i}": 0.0 for i in range(len(edges) - 1)}
-    for i in idx:
-        acc[f"bin{int(i)}"] += 1.0
+    for v in values:
+        i = 0
+        while i < len(edges) - 2 and v >= edges[i + 1]:
+            i += 1
+        acc[f"bin{i}"] += 1.0
     return CategoricalCounts.from_mapping(acc)
 
 
-@given(
-    st.lists(st.integers(-20, 20) | st.floats(-1e3, 1e3), min_size=1, max_size=60),
-    st.sampled_from([Binning.equal_width(1), Binning.equal_width(7), Binning.quantile(4),
-                     Binning.explicit_edges([-5.0, 0.0, 5.0])]),
-)
-def test_histogram_counts_equal_the_dict_loop(values, binning):
-    h = histogram(Sample(tuple(float(v) for v in values)), binning)
-    if len(h.edges) > 2 or h.edges[0] != h.edges[-1]:
-        assert h.counts.counts == _histogram_by_dict_loop(np.array(values, float), h.edges).counts
+values_st = st.lists(st.integers(-20, 20) | st.floats(-1e3, 1e3), min_size=1, max_size=60)
+
+
+@given(values_st, values_st, st.sampled_from([1, 2, 7]))
+def test_histogram_counts_equal_the_dict_loop(a, b, bins):
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    lo, hi = min(a + b), max(a + b)
+    ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), bins)
+    edges = np.linspace(lo, hi, bins + 1).tolist() if lo < hi else [lo, hi]
+    assert ca.counts == _histogram_by_dict_loop(a, edges).counts
+    assert cb.counts == _histogram_by_dict_loop(b, edges).counts
 
 
 @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)))

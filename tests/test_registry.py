@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dqeval.datamodel import ColumnSpec, Dataset, SignalBlock
+from dqeval import correlation as corr
+from dqeval import measurement as meas
+from dqeval.datamodel import ColumnSpec, Dataset, RatingsMatrix, SignalBlock
 from dqeval.report import evaluate_row, report_json
 from dqeval.registry import (
     DIMENSIONS,
@@ -652,3 +654,149 @@ def test_signal_entropy_is_seed_deterministic(clinic):
     second = evaluate("entropy", clinic, params, seed=3)
     assert first == second
     assert first.params["form"] == "sample_entropy"
+
+
+def _empty_numeric_table() -> Dataset:
+    return Dataset(
+        columns=(
+            ColumnSpec("gone", "numerical"),
+            ColumnSpec("age", "numerical"),
+            ColumnSpec("site", "categorical"),
+        ),
+        cells={
+            "gone": (None,) * 6,
+            "age": (30.0, 41.0, 52.0, 38.0, 47.0, 66.0),
+            "site": ("a", "a", "a", "b", "b", "b"),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "metric_id", ["kl_divergence", "jensen_shannon_divergence", "population_stability_index", "chi_squared"]
+)
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"column_a": "gone", "column_b": "gone"},
+        {"column_a": "age", "column_b": "gone"},
+        {"column": "gone", "group_column": "site"},
+    ],
+    ids=["both-empty", "one-empty", "groups-empty"],
+)
+def test_binned_comparisons_of_missing_columns_are_error_rows(metric_id, params):
+    row = evaluate_row(_empty_numeric_table(), metric_id, "homogeneity", params)
+    assert row["scope"] == "unresolved"
+    assert "cannot bin an empty sample" in row["error"]
+
+
+ORDER = ("low", "mid", "high")
+RANK = {label: float(i) for i, label in enumerate(ORDER)}
+
+
+def _ordinal_raters() -> tuple[Dataset, RatingsMatrix]:
+    # alphabetical order (high < low < mid) is not the declared one
+    r1 = ("low", "mid", "high", "low", "mid", "high")
+    r2 = ("low", "mid", "mid", "mid", "high", "high")
+    ds = Dataset(
+        columns=tuple(
+            ColumnSpec(name, "ordinal", role="annotation", ordinal_order=ORDER) for name in ("r1", "r2")
+        ),
+        cells={"r1": r1, "r2": r2},
+    )
+    codes = RatingsMatrix(tuple((RANK[a], RANK[b]) for a, b in zip(r1, r2)), rater_names=("r1", "r2"))
+    return ds, codes
+
+
+@pytest.mark.parametrize(
+    "metric_id, params, kernel",
+    [
+        ("cohens_kappa", {"weights": "linear"}, lambda m: meas.cohens_kappa(m, weights="linear")),
+        ("cohens_kappa", {"weights": "quadratic"}, lambda m: meas.cohens_kappa(m, weights="quadratic")),
+        ("krippendorff_alpha", {"level": "ordinal"}, lambda m: meas.krippendorff_alpha(m, level="ordinal")),
+        ("krippendorff_alpha", {"level": "interval"}, lambda m: meas.krippendorff_alpha(m, level="interval")),
+        ("kendalls_w", {}, meas.kendalls_w),
+        ("icc", {}, corr.icc),
+    ],
+)
+def test_ordinal_rater_columns_are_coded_by_rank(metric_id, params, kernel):
+    ds, codes = _ordinal_raters()
+    assert evaluate(metric_id, ds, params).value == kernel(codes)
+
+
+def test_ordinal_weighted_agreement_does_not_follow_alphabetical_order():
+    ds, codes = _ordinal_raters()
+    labels = RatingsMatrix(tuple(zip(ds.column("r1"), ds.column("r2"))))
+    for metric_id, params, kernel in (
+        ("cohens_kappa", {"weights": "linear"}, lambda m: meas.cohens_kappa(m, weights="linear")),
+        ("krippendorff_alpha", {"level": "ordinal"}, lambda m: meas.krippendorff_alpha(m, level="ordinal")),
+    ):
+        assert evaluate(metric_id, ds, params).value != pytest.approx(kernel(labels))
+
+
+def test_concordance_of_ordinal_columns_uses_rank_codes():
+    ds, _ = _ordinal_raters()
+    res = evaluate("concordance_cc", ds, {"column_a": "r1", "column_b": "r2"})
+    assert res.value == corr.concordance_cc([RANK[v] for v in ds.column("r1")], [RANK[v] for v in ds.column("r2")])
+
+
+# One column of each kind, none of them usable by every metric. Every
+# column-bearing parameter is set to each column, and each pair of columns a
+# metric reads together to the same column twice; whatever the metric makes
+# of it, only an EvaluationError may leave evaluate.
+PROBE_TABLE = Dataset(
+    columns=(
+        ColumnSpec("num", "numerical"),
+        ColumnSpec("inf", "numerical"),
+        ColumnSpec("ord", "ordinal", ordinal_order=ORDER),
+        ColumnSpec("cat", "categorical"),
+        ColumnSpec("when", "datetime"),
+        ColumnSpec("pid", "identifier"),
+        ColumnSpec("gone", "numerical"),
+        ColumnSpec("r1", "ordinal", role="annotation", ordinal_order=ORDER),
+        ColumnSpec("r2", "ordinal", role="annotation", ordinal_order=ORDER),
+    ),
+    cells={
+        "num": (1.0, 2.0, 3.0, None, 5.0, 6.0, 7.0, 8.0),
+        "inf": (1.0, float("inf"), 3.0, 4.0, None, 6.0, 7.0, 8.0),
+        "ord": ("low", "mid", "high", "low", None, "mid", "high", "low"),
+        "cat": ("a", "b", "a", "b", "a", None, "b", "a"),
+        "when": tuple(f"2020-01-0{i}" for i in range(1, 9)),
+        "pid": tuple(f"p{i % 4}" for i in range(8)),
+        "gone": (None,) * 8,
+        "r1": ("low", "mid", "high", "low", "mid", "mid", "high", "low"),
+        "r2": ("mid", "mid", "high", "low", "low", "mid", "high", "high"),
+    },
+)
+COLUMN_KEYS = (
+    "column", "column_a", "column_b", "group_column", "measured_column", "reference_column",
+    "value_column", "subject_column", "condition_column", "timestamp_column", "patient_column",
+    "weight_column", "width_column", "height_column", "variable",
+)
+PAIRED_KEYS = (
+    ("column_a", "column_b"), ("column", "group_column"), ("measured_column", "reference_column"),
+    ("value_column", "subject_column"), ("value_column", "condition_column"),
+    ("width_column", "height_column"),
+)
+LIST_KEYS = ("columns", "rater_columns", "keys", "required")
+
+
+def _probe_params() -> list[dict]:
+    names = PROBE_TABLE.column_names
+    out: list[dict] = [{}]
+    out += [{key: col} for key in COLUMN_KEYS for col in names]
+    out += [{a: col, b: col} for a, b in PAIRED_KEYS for col in names]
+    out += [{key: [col, col]} for key in LIST_KEYS for col in names]
+    return out
+
+
+def test_only_evaluation_errors_escape_evaluate():
+    escapes = {}
+    for c in all_cards():
+        for params in _probe_params():
+            try:
+                evaluate(c.id, PROBE_TABLE, params)
+            except EvaluationError:
+                pass
+            except Exception as exc:  # noqa: BLE001  (any other escape is the finding)
+                escapes.setdefault(c.id, f"{params}: {exc!r}")
+    assert escapes == {}

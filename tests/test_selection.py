@@ -645,3 +645,51 @@ def test_rationale_document_is_deterministic_up_to_timestamp():
     a = rationale_document(sel, timestamp="2024-01-01T00:00:00+00:00")
     b = rationale_document(sel, timestamp="2024-01-01T00:00:00+00:00")
     assert a == b
+
+
+def test_ask_stores_subtree_answers_scoped_and_main_tree_answers_bare():
+    replies = {
+        "accuracy_approach": "compare distributions",
+        "dist_aspect": "compare",
+        "comparison_approach": "divergence",
+    }
+    asked = []
+
+    def ask(dim, question):
+        asked.append((dim, question.question_key))
+        return replies[question.question_key]
+
+    profile = {"ground_truth": "yes"}
+    sel = traverse(_tree("accuracy"), profile, subtrees=builtin_trees(), ask=ask)
+    assert asked == [("accuracy", key) for key in replies]
+    assert profile == {
+        "ground_truth": "yes",
+        "accuracy_approach": "compare distributions",
+        "accuracy:dist_aspect": "compare",
+        "accuracy:comparison_approach": "divergence",
+    }
+    assert sel.metrics == ("kl_divergence", "jensen_shannon_divergence", "population_stability_index")
+
+
+def test_ask_answers_are_reused_and_branches_walked_in_label_order():
+    asked = []
+
+    def ask(dim, question):
+        asked.append(question.question_key)
+        return {"annotator_count": ["multiple", "two"], "annotation_type": "categorical"}[question.question_key]
+
+    sel = traverse(_tree("noisy_labels"), {}, ask=ask)
+    assert asked == ["annotator_count", "annotation_type"]
+    assert sel.trace[0] == ("annotator_count", "two")
+    assert sel.metrics == ("cohens_kappa", "krippendorff_alpha", "fleiss_kappa")
+
+
+def test_select_all_with_skipping_ask_matches_the_empty_profile():
+    profile: dict = {}
+    asked = []
+    result = select_all(profile, ask=lambda dim, q: asked.append((dim, q.question_key)))
+    assert result == select_all({})
+    assert profile == {}
+    assert len(asked) == sum(len(s.unanswered) for s in result.selections)
+    with pytest.raises(SelectionError, match="unanswered"):
+        select_all({}, mode="strict", ask=lambda dim, q: None)

@@ -486,3 +486,14 @@ def test_littles_requires_two_numeric_columns():
     )
     with pytest.raises(MetricInputError):
         littles_mcar_test(ds)
+
+
+def test_littles_names_an_infinite_cell_not_a_missing_column():
+    inf = float("inf")
+    ds = Dataset(
+        columns=(ColumnSpec("a", vtype="numerical"), ColumnSpec("b", vtype="numerical")),
+        cells={"a": (1.0, 2.0, inf, 4.0, 5.0, None), "b": (2.0, None, 1.0, 3.0, 5.0, 4.0)},
+    )
+    for data in (ds, [[1.0, 2.0], [2.0, None], [-inf, 1.0], [4.0, 3.0], [5.0, 5.0], [None, 4.0]]):
+        with pytest.raises(MetricInputError, match=r"finite values; row 2, column 0 holds -?inf"):
+            littles_mcar_test(data)
