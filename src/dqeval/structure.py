@@ -147,12 +147,22 @@ def sampling_frequency(ds: Dataset) -> float | tuple[float, ...]:
     return rates[0]
 
 
-def resolution(image_meta: Sequence[tuple[int, int]]) -> dict[str, Any]:
-    """Pixel dimensions per image with min and median by area."""
+def _pixels(v: Any) -> int:
     try:
-        sizes = [(int(w), int(h)) for w, h in image_meta]
-    except (OverflowError, ValueError) as exc:
-        raise MetricInputError(f"resolution needs finite pixel dimensions: {exc}") from None
+        f = float(v)
+    except (TypeError, ValueError):
+        f = math.nan
+    if not (f >= 1 and f.is_integer()):  # NaN fails the comparison, inf fails is_integer()
+        raise MetricInputError(f"resolution needs positive whole pixel dimensions, got {v}")
+    return int(f)
+
+
+def resolution(image_meta: Sequence[tuple[int, int]]) -> dict[str, Any]:
+    """Pixel dimensions per image with min and median by area.
+
+    Every width and height must be a positive whole number of pixels.
+    """
+    sizes = [(_pixels(w), _pixels(h)) for w, h in image_meta]
     if not sizes:
         raise MetricInputError("resolution requires at least one image")
     by_area = sorted(sizes, key=lambda wh: (wh[0] * wh[1], wh))
@@ -310,6 +320,8 @@ def effective_sample_size(
     """ESS from importance weights, or from a cluster design (n, m, rho)."""
     if weights is not None:
         w = np.asarray(list(weights), dtype=float)
+        if not np.isfinite(w).all():
+            raise MetricInputError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
         if (w < 0).any():
             raise MetricInputError("weights must be nonnegative")
         if w.sum() <= 0:
@@ -436,7 +448,9 @@ def littles_mcar_test(
     missingness pattern's observed means against the fit: d2 is chi-squared
     with sum(p_j) - p degrees of freedom when MCAR holds. The rows are
     grouped by pattern once; EM and d2 both run on the per-pattern sums,
-    and d2 adds the patterns in descending mask order.
+    and d2 adds the patterns in descending mask order. A pair of columns
+    observed together in fewer than 2 rows leaves the covariance not
+    identified; the result then carries a warning.
     """
     if isinstance(data, Dataset):
         cols = [c.name for c in data.columns if c.vtype == "numerical"]
@@ -463,6 +477,16 @@ def littles_mcar_test(
         if patterns and patterns[0].o.size == p:
             raise MetricInputError("data is complete: nothing to test")
         raise MetricInputError("littles_mcar_test needs >= 2 missingness patterns")
+    together = np.zeros((p, p))
+    for pat in patterns:
+        together[np.ix_(pat.o, pat.o)] += pat.k
+    sparse = np.argwhere(np.triu(together < 2, 1))
+    if sparse.size:
+        i, j = sparse[0]
+        warns.append(
+            f"covariance not identified: columns {i} and {j} are observed together in "
+            f"{int(together[i, j])} rows, so the statistic depends on where EM stops"
+        )
     mu, sigma, converged, ridged = _em_normal(x, patterns, tol, max_iter)
     if not converged:
         warns.append(f"EM did not converge within {max_iter} iterations")

@@ -620,6 +620,36 @@ def test_kid_matches_loop_oracle():
     assert kid(e_b, e_a) == pytest.approx(oracle)
 
 
+def _kid_three_matrix_oracle(ma, mb):
+    def k(x, y):
+        return (x @ y.T / x.shape[1] + 1.0) ** 3
+
+    n, m = len(ma), len(mb)
+    k_aa, k_bb = k(ma, ma), k(mb, mb)
+    term_a = (k_aa.sum() - np.trace(k_aa)) / (n * (n - 1))
+    term_b = (k_bb.sum() - np.trace(k_bb)) / (m * (m - 1))
+    return term_a + term_b - 2.0 * k(ma, mb).mean()
+
+
+def test_kid_over_repeated_vectors_matches_the_three_matrix_formula():
+    a, b = _mmd_inputs("embeddings", np.random.default_rng(16))
+    assert kid(a, b) == pytest.approx(_kid_three_matrix_oracle(a.vectors, b.vectors), rel=1e-12)
+
+
+def test_kid_memory_stays_blocked():
+    # 3000 + 3000 vectors: each full kernel matrix would be 72 MB
+    rng = np.random.default_rng(4)
+    e_a = EmbeddingSet(rng.normal(0.0, 1.0, (3000, 4)))
+    e_b = EmbeddingSet(rng.normal(0.3, 1.0, (3000, 4)))
+    tracemalloc.start()
+    try:
+        kid(e_a, e_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_kid_unbiased_near_zero_on_matched_distributions():
     rng = np.random.default_rng(15)
     same = [

@@ -689,6 +689,22 @@ def test_binned_comparisons_of_missing_columns_are_error_rows(metric_id, params)
     assert "cannot bin an empty sample" in row["error"]
 
 
+def test_infinite_weight_is_an_ess_error_naming_it():
+    ds = Dataset(columns=(ColumnSpec("w", "numerical"),), cells={"w": (1.0, float("inf"), 2.0)})
+    with pytest.raises(EvaluationError, match="weights must be finite, got inf"):
+        evaluate("effective_sample_size", ds, {"weight_column": "w"})
+
+
+@pytest.mark.parametrize("width, height", [(2.7, 1.2), (-3.0, 5.0)])
+def test_fractional_or_negative_pixel_dimensions_are_resolution_error_rows(width, height):
+    ds = Dataset(
+        columns=(ColumnSpec("w", "numerical"), ColumnSpec("h", "numerical")),
+        cells={"w": (640.0, width), "h": (480.0, height)},
+    )
+    row = evaluate_row(ds, "resolution", "granularity", {"width_column": "w", "height_column": "h"})
+    assert f"positive whole pixel dimensions, got {width}" in row["error"]
+
+
 ORDER = ("low", "mid", "high")
 RANK = {label: float(i) for i, label in enumerate(ORDER)}
 

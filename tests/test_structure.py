@@ -138,6 +138,13 @@ def test_resolution_reports_min_and_median():
     assert out["median"] == (640, 480)
 
 
+@pytest.mark.parametrize("bad", [(2.7, 1.2), (-3.0, 5.0), (0, 480), (640, float("inf")), (640, float("nan"))])
+def test_resolution_rejects_dimensions_that_are_not_positive_whole_pixels(bad):
+    with pytest.raises(MetricInputError, match="positive whole pixel dimensions, got"):
+        resolution([(640, 480), bad])
+    assert resolution([(640.0, 480.0)])["per_image"] == [(640, 480)]
+
+
 def test_label_granularity_flat_and_tree():
     assert label_granularity(["a", "b", "c"]) == 1
     tree = {"root": ["mid1", "mid2"], "mid1": ["leaf"]}
@@ -258,6 +265,8 @@ def test_ess_cluster_route():
 def test_ess_rejects_bad_inputs():
     with pytest.raises(MetricInputError):
         effective_sample_size(weights=[-1.0, 2.0])
+    with pytest.raises(MetricInputError, match="weights must be finite, got inf"):
+        effective_sample_size(weights=[1.0, float("inf"), 2.0])
     with pytest.raises(MetricInputError):
         effective_sample_size(n=100, cluster_size=10, icc=1.5)
     with pytest.raises(MetricInputError):
@@ -477,6 +486,19 @@ def test_patterns_hold_each_patterns_sums_in_ascending_mask_order():
         ([0], 2, [4.0], [[10.0]]),
         ([0, 1], 2, [6.0, 11.0], [[20.0, 34.0], [34.0, 61.0]]),
     ]
+
+
+def test_littles_warns_when_a_column_pair_is_observed_together_once():
+    nan = float("nan")
+    x = np.array(
+        [[float(i), 2.0 * i % 7, nan] for i in range(5)]
+        + [[nan, float(i % 4), 3.0 * i % 5] for i in range(5)]
+        + [[1.5, 2.5, 0.5]]
+    )
+    res = littles_mcar_test(x)
+    assert any("columns 0 and 2 are observed together in 1 rows" in w for w in res.warnings)
+    ok = littles_mcar_test(_mcar_data(np.random.default_rng(0)))
+    assert not any("not identified" in w for w in ok.warnings)
 
 
 def test_littles_requires_two_numeric_columns():
