@@ -332,32 +332,29 @@ def _pooled_kernel_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums of k over every pair of points of two samples, in one pass.
 
-    Returns T with T[i, j] the sum of k(x, y) over x in sample i and y in
-    sample j (0 is ma, 1 is mb), and per sample the diagonal sum of k(x, x)
-    over its points.
+    Returns T, T[i, j] the sum of k(x, y) over x in sample i and y in
+    sample j (0 is ma, 1 is mb), and each sample's sum of k(x, x).
 
-    The pooled samples are grouped once (distinct_rows) into distinct points
-    z with weights W[:, 0] and W[:, 1], their counts in ma and mb. Each block
-    of rows of the symmetric matrix k(z, z) is evaluated from the block's
-    first column onward; in the block's own square the strict upper part has
-    weight 1 and the diagonal 0.5, so S = sum W[block].T @ K @ W[cols] holds
-    every unordered pair once and T = S + S.T. That is distinct^2 / 2 kernel
-    evaluations in O(block * distinct) memory: n^2 / 2 when every value is
-    distinct, against the n^2 of the three kernel means taken apart. When
-    ma and mb hold the same points the two weight columns are equal, so
-    every entry of T is the same double.
+    The pooled points are grouped once (distinct_rows); column 0 of W counts
+    each distinct point z in ma, column 1 in mb. Row blocks of k(z, z) are
+    evaluated from the block's first column on, with weight 1 on the strict
+    upper part of the block's own square and 0.5 on its diagonal, so
+    S = sum W[block].T @ K @ W[cols] holds each unordered pair once and
+    T = S + S.T: distinct^2 / 2 kernel evaluations in O(block * distinct)
+    memory. Equal weight columns (ma and mb the same points) put one double
+    in every entry of T.
     """
     z, counts, order = distinct_rows(np.vstack([ma, mb]))
     in_b = np.add.reduceat((order >= ma.shape[0]).astype(float), np.cumsum(counts) - counts)
     w = np.column_stack([counts - in_b, in_b])
-    halve = np.triu(np.ones((_KERNEL_BLOCK, _KERNEL_BLOCK)), 1) + 0.5 * np.eye(_KERNEL_BLOCK)
+    upper = np.triu(np.ones((_KERNEL_BLOCK, _KERNEL_BLOCK)), 1) + 0.5 * np.eye(_KERNEL_BLOCK)
     s, diag = np.zeros((2, 2)), np.zeros(2)
     for lo in range(0, len(z), _KERNEL_BLOCK):
         hi = min(lo + _KERNEL_BLOCK, len(z))
         kb = k(z[lo:hi], z[lo:])
         own = kb[:, : hi - lo]
         diag += own.diagonal() @ w[lo:hi]
-        own *= halve[: hi - lo, : hi - lo]
+        own *= upper[: hi - lo, : hi - lo]
         s += w[lo:hi].T @ (kb @ w[lo:])
     return s + s.T, diag
 
