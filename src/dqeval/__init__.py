@@ -6,8 +6,6 @@ a common dataset model, and reporting helpers for audits and dataset
 comparisons.
 """
 
-from importlib import metadata as _metadata
-
 from .datamodel import (
     MISSING,
     ColumnSpec,
@@ -51,10 +49,15 @@ from .selection import (
     traverse,
 )
 
-try:
-    __version__ = _metadata.version("artifact")
-except _metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+
+def __getattr__(name: str) -> str:
+    """``__version__`` is looked up when it is read, not at import."""
+    if name == "__version__":
+        from .selection import _library_version
+
+        return _library_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MISSING",

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from typing import NoReturn
 
 import click
 
@@ -40,12 +41,17 @@ def cli(ctx: click.Context, seed: int | None, verbose: bool) -> None:
     ctx.obj = {"seed": seed, "verbose": verbose}
 
 
+def _not_json(token: str) -> NoReturn:
+    """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _read_json(path: str, what: str) -> dict:
     """The JSON object in path; anything else is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_not_json)
+    except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read {what} {path}: {exc}")
     if not isinstance(doc, dict):
         raise click.UsageError(f"{what} must be a JSON object: {path}")
@@ -224,8 +230,8 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     else:
         recipe_text = recipe_src
     try:
-        recipe = json.loads(recipe_text)
-    except json.JSONDecodeError as exc:
+        recipe = json.loads(recipe_text, parse_constant=_not_json)
+    except ValueError as exc:
         raise click.UsageError(f"recipe is not valid JSON: {exc}")
     if not isinstance(recipe, dict):
         raise click.UsageError("recipe must be a JSON object")

@@ -6,7 +6,6 @@ import math
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import stats as _st
 
 from .datamodel import MISSING, RatingsMatrix, Sample
 from .distribution import MetricInputError
@@ -107,7 +106,9 @@ def correlation(
     if kind == "pearson":
         return _pearson(vx, vy)
     if kind == "spearman":
-        return _pearson(_st.rankdata(vx), _st.rankdata(vy))
+        from scipy.stats import rankdata
+
+        return _pearson(rankdata(vx), rankdata(vy))
     if kind in ("kendall_tau", "goodman_kruskal_gamma"):
         c_minus_d, tx, ty, both, n0 = _concordance_counts(vx, vy)
         if kind == "kendall_tau":
@@ -192,7 +193,9 @@ def cramers_v(
     ib = {c: i for i, c in enumerate(cats_b)}
     for x, y in pairs:
         table[ia[x], ib[y]] += 1
-    chi2, _, _, _ = _st.chi2_contingency(table, correction=False)
+    from scipy.stats import chi2_contingency
+
+    chi2, _, _, _ = chi2_contingency(table, correction=False)
     n = table.sum()
     r, c = table.shape
     if bias_correction:

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _st
-from scipy.spatial.distance import cdist
 
 from .datamodel import CategoricalCounts, Sample
 
@@ -285,6 +283,8 @@ def median_heuristic_bandwidth(
             med = _gap_median(x, zeros) if zeros < n * (n - 1) // 2 else 1.0
             _warn("median heuristic degenerate (identical points); bandwidth fallback used")
         return med
+    from scipy.spatial.distance import cdist
+
     d = cdist(pooled, pooled)
     upper = d[np.triu_indices_from(d, k=1)]
     med = float(np.median(upper))
@@ -392,6 +392,8 @@ def mmd(
                 sq = x - y.T
                 sq *= sq
             else:
+                from scipy.spatial.distance import cdist
+
                 sq = cdist(x, y, "sqeuclidean")
             np.divide(sq, -2.0 * bandwidth * bandwidth, out=sq)
             return np.exp(sq, out=sq)
@@ -431,6 +433,8 @@ def energy_distance(
         fa = np.searchsorted(va, z[:-1], "right") / va.size
         fb = np.searchsorted(vb, z[:-1], "right") / vb.size
         return float(max(2.0 * np.sum(np.diff(z) * (fa - fb) ** 2), 0.0))
+    from scipy.spatial.distance import cdist
+
     e_ab = cdist(ma, mb).mean()
     e_aa = cdist(ma, ma).mean()
     e_bb = cdist(mb, mb).mean()
@@ -530,6 +534,8 @@ def two_sample_test(
     from the standard asymptotics, except the small Mann-Whitney case which
     is enumerated exactly.
     """
+    from scipy import stats
+
     warns: list[str] = []
     if kind == "chi_squared":
         if not isinstance(a, CategoricalCounts) or not isinstance(b, CategoricalCounts):
@@ -541,7 +547,7 @@ def two_sample_test(
         col_tot = obs.sum(axis=0)
         if (col_tot == 0).any():
             raise MetricInputError("chi_squared: category with expected count 0")
-        stat, p, _, _ = _st.chi2_contingency(obs, correction=False)
+        stat, p, _, _ = stats.chi2_contingency(obs, correction=False)
         return TestOutcome(float(stat), float(p), "chi_squared", int(obs[0].sum()), int(obs[1].sum()))
 
     va, vb = _values(a), _values(b)
@@ -549,14 +555,14 @@ def two_sample_test(
         raise MetricInputError("two_sample_test requires non-empty samples")
 
     if kind == "ks":
-        res = _st.ks_2samp(va, vb, method="asymp")
+        res = stats.ks_2samp(va, vb, method="asymp")
         return TestOutcome(float(res.statistic), float(res.pvalue), "ks", va.size, vb.size)
 
     if kind == "mann_whitney_u":
         if va.size + vb.size <= 16:
             u, p = _mwu_exact(va, vb)
             return TestOutcome(u, p, "mann_whitney_u(exact)", va.size, vb.size)
-        res = _st.mannwhitneyu(va, vb, alternative="two-sided", method="asymptotic")
+        res = stats.mannwhitneyu(va, vb, alternative="two-sided", method="asymptotic")
         return TestOutcome(
             float(res.statistic), float(res.pvalue), "mann_whitney_u(asymptotic)", va.size, vb.size
         )
@@ -567,7 +573,7 @@ def two_sample_test(
         with _pywarnings.catch_warnings():
             _pywarnings.simplefilter("ignore")
             try:
-                res = _st.epps_singleton_2samp(va, vb)
+                res = stats.epps_singleton_2samp(va, vb)
                 stat, p = float(res.statistic), float(res.pvalue)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 warns.append(f"epps_singleton inapplicable: {exc}")
@@ -581,7 +587,7 @@ def two_sample_test(
         samples = [va, vb] + [_values(o) for o in others]
         with _pywarnings.catch_warnings(record=True) as caught:
             _pywarnings.simplefilter("always")
-            res = _st.anderson_ksamp(samples)
+            res = stats.anderson_ksamp(samples)
         for w in caught:
             if "p-value" in str(w.message):
                 warns.append("anderson_darling_k p-value clamped to its tabulated range [0.001, 0.25]")

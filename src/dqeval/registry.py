@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import warnings as _pywarnings
 import weakref
@@ -232,6 +233,15 @@ def integer(value: Any) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return operator.index(value)
+
+
+def real(value: Any) -> float:
+    """A finite int or float as a float; never a bool, a string, NaN or inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {value!r}")
+    return float(value)
 
 
 def boolean(value: Any) -> bool:
@@ -503,7 +513,7 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
         value = _meas.shannon_entropy(counts)
         return value, f"column:{col}", {"column": col, "form": "shannon", "base": "e"}
     _require(ds.signals is not None, "entropy needs signals or a categorical column")
-    p = _meas.SampleEntropyParams(m=_arg(params, "m", integer, 2), r=_arg(params, "r", float, 0.2))
+    p = _meas.SampleEntropyParams(m=_arg(params, "m", integer, 2), r=_arg(params, "r", real, 0.2))
     max_records = _arg(params, "max_records", integer, None)
     max_samples = _arg(params, "max_samples", integer, None)
     for name, cap in (("max_records", max_records), ("max_samples", max_samples)):
@@ -628,7 +638,7 @@ def _currency(variant: str, *params: Param) -> Evaluator:
         _require_vtype(ds, col, ("datetime", "numerical"), metric)
         stamps = [v for v in ds.column(col) if v is not MISSING]
         _require(bool(stamps), "currency: no timestamps present")
-        now = _arg(given, "now", float, None)
+        now = _arg(given, "now", real, None)
         used: dict[str, Any] = {"timestamp_column": col, "variant": variant, "aggregate": "mean"}
         if now is None:
             now = max(stamps)
@@ -683,7 +693,7 @@ def _ev_littles(metric, ds, params, ds_b, seed):
     _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
     for c in cols:
         _require_vtype(ds, c, ("numerical",), metric)
-    args = _args(params, (("tol", float, 1e-6), ("max_iter", integer, 200)))
+    args = _args(params, (("tol", real, 1e-6), ("max_iter", integer, 200)))
     res = _struct.littles_mcar_test(_struct.float_columns(ds, cols), **args)
     for w in res.warnings:
         _pywarnings.warn(w, MetricWarning, stacklevel=2)
@@ -706,14 +716,14 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
     rng = np.random.default_rng(seed)
     mats = [_dist._maybe_subsample(s.values.reshape(-1, 1), subsample, rng) for s in samples]
     if kernel == "rbf":
-        bandwidth = _arg(params, "bandwidth", float, None)
+        bandwidth = _arg(params, "bandwidth", real, None)
         if bandwidth is None:
             bandwidth = _dist.median_heuristic_bandwidth(mats[0], mats[1])
             used["bandwidth_rule"] = "median_heuristic"
-        used["bandwidth"] = float(bandwidth)
-        value = _dist.mmd(mats[0], mats[1], kernel="rbf", bandwidth=float(bandwidth))
+        used["bandwidth"] = bandwidth
+        value = _dist.mmd(mats[0], mats[1], kernel="rbf", bandwidth=bandwidth)
     else:
-        args = _args(params, (("degree", integer, 3), ("coef", float, 1.0)))
+        args = _args(params, (("degree", integer, 3), ("coef", real, 1.0)))
         used.update(args)
         value = _dist.mmd(mats[0], mats[1], kernel=kernel, **args)
     return value, scope, used
@@ -791,7 +801,7 @@ def _ev_frechet(metric, ds, params, ds_b, seed):
 
 def _ev_kid(metric, ds, params, ds_b, seed):
     ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
-    args = _args(params, (("degree", integer, 3), ("coef", float, 1.0)))
+    args = _args(params, (("degree", integer, 3), ("coef", real, 1.0)))
     used.update(args)
     subsample = _subsample(params, used, seed)
     return _dist.kid(ea, eb, **args, subsample=subsample, seed=seed), scope, used
@@ -802,12 +812,12 @@ _EVALUATORS: dict[str, Evaluator] = {
     "limit_of_detection": _column(
         lambda s, multiplier: _meas.lod_loq(s, lod_multiplier=multiplier)["lod"],
         ("numerical",),
-        ("multiplier", float, 3.3),
+        ("multiplier", real, 3.3),
     ),
     "limit_of_quantification": _column(
         lambda s, multiplier: _meas.lod_loq(s, loq_multiplier=multiplier)["loq"],
         ("numerical",),
-        ("multiplier", float, 10.0),
+        ("multiplier", real, 10.0),
     ),
     "systematic_error": _pair(
         lambda m, r: _instrument(m, r)["systematic"],
@@ -845,10 +855,10 @@ _EVALUATORS: dict[str, Evaluator] = {
     "page_hinkley": _column(
         lambda s, **p: _struct.page_hinkley(s, _struct.PageHinkleyParams(**p)),
         ("numerical", "datetime"),
-        ("delta", float, 0.005),
-        ("lam", float, 50.0),
+        ("delta", real, 0.005),
+        ("lam", real, 50.0),
         ("direction", str, "increase"),
-        ("alpha", float, 0.99),
+        ("alpha", real, 0.99),
     ),
     "dataset_size": lambda metric, ds, *_: (_struct.dataset_size(ds), "global", {}),
     "granularity": lambda metric, ds, *_: (_struct.granularity(ds), "global", {"role": "feature"}),
@@ -866,10 +876,10 @@ _EVALUATORS: dict[str, Evaluator] = {
         role="target",
     ),
     "lr_imbalance_degree": _column(lambda c: _struct.lrid(c), _LABELS, read=_counts, role="target"),
-    "currency_ballou": _currency("ballou", ("volatility", float, None), ("s", float, 1.0)),
-    "currency_li": _currency("li", ("shelf_life", float, None)),
-    "currency_hinrichs": _currency("hinrichs", ("update_rate", float, None)),
-    "currency_heinrich": _currency("heinrich", ("decline", float, 1e-9)),
+    "currency_ballou": _currency("ballou", ("volatility", real, None), ("s", real, 1.0)),
+    "currency_li": _currency("li", ("shelf_life", real, None)),
+    "currency_hinrichs": _currency("hinrichs", ("update_rate", real, None)),
+    "currency_heinrich": _currency("heinrich", ("decline", real, 1e-9)),
     "prevalence_of_duplicates": _ev_duplicates,
     "effective_sample_size": _ev_ess,
     "littles_test": _ev_littles,
@@ -882,7 +892,7 @@ _EVALUATORS: dict[str, Evaluator] = {
     ),
     "mean_std": _column(_mean_std, _NUMERIC, notes={"std_ddof": 1}),
     "hill_numbers": _column(
-        lambda c, q: _dist.hill_number(c, q), _LABELS, ("q", float, 2.0), read=_counts
+        lambda c, q: _dist.hill_number(c, q), _LABELS, ("q", real, 2.0), read=_counts
     ),
     "maximum_mean_discrepancy": _ev_mmd,
     "cohens_d": _samples(lambda a, b: _dist.cohens_d(a, b)),
@@ -898,7 +908,7 @@ _EVALUATORS: dict[str, Evaluator] = {
     "kernel_inception_distance": _ev_kid,
     "mann_whitney_u": _test("mann_whitney_u"),
     "wasserstein_distance": _samples(
-        lambda a, b, order: _dist.wasserstein_1d(a, b, order=order), ("order", float, 1.0)
+        lambda a, b, order: _dist.wasserstein_1d(a, b, order=order), ("order", real, 1.0)
     ),
     "pearson": _correlation("pearson", ("numerical", "datetime")),
     "concordance_cc": _pair(

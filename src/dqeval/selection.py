@@ -338,11 +338,12 @@ def select_all(
 
 
 def _library_version() -> str:
-    try:
-        from importlib.metadata import version
+    """The installed distribution's version; 0.0.0 when run from a source tree."""
+    from importlib import metadata
 
-        return version("artifact")
-    except Exception:
+    try:
+        return metadata.version("artifact")
+    except metadata.PackageNotFoundError:
         return "0.0.0"
 
 

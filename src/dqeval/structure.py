@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .datamodel import MISSING, CategoricalCounts, Dataset, Sample
 from .distribution import MetricInputError, _values, _warn, distinct_rows
@@ -508,6 +507,8 @@ def littles_mcar_test(
         df += len(o)
     if df <= 0:
         raise MetricInputError("littles_mcar_test has no degrees of freedom")
+    from scipy.stats import chi2
+
     return McarTestResult(
         statistic=float(d2),
         df=int(df),

@@ -395,6 +395,10 @@ def test_harness_without_data_skips(tmp_path, capsys):
         ("compare", "{not json", "cannot read params"),
         ("subset", "[1]", "recipe must be a JSON object"),
         ("evaluate", '{"rows": [{"dimension": "variety"}]}', "params rows must be a list"),
+        # NaN and Infinity are not JSON, although Python's json reads them
+        ("evaluate", '{"hill_numbers": {"column": "sex", "q": NaN}}', "cannot read params"),
+        ("compare", '{"range": {"column": "age", "scale": Infinity}}', "cannot read params"),
+        ("subset", '{"kind": "class_imbalance", "n_norm": -Infinity}', "recipe is not valid JSON"),
     ],
 )
 def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, descriptor, command, written, message):
@@ -411,6 +415,17 @@ def test_malformed_json_inputs_are_usage_errors(tmp_path, capsys, descriptor, co
     err = capsys.readouterr().err
     assert f"Error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_nan_in_a_params_file_is_a_usage_error_and_writes_no_report(tmp_path, capsys, descriptor):
+    sel = _selection_doc(tmp_path, [{"dimension": "variety", "metrics": ["hill_numbers"]}])
+    params = tmp_path / "params.json"
+    params.write_text('{"hill_numbers": {"column": "sex", "q": NaN}}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--data", descriptor, "--selection", sel, "--params", str(params), "--out", str(out)]
+    assert main(argv) == 1
+    assert "NaN is not a JSON value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, capsys):

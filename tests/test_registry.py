@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 
@@ -539,6 +540,16 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         # a tolerance fraction that is not a finite positive number
         ("entropy", {"r": "nan"}),
         ("entropy", {"r": "inf"}),
+        # real parameters given NaN, inf or a bool
+        ("hill_numbers", {"column": "diagnosis", "q": math.nan}),
+        ("currency_heinrich", {"now": math.nan}),
+        ("currency_heinrich", {"decline": math.inf}),
+        ("maximum_mean_discrepancy", {"column": "age", "group_column": "sex", "bandwidth": math.nan}),
+        ("wasserstein_distance", {"column": "age", "group_column": "sex", "order": math.inf}),
+        ("page_hinkley", {"column": "age", "lam": math.nan}),
+        ("littles_test", {"columns": ["age", "bp_a", "bp_b"], "tol": math.nan}),
+        ("entropy", {"r": True}),
+        ("hill_numbers", {"column": "diagnosis", "q": True}),
         # integer parameters given a fraction, a bool or a string
         ("entropy", {"m": 2.7}),
         ("entropy", {"max_samples": 50.9}),
@@ -566,6 +577,13 @@ def test_integral_floats_are_read_as_ints(clinic):
                           {"column": "age", "group_column": "sex", "bins": 7})
     assert as_float == as_int
     assert as_float["params"]["bins"] == 7 and type(as_float["params"]["bins"]) is int
+
+
+def test_real_parameters_read_ints_and_floats_alike(clinic):
+    as_int = evaluate_row(clinic, "hill_numbers", "variety", {"column": "diagnosis", "q": 2})
+    as_float = evaluate_row(clinic, "hill_numbers", "variety", {"column": "diagnosis", "q": 2.0})
+    assert as_int == as_float
+    assert type(as_int["params"]["q"]) is float
 
 
 UNPARSABLE_PARAMETER_FILES = {

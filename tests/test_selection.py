@@ -15,6 +15,7 @@ from dqeval.selection import (
     SelectionError,
     SubtreeRef,
     TreeFormatError,
+    _library_version,
     builtin_trees,
     load_tree,
     parse_tree,
@@ -693,3 +694,11 @@ def test_select_all_with_skipping_ask_matches_the_empty_profile():
     assert len(asked) == sum(len(s.unanswered) for s in result.selections)
     with pytest.raises(SelectionError, match="unanswered"):
         select_all({}, mode="strict", ask=lambda dim, q: None)
+
+
+def test_package_version_is_the_library_version():
+    import dqeval
+    from dqeval import __version__
+
+    assert isinstance(__version__, str)
+    assert __version__ == dqeval.__version__ == _library_version()
