@@ -224,13 +224,11 @@ def evaluate_cmd(ctx, data_path, selection_path, params_path, out_path, md_path)
 @click.pass_context
 def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     """Write a stratified-subset descriptor plus its row index file."""
-    if os.path.isfile(recipe_src):
-        with open(recipe_src, "r", encoding="utf-8") as fh:
-            recipe_text = fh.read()
-    else:
-        recipe_text = recipe_src
     try:
-        recipe = json.loads(recipe_text, parse_constant=_not_json)
+        if os.path.isfile(recipe_src):
+            with open(recipe_src, "r", encoding="utf-8") as fh:
+                recipe_src = fh.read()
+        recipe = json.loads(recipe_src, parse_constant=_not_json)
     except ValueError as exc:
         raise click.UsageError(f"recipe is not valid JSON: {exc}")
     if not isinstance(recipe, dict):

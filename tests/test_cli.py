@@ -428,6 +428,24 @@ def test_nan_in_a_params_file_is_a_usage_error_and_writes_no_report(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("evaluate", "cannot read params"), ("subset", "recipe is not valid JSON")],
+)
+def test_input_files_that_are_not_utf8_are_usage_errors(tmp_path, capsys, descriptor, command, message):
+    given = tmp_path / "given.json"
+    given.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "evaluate": ["evaluate", "--data", descriptor, "--selection", _selection_doc(tmp_path, []),
+                     "--params", str(given), "--out", str(tmp_path / "r.json")],
+        "subset": ["subset", "--data", descriptor, "--recipe", str(given), "--out", str(tmp_path / "s")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"Error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["cards", "list"]) == 0
     capsys.readouterr()
