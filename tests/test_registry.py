@@ -540,16 +540,6 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         # a tolerance fraction that is not a finite positive number
         ("entropy", {"r": "nan"}),
         ("entropy", {"r": "inf"}),
-        # real parameters given NaN, inf or a bool
-        ("hill_numbers", {"column": "diagnosis", "q": math.nan}),
-        ("currency_heinrich", {"now": math.nan}),
-        ("currency_heinrich", {"decline": math.inf}),
-        ("maximum_mean_discrepancy", {"column": "age", "group_column": "sex", "bandwidth": math.nan}),
-        ("wasserstein_distance", {"column": "age", "group_column": "sex", "order": math.inf}),
-        ("page_hinkley", {"column": "age", "lam": math.nan}),
-        ("littles_test", {"columns": ["age", "bp_a", "bp_b"], "tol": math.nan}),
-        ("entropy", {"r": True}),
-        ("hill_numbers", {"column": "diagnosis", "q": True}),
         # integer parameters given a fraction, a bool or a string
         ("entropy", {"m": 2.7}),
         ("entropy", {"max_samples": 50.9}),
@@ -560,6 +550,16 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": "false"}),
         ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": "0"}),
         ("cramers_v", {"column_a": "sex", "column_b": "diagnosis", "bias_correction": 0}),
+        # real parameters given NaN, inf or a bool
+        ("hill_numbers", {"column": "diagnosis", "q": math.nan}),
+        ("currency_heinrich", {"now": math.nan}),
+        ("currency_heinrich", {"decline": math.inf}),
+        ("maximum_mean_discrepancy", {"column": "age", "group_column": "sex", "bandwidth": math.nan}),
+        ("wasserstein_distance", {"column": "age", "group_column": "sex", "order": math.inf}),
+        ("page_hinkley", {"column": "age", "lam": math.nan}),
+        ("littles_test", {"columns": ["age", "bp_a", "bp_b"], "tol": math.nan}),
+        ("entropy", {"r": True}),
+        ("hill_numbers", {"column": "diagnosis", "q": True}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):
