@@ -14,6 +14,7 @@ import time
 from typing import NoReturn
 
 import click
+import numpy as np
 
 from . import harness as _harness
 from . import registry as _registry
@@ -366,8 +367,24 @@ def ptbxl_harness_cmd(ctx, root_dir, now, out_dir, entropy_records, entropy_samp
         click.echo(f"wrote {len(out['reports'])} reports to {out_dir}", err=True)
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed blocks of up to 4 MiB for reuse.
+
+    glibc maps each block over 128 kB on its own and hands free heap top
+    over 128 kB back to the system, until a mapped block is freed: blocks
+    up to that size then stay in the heap, and the top is kept up to twice
+    it. Importing scipy used to free such a block as a side effect. Without
+    it, the ~1 MB of temporaries sample entropy frees after each lead was
+    faulted in again for the next one (up to about 1 800 page faults per
+    call on one 12 x 5000 record, 20-30% of the call). Other allocators
+    just allocate and free the block.
+    """
+    np.empty(4 << 20, np.uint8)
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit codes."""
+    _keep_freed_memory()
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:

@@ -124,58 +124,41 @@ def _prefix_table(order: np.ndarray, start: int, stop: int) -> tuple[np.ndarray,
     return table, below
 
 
-def _and_shifted(
-    acc: np.ndarray, near: np.ndarray, o: int, words: int, part: np.ndarray, spill: np.ndarray
-) -> None:
-    """acc &= the flat rows of near from row o on, shifted o bits down.
-
-    part and spill are scratch of acc's size.
-    """
+def _and_shifted(acc: np.ndarray, near: np.ndarray, o: int, words: int) -> None:
+    """acc &= the flat rows of near from row o on, shifted o bits down."""
     ws, bs = divmod(o, 64)
     at = o * words + ws
-    np.right_shift(near[at : at + acc.size], bs, out=part)
+    part = near[at : at + acc.size] >> bs
     if bs:
-        part |= np.left_shift(near[at + 1 : at + 1 + acc.size], 64 - bs, out=spill)
+        part |= near[at + 1 : at + 1 + acc.size] << (64 - bs)
     acc &= part
 
 
 def _row_hits(
-    table: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    columns: np.ndarray,
-    m: int,
-    start: int,
-    stop: int,
-    work: np.ndarray,
+    table: np.ndarray, lo: np.ndarray, hi: np.ndarray, columns: np.ndarray, m: int, start: int, stop: int
 ) -> tuple[int, int]:
     """Matches of templates start..stop-1 at lengths m and m+1 in one column chunk.
 
     Position q's neighbours in the chunk are table[hi[q]] ^ table[lo[q]];
-    columns masks the words to the chunk's templates. work holds five
-    scratch rows, each at least one row block long (see _template_matches).
+    columns masks the words to the chunk's templates.
     """
     words = table.shape[1]
     b = a = 0
     for s in range(start, stop, _SAMPEN_ROWS):
         h = min(_SAMPEN_ROWS, stop - s)
         # neighbours of positions s .. s+h+m-1, one row each, then the spare
-        # words a shift reads past the last row, held clear
-        size = (h + m) * words
-        near = work[0, : size + m // 64 + 1]
-        near[size:] = 0
-        rows = near[:size].reshape(h + m, words)
-        other = work[1, :size].reshape(h + m, words)
+        # words a shift reads past the last row
+        near = np.zeros((h + m) * words + m // 64 + 1, np.uint64)
+        rows = near[: (h + m) * words].reshape(h + m, words)
         table.take(hi[s : s + h + m], axis=0, out=rows, mode="clip")  # unbuffered
-        rows ^= table.take(lo[s : s + h + m], axis=0, out=other, mode="clip")
+        rows ^= table.take(lo[s : s + h + m], axis=0)
         # a flat shift carries bits across rows only into the words past
         # the chunk's templates, which acc holds clear
-        acc, part, spill = work[2:, : h * words]
-        np.bitwise_and(rows[:h], columns, out=acc.reshape(h, words))
+        acc = (rows[:h] & columns).reshape(-1)
         for o in range(1, m):
-            _and_shifted(acc, near, o, words, part, spill)
+            _and_shifted(acc, near, o, words)
         b += int(np.bitwise_count(acc).sum())
-        _and_shifted(acc, near, m, words, part, spill)
+        _and_shifted(acc, near, m, words)
         a += int(np.bitwise_count(acc).sum())
     return b, a
 
@@ -201,12 +184,6 @@ def _template_matches(u: np.ndarray, m: int, tol: float) -> tuple[int, int]:
     order = np.argsort(u)
     lo, hi = np.empty((2, n), np.intp)
     lo[order], hi[order] = _rank_intervals(u[order], tol)
-    # one scratch buffer serves every row block of the series; a fresh
-    # temporary per block and step (about 100 of up to 140 kB at n = 5000)
-    # let malloc return the memory to the system and fault it in again for
-    # every series
-    words = -(-(min(64 * _SAMPEN_BLOCK, k) + m) // 64)
-    work = np.empty((5, (min(_SAMPEN_ROWS, k) + m) * words + m // 64 + 1), np.uint64)
     b = a = 0
     for c in range(0, k, 64 * _SAMPEN_BLOCK):
         w = min(64 * _SAMPEN_BLOCK, k - c)
@@ -216,8 +193,8 @@ def _template_matches(u: np.ndarray, m: int, tol: float) -> tuple[int, int]:
         columns = np.zeros(table.shape[1], np.uint64)
         columns[: w // 64] = ~np.uint64(0)
         columns[w // 64] = (np.uint64(1) << np.uint64(w % 64)) - np.uint64(1)
-        sq_b, sq_a = _row_hits(table, lo_c, hi_c, columns, m, c, c + w, work)
-        later_b, later_a = _row_hits(table, lo_c, hi_c, columns, m, c + w, k, work)
+        sq_b, sq_a = _row_hits(table, lo_c, hi_c, columns, m, c, c + w)
+        later_b, later_a = _row_hits(table, lo_c, hi_c, columns, m, c + w, k)
         b += (sq_b - w) // 2 + later_b
         a += (sq_a - w) // 2 + later_a
     return b, a
