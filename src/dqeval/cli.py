@@ -376,8 +376,9 @@ def _keep_freed_memory() -> None:
     it. Importing scipy used to free such a block as a side effect. Without
     it, the ~1 MB of temporaries sample entropy frees after each lead was
     faulted in again for the next one (up to about 1 800 page faults per
-    call on one 12 x 5000 record, 20-30% of the call). Other allocators
-    just allocate and free the block.
+    call on one 12 x 5000 record, 20-30% of the call). mallopt would fix
+    the limits for good; freeing a block leaves glibc adjusting them. Other
+    allocators just allocate and free the block.
     """
     np.empty(4 << 20, np.uint8)
 
