@@ -78,50 +78,90 @@ def shannon_entropy(c: CategoricalCounts, base: float = math.e) -> float:
 # Template columns per chunk in 64-bit words, and template rows per block.
 _SAMPEN_BLOCK = 16
 _SAMPEN_ROWS = 1024
+# Bytes of bit table per group of leads counted together: six 500-point
+# leads; a 5000-point lead's chunk table alone is larger, so it goes alone.
+_SAMPEN_GROUP_BYTES = 192 * 1024
 
 
-def _rank_intervals(v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per rank p of a sorted series, the ranks [lo[p], hi[p]) of its neighbours,
-    the q with |v[q] - v[p]| <= tol as computed, for a finite tol >= 0.
+def _leads_per_group(n: int, m: int) -> int:
+    """How many leads of n points share one pass: the most whose bit tables
+    for one column chunk fit _SAMPEN_GROUP_BYTES, and at least one."""
+    span = min(n - m, 64 * _SAMPEN_BLOCK) + m
+    table = (span + 1) * -(-span // 64) * 8
+    return max(1, _SAMPEN_GROUP_BYTES // table)
 
-    fl(x - a) is monotone in x, so the neighbours form one run of ranks.
-    searchsorted on v -/+ tol may misplace a bound where v -/+ tol rounds,
-    so each bound steps, one run of equal values at a time, until the
-    computed test holds on its inside rank and fails on its outside one.
+
+def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per index of v, the start and stop of the run of equal values holding it."""
+    new = np.ones(v.size, bool)
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    run = np.cumsum(new) - 1
+    return starts[run], np.append(starts[1:], v.size)[run]
+
+
+def _rank_intervals(v: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i of sorted rows v and rank p, the ranks [lo, hi) of its
+    neighbours, the q with |v[i, q] - v[i, p]| <= tol[i] as computed, for
+    finite tol >= 0.
+
+    fl(x - a) is monotone in x, so the neighbours form one run of ranks and
+    lo never decreases with p. searchsorted on v - tol may misplace lo where
+    v - tol rounds, so lo steps, one run of equal values at a time, until
+    the computed test holds on its rank and fails on the rank below. The
+    test is symmetric, so hi[p] counts the q with lo[q] <= p.
     """
-    # ranks shifted by one into v between -inf and inf, which no finite tol reaches
-    vp = np.concatenate(([-np.inf], v, [np.inf]))
-    lo = np.searchsorted(v, v - tol, "left") + 1
-    hi = np.searchsorted(v, v + tol, "right") + 1
-    # the ranks each side of both bounds: outside, inside, inside, outside
-    expect = np.array([[False], [True], [True], [False]])
+    g, n = v.shape
+    lo = np.empty((g, n), np.intp)
+    for x, d, lo_x in zip(v, tol, lo):
+        lo_x[:] = np.searchsorted(x, x - d, "left")
+    # the rows end to end, each after a -inf that no finite tol reaches; lo
+    # indexes this flat array
+    vp = np.empty((g, n + 1))
+    vp[:, 0], vp[:, 1:] = -np.inf, v
+    vp = vp.reshape(-1)
+    lo += np.arange(1, g * (n + 1), n + 1)[:, None]
+    t = tol[:, None]
+    runs = None
     while True:
-        inside = np.abs(vp[np.stack((lo - 1, lo, hi - 1, hi))] - v) <= tol
-        wrong = inside != expect
-        if not wrong.any():
-            return lo - 1, hi - 1
-        down, up, less, more = wrong
-        lo[down] = np.searchsorted(vp, vp[lo[down] - 1], "left")
-        lo[up] = np.searchsorted(vp, vp[lo[up]], "right")
-        hi[less] = np.searchsorted(vp, vp[hi[less] - 1], "left")
-        hi[more] = np.searchsorted(vp, vp[hi[more]], "right")
+        # lo <= p, and fl(a - b) = -fl(b - a), so these are the |differences|
+        down = v - vp[lo - 1] <= t  # the rank below lo is a neighbour
+        up = v - vp[lo] > t  # lo is not
+        if not (down.any() or up.any()):
+            break
+        if runs is None:
+            runs = _runs(vp)
+        start, stop = runs
+        lo[down] = start[lo[down] - 1]
+        lo[up] = stop[lo[up]]
+    lo -= np.arange(1, g * (n + 1), n + 1)[:, None]
+    below = np.bincount((lo + np.arange(0, g * n, n)[:, None]).reshape(-1), minlength=g * n)
+    return lo, below.reshape(g, n).cumsum(axis=1)
 
 
 def _prefix_table(order: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit table of the positions in [start, stop) by rank, and its row per rank.
+    """Bit tables of the positions in [start, stop) by rank, one per row of
+    order, stacked into one array of table rows, and each rank's table row.
 
-    Row r holds bit q - start of each window position q among the r lowest
-    ranked of them. below[x] counts the window positions in the first x
-    ranks, so the positions ranked in [x, y) are row below[y] ^ row below[x].
+    Table row r of lead i holds bit q - start of each window position q
+    among its r lowest ranked of them. below[i, x] is the table row of lead
+    i's first x ranks, so its positions ranked in [x, y) are the XOR of
+    table rows below[i, y] and below[i, x].
     """
+    g, n = order.shape
+    w = stop - start
+    words = -(-w // 64)
     window = (order >= start) & (order < stop)
-    below = np.zeros(order.size + 1, np.intp)
-    np.cumsum(window, out=below[1:])
-    q = order[window] - start
-    table = np.zeros((q.size + 1, -(-(stop - start) // 64)), np.uint64)
-    table[np.arange(1, q.size + 1), q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
-    np.cumsum(table, axis=0, out=table)  # each row adds one new bit, so + is |
-    return table, below
+    below = np.empty((g, n + 1), np.intp)
+    below[:, 0] = 0
+    np.cumsum(window, axis=1, out=below[:, 1:])
+    below += np.arange(0, g * (w + 1), w + 1)[:, None]
+    q = order[window] - start  # w window positions per lead, by rank
+    table = np.zeros((g, w + 1, words), np.uint64)
+    rows = np.arange(g * (w + 1)).reshape(g, w + 1)[:, 1:].reshape(-1)
+    table.reshape(-1)[rows * words + (q >> 6)] = np.uint64(1) << (q & 63).astype(np.uint64)
+    np.cumsum(table, axis=1, out=table)  # each row adds one new bit, so + is |
+    return table.reshape(g * (w + 1), words), below
 
 
 def _and_shifted(acc: np.ndarray, near: np.ndarray, o: int, words: int) -> None:
@@ -136,105 +176,150 @@ def _and_shifted(acc: np.ndarray, near: np.ndarray, o: int, words: int) -> None:
 
 def _row_hits(
     table: np.ndarray, lo: np.ndarray, hi: np.ndarray, columns: np.ndarray, m: int, start: int, stop: int
-) -> tuple[int, int]:
-    """Matches of templates start..stop-1 at lengths m and m+1 in one column chunk.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per lead, matches of templates start..stop-1 at lengths m and m+1 in
+    one column chunk.
 
-    Position q's neighbours in the chunk are table[hi[q]] ^ table[lo[q]];
-    columns masks the words to the chunk's templates.
+    Position q of lead i has its neighbours in the chunk at table rows
+    hi[i, q] ^ lo[i, q]; columns masks the words to the chunk's templates.
     """
-    words = table.shape[1]
-    b = a = 0
+    g, words = len(lo), table.shape[1]
+    b = np.zeros(g, np.int64)
+    a = np.zeros(g, np.int64)
     for s in range(start, stop, _SAMPEN_ROWS):
         h = min(_SAMPEN_ROWS, stop - s)
-        # neighbours of positions s .. s+h+m-1, one row each, then the spare
-        # words a shift reads past the last row
-        near = np.zeros((h + m) * words + m // 64 + 1, np.uint64)
-        rows = near[: (h + m) * words].reshape(h + m, words)
-        table.take(hi[s : s + h + m], axis=0, out=rows, mode="clip")  # unbuffered
-        rows ^= table.take(lo[s : s + h + m], axis=0)
-        # a flat shift carries bits across rows only into the words past
-        # the chunk's templates, which acc holds clear
-        acc = (rows[:h] & columns).reshape(-1)
+        # neighbours of positions s .. s+h+m-1, one row each, lead after
+        # lead, then the spare words a shift reads past the last lead
+        size = g * (h + m) * words
+        near = np.empty(size + m * words + m // 64 + 1, np.uint64)
+        near[size:] = 0
+        rows = near[:size].reshape(g, h + m, words)
+        table.take(hi[:, s : s + h + m], axis=0, out=rows, mode="clip")  # unbuffered
+        rows ^= table.take(lo[:, s : s + h + m], axis=0)
+        # acc holds each lead's h template rows, then m clear rows, so one
+        # flat shift lines up every lead: a shift carries bits across rows
+        # only into the words past the chunk's templates or into the clear
+        # rows, which acc holds clear
+        acc = rows & columns
+        acc[:, h:] = 0
+        acc = acc.reshape(-1)
         for o in range(1, m):
             _and_shifted(acc, near, o, words)
-        b += int(np.bitwise_count(acc).sum())
+        b += np.bitwise_count(acc).reshape(g, -1).sum(axis=1, dtype=np.int64)
         _and_shifted(acc, near, m, words)
-        a += int(np.bitwise_count(acc).sum())
+        a += np.bitwise_count(acc).reshape(g, -1).sum(axis=1, dtype=np.int64)
     return b, a
 
 
-def _template_matches(u: np.ndarray, m: int, tol: float) -> tuple[int, int]:
-    """Pairs i < j of the first n-m templates matching at lengths m and m+1.
+def _template_matches(u: np.ndarray, m: int, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of u, the pairs i < j of its first n-m templates matching at
+    lengths m and m+1, under that row's tolerance.
 
-    Templates i and j match at length L when |u[i+o] - u[j+o]| <= tol for
-    every o < L, the same inclusive test as Chebyshev distance <= tol; tol
-    is finite and >= 0.
+    Templates i and j of a row match at length L when
+    |u[i+o] - u[j+o]| <= tol for every o < L, the same inclusive test as
+    Chebyshev distance <= tol; tol is finite and >= 0.
 
     Bit-parallel: the neighbours N(q) of position q, the j with
-    |u[j] - u[q]| <= tol, are one rank interval of the sorted series, so
-    they are the XOR of two rows of a prefix table of bits by rank.
+    |u[j] - u[q]| <= tol, are one rank interval of the sorted row, so they
+    are the XOR of two rows of a prefix table of bits by rank.
     Template i matches the j in the AND over o < L of N(i+o) shifted o bits
     down, counted with popcount. Columns j run in chunks of _SAMPEN_BLOCK
     words and rows i, in blocks of _SAMPEN_ROWS, from the chunk start on:
     the chunk's own square holds each self-match once and each pair twice,
-    every later row pairs once.
+    every later row pairs once. All rows go through each step together.
     """
-    n = u.size
+    g, n = u.shape
     k = n - m  # only the first n-m templates so both lengths pair up
-    order = np.argsort(u)
-    lo, hi = np.empty((2, n), np.intp)
-    lo[order], hi[order] = _rank_intervals(u[order], tol)
-    b = a = 0
+    order = np.argsort(u, axis=1)
+    at = (order + np.arange(0, g * n, n)[:, None]).reshape(-1)
+    # lo and hi by position, each offset to index a flat (g, n+1) array
+    lo, hi = np.empty((2, g * n), np.intp)
+    lo[at], hi[at] = (x.reshape(-1) for x in _rank_intervals(u.reshape(-1)[at].reshape(g, n), tol))
+    offsets = np.arange(0, g * (n + 1), n + 1)[:, None]
+    lo = lo.reshape(g, n) + offsets
+    hi = hi.reshape(g, n) + offsets
+    b = np.zeros(g, np.int64)
+    a = np.zeros(g, np.int64)
     for c in range(0, k, 64 * _SAMPEN_BLOCK):
         w = min(64 * _SAMPEN_BLOCK, k - c)
         # positions [c, c+w+m): the chunk's templates and the shifts of each
         table, below = _prefix_table(order, c, c + w + m)
-        lo_c, hi_c = below[lo], below[hi]
+        below = below.reshape(-1)
+        lo_c, hi_c = below.take(lo), below.take(hi)
         columns = np.zeros(table.shape[1], np.uint64)
         columns[: w // 64] = ~np.uint64(0)
         columns[w // 64] = (np.uint64(1) << np.uint64(w % 64)) - np.uint64(1)
         sq_b, sq_a = _row_hits(table, lo_c, hi_c, columns, m, c, c + w)
-        later_b, later_a = _row_hits(table, lo_c, hi_c, columns, m, c + w, k)
-        b += (sq_b - w) // 2 + later_b
-        a += (sq_a - w) // 2 + later_a
+        b += (sq_b - w) // 2
+        a += (sq_a - w) // 2
+        if c + w < k:
+            later_b, later_a = _row_hits(table, lo_c, hi_c, columns, m, c + w, k)
+            b += later_b
+            a += later_a
     return b, a
 
 
 def sample_entropy(
-    series: Sample | Sequence[float], p: SampleEntropyParams = SampleEntropyParams()
-) -> float:
-    """Sample entropy -ln(A/B) of a univariate series.
+    series: Sample | Sequence[float] | np.ndarray, p: SampleEntropyParams = SampleEntropyParams()
+) -> float | list[float]:
+    """Sample entropy -ln(A/B) of a univariate series, or of each row of a
+    (channels, n) block.
 
-    Templates of length m and m+1 are compared under the Chebyshev distance
-    with tolerance r * std; self-matches are excluded. A constant series
-    returns 0; too few template matches return NaN with a warning; a
-    tolerance that overflows is an input error.
+    A series gives a float; a block gives a list with one float per row,
+    each the float that row alone gives, and its warnings come row by row
+    in row order. Templates of length m and m+1 are compared under the
+    Chebyshev distance with tolerance r * std; self-matches are excluded.
+    A constant series returns 0; too few template matches return NaN with
+    a warning; a non-finite value or a tolerance that overflows is an input
+    error, and in a block one such row fails the block.
 
     The match counts A and B are exact integers, counted in O(n) memory
     with no n x n matrix: the points within tolerance of a point are one run
     of ranks of the sorted series, held as a bitset, and a template's
     matches are the AND of its points' bitsets shifted into line, counted
     with popcount 64 templates per machine word (see _template_matches).
+    The rows of a block are counted together, as many at a time as
+    _leads_per_group allows.
     """
-    u = _values(series)
-    n = u.size
+    u = np.asarray(series.values if isinstance(series, Sample) else series)
+    if u.dtype.kind != "f":
+        u = u.astype(float)
+    if u.ndim not in (1, 2):
+        raise MetricInputError("sample_entropy takes a series or a (channels, n) block")
+    rows = u if u.ndim == 2 else u[None]
+    n = rows.shape[1]
     if n < p.m + 2:
         raise MetricInputError(f"sample_entropy needs at least m+2={p.m + 2} points")
-    if not np.isfinite(u).all():
-        raise MetricInputError("sample_entropy needs finite values")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sd = float(u.std())
-    if sd == 0:
-        _warn("sample_entropy: constant series, entropy 0 by convention")
-        return 0.0
-    tol = p.r * sd
-    if not math.isfinite(tol):
-        raise MetricInputError(f"sample_entropy tolerance r * std is not finite: {tol}")
-    b, a = _template_matches(u, p.m, tol)
-    if b == 0 or a == 0:
-        _warn("sample_entropy undefined: insufficient template matches")
-        return float("nan")
-    return float(-math.log(a / b))
+    sd = np.empty(len(rows))
+    b = np.zeros(len(rows), np.int64)
+    a = np.zeros(len(rows), np.int64)
+    g = _leads_per_group(n, p.m)
+    for s in range(0, len(rows), g):
+        x = np.asarray(rows[s : s + g], dtype=float)  # float64 one group at a time
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            sd[s : s + g] = x.std(axis=1)
+            tol = p.r * sd[s : s + g]
+        finite = np.isfinite(x).all(axis=1)
+        bad = ~(finite & np.isfinite(tol))
+        if bad.any():
+            i = int(bad.argmax())
+            if not finite[i]:
+                raise MetricInputError("sample_entropy needs finite values")
+            raise MetricInputError(f"sample_entropy tolerance r * std is not finite: {float(tol[i])}")
+        live = sd[s : s + g] > 0
+        if live.any():
+            b[s : s + g][live], a[s : s + g][live] = _template_matches(x[live], p.m, tol[live])
+    values = []
+    for sd_i, b_i, a_i in zip(sd, b.tolist(), a.tolist()):
+        if sd_i == 0:
+            _warn("sample_entropy: constant series, entropy 0 by convention")
+            values.append(0.0)
+        elif b_i == 0 or a_i == 0:
+            _warn("sample_entropy undefined: insufficient template matches")
+            values.append(float("nan"))
+        else:
+            values.append(float(-math.log(a_i / b_i)))
+    return values if u.ndim == 2 else values[0]
 
 
 def lod_loq(

@@ -476,34 +476,38 @@ def _counts_pair(
 # bespoke evaluators: (metric, ds, params, ds_b, seed) -> (value, scope, params_used)
 
 
-# Per-channel (value, warnings) of each block by (max_samples, m, r). Subsets
-# share their parent's SignalBlocks, so a record evaluated in the original and
-# its subsets is computed once; an entry dies with its block.
+# Per-channel values and the warnings of each block by (max_samples, m, r).
+# Subsets share their parent's SignalBlocks, so a record evaluated in the
+# original and its subsets is computed once; an entry dies with its block.
 _SAMPEN_MEMO: weakref.WeakKeyDictionary[SignalBlock, dict] = weakref.WeakKeyDictionary()
 
 
-def _sampen_channel(series: np.ndarray, p: _meas.SampleEntropyParams) -> tuple[float, tuple]:
+def _sampen_block(samples: np.ndarray, p: _meas.SampleEntropyParams) -> tuple[list[float], tuple]:
     with _pywarnings.catch_warnings(record=True) as caught:
         _pywarnings.simplefilter("always")
-        v = _meas.sample_entropy(series, p) if len(series) >= p.m + 2 else math.nan
-    return v, tuple(w.message for w in caught)
+        if samples.shape[1] >= p.m + 2:
+            values = _meas.sample_entropy(samples, p)
+        else:
+            values = [math.nan] * len(samples)
+    return values, tuple(w.message for w in caught)
 
 
 def _channel_entropies(
     blk: SignalBlock, max_samples: int | None, p: _meas.SampleEntropyParams
 ) -> list[float]:
-    """Sample entropy per channel (NaN if too short), re-emitting its warnings.
+    """Sample entropy per channel (NaN if too short), re-emitting its warnings
+    in channel order. All channels go to sample_entropy in one call.
 
     An input fault raises before anything is stored, so it raises on every use.
     """
     done = _SAMPEN_MEMO.setdefault(blk, {})
     key = (max_samples, p.m, p.r)
     if key not in done:
-        done[key] = tuple(_sampen_channel(s, p) for s in blk.samples[:, :max_samples])
-    for _, warns in done[key]:
-        for w in warns:
-            _pywarnings.warn(w)
-    return [v for v, _ in done[key]]
+        done[key] = _sampen_block(blk.samples[:, :max_samples], p)
+    values, warns = done[key]
+    for w in warns:
+        _pywarnings.warn(w)
+    return values
 
 
 def _ev_entropy(metric, ds, params, ds_b, seed):

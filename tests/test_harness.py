@@ -236,13 +236,15 @@ def memo_root(tmp_path):
 
 
 def _count_sample_entropy(monkeypatch) -> list[int]:
-    """Patch measurement.sample_entropy to log the address of each series it gets;
-    while a dataset is alive that address names one (record, lead)."""
+    """Patch measurement.sample_entropy to log the address of each series it
+    gets, each row of a (channels, n) block counting as one series; while a
+    dataset is alive that address names one (record, lead)."""
     calls: list[int] = []
     real = measurement.sample_entropy
 
     def counted(series, p=measurement.SampleEntropyParams()):
-        calls.append(series.__array_interface__["data"][0])
+        rows = series if series.ndim == 2 else [series]
+        calls.extend(row.__array_interface__["data"][0] for row in rows)
         return real(series, p)
 
     monkeypatch.setattr(measurement, "sample_entropy", counted)
@@ -325,8 +327,9 @@ def test_nan_lead_of_a_shared_record_is_an_error_in_every_report(memo_root, monk
             assert "finite" in row["error"]
         else:
             assert "error" not in row and row["value"] > 0
-    # the faulty lead is tried again by each report that holds it
-    assert len(calls) - len(set(calls)) == sum(holding) - 1
+    # the faulty record, both its leads in one call, is tried again by each
+    # report that holds it
+    assert len(calls) - len(set(calls)) == 2 * (sum(holding) - 1)
 
 
 def test_separate_loads_share_no_entropy(memo_root, monkeypatch):

@@ -91,6 +91,12 @@ def _chebyshev_counts(u, m, tol):
     return tuple(counts)
 
 
+def _lead_matches(u, m, tol):
+    """_template_matches of one lead, a stack of one row, as (B, A) ints."""
+    b, a = _template_matches(np.asarray(u, dtype=float)[None], m, np.array([tol]))
+    return int(b[0]), int(a[0])
+
+
 def _series(kind, n, seed):
     rng = np.random.default_rng(seed)
     if kind == "normal":
@@ -117,7 +123,7 @@ def test_template_matches_equal_chebyshev_cdist_counts(m, n, kind, r, seed):
     n = max(n, m + 2)
     u = _series(kind, n, seed)
     tol = r * float(u.std())
-    assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+    assert _lead_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
 
 
 @given(
@@ -151,11 +157,11 @@ def test_template_matches_pin_the_inclusive_tolerance(m):
     u = np.tile([0.0, 1.0], 50)
     k = u.size - m
     every_pair = k * (k - 1) // 2
-    assert _template_matches(u, m, 1.0) == (every_pair, every_pair)
+    assert _lead_matches(u, m, 1.0) == (every_pair, every_pair)
     assert sample_entropy(u, SampleEntropyParams(m=m, r=2.0)) == 0.0
     # just under tol only templates of the same phase match
     same_phase = (k // 2) * (k // 2 - 1) // 2 + ((k + 1) // 2) * ((k + 1) // 2 - 1) // 2
-    assert _template_matches(u, m, float(np.nextafter(1.0, 0.0))) == (same_phase, same_phase)
+    assert _lead_matches(u, m, float(np.nextafter(1.0, 0.0))) == (same_phase, same_phase)
     assert _chebyshev_counts(u, m, 1.0) == (every_pair, every_pair)
 
 
@@ -178,7 +184,7 @@ def test_template_matches_equal_cdist_counts_across_small_chunks_and_blocks(m, n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measurement, "_SAMPEN_BLOCK", words)
         mp.setattr(measurement, "_SAMPEN_ROWS", rows)
-        assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+        assert _lead_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 70])
@@ -190,7 +196,7 @@ def test_template_matches_shift_across_words(m, words, monkeypatch):
     u = np.sin(2 * np.pi * t / 10) + 0.05 * np.random.default_rng(m).normal(size=t.size)
     tol = 0.2 * float(u.std())
     monkeypatch.setattr(measurement, "_SAMPEN_BLOCK", words)
-    got = _template_matches(u, m, tol)
+    got = _lead_matches(u, m, tol)
     assert got == _chebyshev_counts(u, m, tol)
     assert min(got) > 20
 
@@ -215,12 +221,13 @@ def test_rank_intervals_trust_only_the_computed_difference():
     # searchsorted on v -/+ tol alone misplaces bounds on both sides
     assert (np.searchsorted(v, v - tol, "left") != want_lo).any()
     assert (np.searchsorted(v, v + tol, "right") != want_hi).any()
-    lo, hi = _rank_intervals(v, tol)
-    assert lo.tolist() == want_lo.tolist()
-    assert hi.tolist() == want_hi.tolist()
+    # as two rows of one stack, so each row's bounds stay inside that row
+    lo, hi = _rank_intervals(np.stack((v, v)), np.array([tol, tol]))
+    assert lo.tolist() == [want_lo.tolist()] * 2
+    assert hi.tolist() == [want_hi.tolist()] * 2
     u = np.random.default_rng(3).permutation(np.tile(v, 2))
     for m in (1, 2):
-        assert _template_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
+        assert _lead_matches(u, m, tol) == _chebyshev_counts(u, m, tol)
 
 
 def test_sample_entropy_memory_stays_linear():
@@ -269,6 +276,112 @@ def test_sample_entropy_regular_below_shuffled():
     rng = np.random.default_rng(1)
     shuffled = list(rng.permutation(regular))
     assert sample_entropy(regular) < sample_entropy(shuffled)
+
+
+# --- sample entropy of a (channels, n) block ----------------------------------
+
+CONSTANT = "sample_entropy: constant series, entropy 0 by convention"
+UNDEFINED = "sample_entropy undefined: insufficient template matches"
+# n - m on both sides of the 64-bit word edges and of the 1024-column chunk edge
+_SPAN_EDGES = [63, 64, 65, 127, 128, 129, 1023, 1024, 1025]
+
+
+def _calls(rows, p):
+    """sample_entropy of rows (a 2-D block, or a list of 1-D leads called one
+    by one), with the warning messages of the call(s) in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(rows, np.ndarray):
+            values = sample_entropy(rows, p)
+        else:
+            values = [sample_entropy(row, p) for row in rows]
+    return [v.hex() for v in values], [str(w.message) for w in caught]
+
+
+def _block(kinds, n, seed):
+    return np.stack([
+        np.full(n, 0.25) if kind == "constant" else _series(kind, n, seed + i)
+        for i, kind in enumerate(kinds)
+    ])
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    span=st.one_of(st.integers(0, 40), st.sampled_from(_SPAN_EDGES)),
+    kinds=st.lists(st.sampled_from(["normal", "walk", "quantised", "levels", "constant"]), min_size=1, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+    group_bytes=st.sampled_from([1, 4096, measurement._SAMPEN_GROUP_BYTES]),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_sample_entropy_equals_each_lead_alone(m, span, kinds, seed, group_bytes):
+    # budgets of 1 and 4096 bytes put fewer leads in a group than the block holds
+    n = max(span, 2) + m
+    block = _block(kinds, n, seed)
+    p = SampleEntropyParams(m=m, r=0.2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "_SAMPEN_GROUP_BYTES", group_bytes)
+        got = _calls(block, p)
+    assert got == _calls(list(block), p)
+    if n <= 42:
+        naive = []
+        for row in block:
+            sd = float(row.std())
+            v = 0.0 if sd == 0 else _sampen_naive(list(row), m, 0.2 * sd)
+            naive.append(math.nan if v is None else v)
+        assert got[0] == [v.hex() for v in naive]
+
+
+@given(
+    m=st.sampled_from([1, 2, 3]),
+    span=st.one_of(st.integers(0, 200), st.sampled_from(_SPAN_EDGES)),
+    kinds=st.lists(st.sampled_from(["normal", "walk", "quantised", "levels"]), min_size=1, max_size=4),
+    r=st.sampled_from([0.1, 0.2, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_template_matches_equal_cdist_counts_per_row(m, span, kinds, r, seed):
+    n = max(span, 2) + m
+    block = _block(kinds, n, seed)
+    tol = r * block.std(axis=1)
+    b, a = _template_matches(block, m, tol)
+    assert list(zip(b.tolist(), a.tolist())) == [_chebyshev_counts(u, m, t) for u, t in zip(block, tol)]
+
+
+def test_block_keeps_each_rows_warnings_in_row_order():
+    rng = np.random.default_rng(0)
+    n = 30
+    walk, perm, walk2 = np.cumsum(rng.normal(size=n)), rng.permutation(n).astype(float), np.cumsum(rng.normal(size=n))
+    block = np.stack([walk, np.full(n, 2.0), perm, walk2])
+    p = SampleEntropyParams()
+    values, messages = _calls(block, p)
+    assert messages == [CONSTANT, UNDEFINED]
+    assert values[1] == (0.0).hex() and values[2] == "nan"
+    assert "nan" not in (values[0], values[3])
+    assert (values, messages) == _calls(list(block), p)
+    # a float32 block, as f32le signals load, gives the values of its float64 rows
+    assert _calls(block.astype(np.float32), p) == _calls(list(block.astype(np.float32).astype(float)), p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_one_non_finite_row_fails_the_block(bad):
+    block = np.tile(np.sin(np.arange(40.0)), (5, 1))
+    block[3, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricInputError, match="finite values"):
+            sample_entropy(block)
+
+
+def test_a_row_whose_tolerance_overflows_fails_the_block():
+    block = np.tile([1.0, -1.0], (3, 5))
+    block[1] *= 1e308
+    with pytest.raises(MetricInputError, match="not finite"):
+        sample_entropy(block)
+
+
+def test_leads_per_group_takes_six_short_leads_and_one_long_lead():
+    assert measurement._leads_per_group(500, 2) == 6
+    assert measurement._leads_per_group(5000, 2) == 1
 
 
 # --- detection limits and error against reference ----------------------------
