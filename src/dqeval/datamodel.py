@@ -67,8 +67,8 @@ class SignalBlock:
             grid = grid.astype(float)
         grid.flags.writeable = False
         object.__setattr__(self, "samples", grid)
-        if self.sampling_hz <= 0:
-            raise DataModelError("sampling_hz must be > 0")
+        if not 0 < self.sampling_hz < math.inf:
+            raise DataModelError(f"sampling_hz must be finite and > 0, got {self.sampling_hz}")
         if self.channel_names and len(self.channel_names) != len(grid):
             raise DataModelError("channel_names length must match channel count")
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
@@ -204,15 +204,17 @@ def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
     if isinstance(value, float) and math.isnan(value):
         return MISSING
     if spec.vtype == "datetime":
-        return parse_timestamp(value)
-    if spec.vtype == "numerical":
+        number = parse_timestamp(value)
+    elif spec.vtype == "numerical":
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             raise DataModelError(
                 f"column {spec.name!r} ({spec.vtype}) got non-numeric cell {value!r}"
             ) from None
-    return value
+    else:
+        return value
+    return MISSING if math.isnan(number) else number  # "NAN", "-nan", ... parse to NaN
 
 
 def _decode_column(col: Sequence[Any], spec: ColumnSpec) -> tuple[Any, ...]:

@@ -673,8 +673,9 @@ def _ev_ess(metric, ds, params, ds_b, seed):
             "icc": params.get("icc"),
         }
         for key in ("n", "cluster_size", "icc"):
-            number = used[key] is None or type(used[key]) in (int, float)  # bools are not counts
-            _require(number, f"parameter {key!r} must be a number, got {used[key]!r}")
+            # bools are not counts; the value is echoed as given, so 100 stays an int
+            number = used[key] is None or (type(used[key]) in (int, float) and math.isfinite(used[key]))
+            _require(number, f"parameter {key!r} must be a finite number, got {used[key]!r}")
         value = _struct.effective_sample_size(
             n=used["n"], cluster_size=used["cluster_size"], icc=used["icc"]
         )

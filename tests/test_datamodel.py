@@ -292,6 +292,22 @@ def test_float_nan_cells_are_missing():
     assert _one_column("categorical", (float("nan"), "a")) == (MISSING, "a")
 
 
+def test_cells_that_parse_to_nan_are_missing():
+    ds = Dataset(
+        columns=(ColumnSpec("x", vtype="numerical"), ColumnSpec("t", vtype="datetime")),
+        cells={"x": ("1", "NAN", "inf", "2", "-nan"), "t": ("+nan", "5.0", "nan", "NaN ", "7")},
+    )
+    assert ds.column("x") == (1.0, MISSING, math.inf, 2.0, MISSING)
+    assert ds.column("t") == (MISSING, 5.0, MISSING, MISSING, 7.0)
+    assert ds.missing_count("x") == 2 and ds.missing_count("t") == 3
+
+
+@pytest.mark.parametrize("hz", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_signal_block_needs_a_finite_positive_rate(hz):
+    with pytest.raises(DataModelError, match="sampling_hz must be finite and > 0"):
+        SignalBlock(((1.0, 2.0),), sampling_hz=hz)
+
+
 def test_equal_cell_strings_of_a_loaded_column_are_one_object(tmp_path):
     (tmp_path / "t.csv").write_text("sex,age\nfemale,1\nmale,2\nfemale,3\n", encoding="utf-8")
     doc = {"table": {"path": "t.csv"}, "columns": [{"name": "sex", "vtype": "categorical"}]}

@@ -560,6 +560,11 @@ def test_wrong_column_type_raises_applicability_error(clinic):
         ("littles_test", {"columns": ["age", "bp_a", "bp_b"], "tol": math.nan}),
         ("entropy", {"r": True}),
         ("hill_numbers", {"column": "diagnosis", "q": True}),
+        # cluster-form effective sample size given NaN or inf
+        ("effective_sample_size", {"n": math.inf, "cluster_size": 5, "icc": 0.1}),
+        ("effective_sample_size", {"n": 100, "cluster_size": math.nan, "icc": 0.1}),
+        ("effective_sample_size", {"n": 100, "cluster_size": math.inf, "icc": 0.1}),
+        ("effective_sample_size", {"n": 100, "cluster_size": 5, "icc": math.nan}),
     ],
 )
 def test_input_faults_become_error_rows(clinic, metric_id, params):

@@ -326,6 +326,31 @@ def test_f32_signals_round_trip(table_dir):
     assert ds.signals[2].samples.tolist() == [[5.0], [50.0]]
 
 
+@pytest.mark.parametrize("hz", [float("nan"), float("inf"), 0.0])
+def test_f32_header_rate_that_is_not_finite_and_positive_is_a_load_error(table_dir, hz):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    _write_f32(sig_dir / "r1.f32", [[1.0, 10.0]])
+    _write_f32(sig_dir / "r3.f32", [[5.0, 50.0]], sampling_hz=hz)  # json writes NaN, Infinity
+    doc = _basic_doc(
+        signals={"dir": "sig", "format": "f32le", "file_column": "rid", "pattern": "{value}.f32"}
+    )
+    with pytest.raises(DataLoadError, match="sampling_hz must be finite and > 0"):
+        load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+def test_csv_signal_rate_that_is_not_finite_is_a_load_error(table_dir):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    (sig_dir / "r1.csv").write_text("lead1,lead2\n0.1,0.5\n0.2,0.6\n", encoding="utf-8")
+    doc = _basic_doc(
+        signals={"dir": "sig", "format": "csv", "file_column": "rid", "pattern": "{value}.csv",
+                 "sampling_hz": float("inf")}
+    )
+    with pytest.raises(DataLoadError, match="sampling_hz must be finite and > 0"):
+        load_dataset(parse_descriptor(doc, base_dir=str(table_dir)))
+
+
 def test_f32_truncated_payload_is_rejected(table_dir):
     sig_dir = table_dir / "sig"
     sig_dir.mkdir()
