@@ -135,8 +135,8 @@ def _rank_intervals(v: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndar
         lo[down] = start[lo[down] - 1]
         lo[up] = stop[lo[up]]
     lo -= np.arange(1, g * (n + 1), n + 1)[:, None]
-    below = np.bincount((lo + np.arange(0, g * n, n)[:, None]).reshape(-1), minlength=g * n)
-    return lo, below.reshape(g, n).cumsum(axis=1)
+    opens = np.bincount((lo + np.arange(0, g * n, n)[:, None]).reshape(-1), minlength=g * n)
+    return lo, opens.reshape(g, n).cumsum(axis=1)
 
 
 def _prefix_table(order: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +231,11 @@ def _template_matches(u: np.ndarray, m: int, tol: np.ndarray) -> tuple[np.ndarra
     g, n = u.shape
     k = n - m  # only the first n-m templates so both lengths pair up
     order = np.argsort(u, axis=1)
-    at = (order + np.arange(0, g * n, n)[:, None]).reshape(-1)
+    at = (order + np.arange(0, g * n, n)[:, None]).reshape(-1)  # into u flat
+    lo_r, hi_r = _rank_intervals(u.reshape(-1)[at].reshape(g, n), tol)
     # lo and hi by position, each offset to index a flat (g, n+1) array
     lo, hi = np.empty((2, g * n), np.intp)
-    lo[at], hi[at] = (x.reshape(-1) for x in _rank_intervals(u.reshape(-1)[at].reshape(g, n), tol))
+    lo[at], hi[at] = lo_r.reshape(-1), hi_r.reshape(-1)
     offsets = np.arange(0, g * (n + 1), n + 1)[:, None]
     lo = lo.reshape(g, n) + offsets
     hi = hi.reshape(g, n) + offsets
@@ -282,8 +283,6 @@ def sample_entropy(
     _leads_per_group allows.
     """
     u = np.asarray(series.values if isinstance(series, Sample) else series)
-    if u.dtype.kind != "f":
-        u = u.astype(float)
     if u.ndim not in (1, 2):
         raise MetricInputError("sample_entropy takes a series or a (channels, n) block")
     rows = u if u.ndim == 2 else u[None]
