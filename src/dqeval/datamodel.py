@@ -214,7 +214,7 @@ def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
             ) from None
     else:
         return value
-    return MISSING if math.isnan(number) else number  # "NAN", "-nan", ... parse to NaN
+    return number if number == number else MISSING  # "NAN", "-nan", ... parse to NaN
 
 
 def _decode_column(col: Sequence[Any], spec: ColumnSpec) -> tuple[Any, ...]:

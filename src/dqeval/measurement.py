@@ -79,7 +79,10 @@ def shannon_entropy(c: CategoricalCounts, base: float = math.e) -> float:
 _SAMPEN_BLOCK = 16
 _SAMPEN_ROWS = 1024
 # Bytes of bit table per group of leads counted together: six 500-point
-# leads; a 5000-point lead's chunk table alone is larger, so it goes alone.
+# leads, while a 5000-point lead's chunk table alone is larger, so it goes
+# alone. Groups of 3 to 16 short leads ran about equally fast; the budget
+# keeps a group's temporaries, each about one table, far below the 4 MiB
+# blocks that glibc keeps for reuse (cli._keep_freed_memory).
 _SAMPEN_GROUP_BYTES = 192 * 1024
 
 

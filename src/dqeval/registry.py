@@ -482,19 +482,19 @@ def _counts_pair(
 _SAMPEN_MEMO: weakref.WeakKeyDictionary[SignalBlock, dict] = weakref.WeakKeyDictionary()
 
 
-def _sampen_block(samples: np.ndarray, p: _meas.SampleEntropyParams) -> tuple[list[float], tuple]:
+def _sampen_block(samples: np.ndarray, p: _meas.SampleEntropyParams) -> tuple[tuple[float, ...], tuple]:
     with _pywarnings.catch_warnings(record=True) as caught:
         _pywarnings.simplefilter("always")
         if samples.shape[1] >= p.m + 2:
             values = _meas.sample_entropy(samples, p)
         else:
             values = [math.nan] * len(samples)
-    return values, tuple(w.message for w in caught)
+    return tuple(values), tuple(w.message for w in caught)
 
 
 def _channel_entropies(
     blk: SignalBlock, max_samples: int | None, p: _meas.SampleEntropyParams
-) -> list[float]:
+) -> tuple[float, ...]:
     """Sample entropy per channel (NaN if too short), re-emitting its warnings
     in channel order. All channels go to sample_entropy in one call.
 
