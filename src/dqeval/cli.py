@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from typing import NoReturn
 
 import click
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from . import harness as _harness
 from . import registry as _registry
 from . import selection as _selection
+from .datamodel import reject_json_constant
 from .report import (
     DataLoadError,
     build_report,
@@ -42,16 +42,11 @@ def cli(ctx: click.Context, seed: int | None, verbose: bool) -> None:
     ctx.obj = {"seed": seed, "verbose": verbose}
 
 
-def _not_json(token: str) -> NoReturn:
-    """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
-    raise ValueError(f"{token} is not a JSON value")
-
-
 def _read_json(path: str, what: str) -> dict:
     """The JSON object in path; anything else is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_not_json)
+            doc = json.load(fh, parse_constant=reject_json_constant)
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read {what} {path}: {exc}")
     if not isinstance(doc, dict):
@@ -229,7 +224,7 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
         if os.path.isfile(recipe_src):
             with open(recipe_src, "r", encoding="utf-8") as fh:
                 recipe_src = fh.read()
-        recipe = json.loads(recipe_src, parse_constant=_not_json)
+        recipe = json.loads(recipe_src, parse_constant=reject_json_constant)
     except ValueError as exc:
         raise click.UsageError(f"recipe is not valid JSON: {exc}")
     if not isinstance(recipe, dict):

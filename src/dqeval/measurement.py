@@ -297,7 +297,7 @@ def sample_entropy(
     a = np.zeros(len(rows), np.int64)
     g = _leads_per_group(n, p.m)
     for s in range(0, len(rows), g):
-        x = np.asarray(rows[s : s + g], dtype=float)  # float64 one group at a time
+        x = np.ascontiguousarray(rows[s : s + g], dtype=float)  # C-order float64, a group at a time
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             sd[s : s + g] = x.std(axis=1)
             tol = p.r * sd[s : s + g]

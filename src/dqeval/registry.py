@@ -575,7 +575,7 @@ def _ev_completeness(metric, ds, params, ds_b, seed):
     label = params.get("scope_label")
     if params.get("target") == "signals":
         _require(ds.signals is not None, "completeness of signals needs a signal payload")
-        present = sum(1 for blk in ds.signals if blk is not None and blk.samples.size > 0)
+        present = sum(1 for blk in ds.signals if blk is not None and math.prod(blk.shape) > 0)
         scope = f"columns:{label}" if label else "signals"
         return present / ds.n_records, scope, {"target": "signals"}
     cols = _arg(params, "columns", column_list, None)

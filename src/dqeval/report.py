@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import registry as _registry
-from .datamodel import ColumnSpec, DataModelError, Dataset, SignalBlock, parse_timestamp
+from .datamodel import ColumnSpec, DataModelError, Dataset, F32Record, SignalBlock, parse_timestamp
 
 SIGNAL_FORMATS = ("f32le", "csv")
 _ROW_BLOCK = 2048  # table rows parsed and transposed at a time
@@ -126,18 +126,24 @@ def read_descriptor(path: str) -> DatasetDescriptor:
         raise DataLoadError(f"{path}: {exc}") from exc
 
 
-def _read_signal_f32le(path: str) -> tuple[np.ndarray, float, tuple[str, ...]]:
+def _read_signal_f32le(path: str) -> tuple[F32Record, float, tuple[str, ...]]:
+    """The header of an f32le record and its payload as an F32Record, which
+    the payload's byte count is checked against here; no sample is read."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f4")
+        offset = fh.tell()
+        nbytes = os.fstat(fh.fileno()).st_size - offset
+    if nbytes % 4:
+        raise ValueError("buffer size must be a multiple of element size")
     channels = int(header["channels"])
     n_samples = int(header["n_samples"])
-    if payload.size != channels * n_samples:
+    if nbytes // 4 != channels * n_samples or min(channels, n_samples) < 0:
         raise DataLoadError(
-            f"{path}: payload holds {payload.size} floats, header promises {channels}x{n_samples}"
+            f"{path}: payload holds {nbytes // 4} floats, header promises {channels}x{n_samples}"
         )
     names = tuple(header.get("channel_names", ()) or (f"ch{i}" for i in range(channels)))
-    return payload.reshape(n_samples, channels).T, float(header["sampling_hz"]), names
+    record = F32Record(os.path.abspath(path), offset, channels, n_samples)
+    return record, float(header["sampling_hz"]), names
 
 
 def _read_signal_csv(path: str, sampling_hz: float, delimiter: str = ",") -> tuple[np.ndarray, float, tuple[str, ...]]:
@@ -234,12 +240,12 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
                 continue
             try:
                 if src.format == "f32le":
-                    samples, hz, names = _read_signal_f32le(path)
+                    payload, hz, names = _read_signal_f32le(path)
                 else:
                     if src.sampling_hz is None:
                         raise DataLoadError("csv signal format requires sampling_hz in the descriptor")
-                    samples, hz, names = _read_signal_csv(path, src.sampling_hz)
-                blocks.append(SignalBlock(samples=samples, sampling_hz=hz, channel_names=names))
+                    payload, hz, names = _read_signal_csv(path, src.sampling_hz)
+                blocks.append(SignalBlock(samples=payload, sampling_hz=hz, channel_names=names))
             except (OSError, ValueError, csv.Error) as exc:
                 raise DataLoadError(f"cannot read signal {path}: {exc}") from exc
         signals = tuple(blocks)

@@ -18,6 +18,7 @@ from typing import Any, Callable, Mapping
 
 from . import cards as _cards
 from . import registry as _registry
+from .datamodel import reject_json_constant
 
 SUBTREE_NAMES = ("distribution_metrics", "correlation_coefficients")
 
@@ -181,7 +182,7 @@ def parse_tree(doc: Mapping[str, Any], known_metrics: set[str] | None = None) ->
 
 def load_tree(path) -> DecisionTree:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=reject_json_constant)
     known = {c.id for c in _registry.all_cards()}
     return parse_tree(doc, known)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -300,6 +301,18 @@ def test_cells_that_parse_to_nan_are_missing():
     assert ds.column("x") == (1.0, MISSING, math.inf, 2.0, MISSING)
     assert ds.column("t") == (MISSING, 5.0, MISSING, MISSING, 7.0)
     assert ds.missing_count("x") == 2 and ds.missing_count("t") == 3
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["-inf", "inf", "1e400", " +Infinity ", -math.inf, math.inf, 10**400],
+    ids=["text-minus-inf", "text-inf", "text-overflow", "text-infinity", "minus-inf", "inf", "int-overflow"],
+)
+def test_timestamps_that_are_not_finite_are_rejected(cell):
+    with pytest.raises(DataModelError, match=f"cannot parse timestamp {re.escape(repr(cell))}: not a finite"):
+        parse_timestamp(cell)
+    with pytest.raises(DataModelError, match=re.escape(repr(cell))):
+        _one_column("datetime", ("1000", cell, "2000", "3000"))
 
 
 @pytest.mark.parametrize("hz", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dqeval import measurement
-from dqeval.datamodel import MISSING, ColumnSpec, Dataset
+from dqeval.datamodel import MISSING, ColumnSpec, Dataset, F32Record
 from dqeval.harness import (
     SUPERCLASSES,
     HarnessError,
@@ -235,18 +235,31 @@ def memo_root(tmp_path):
     return root
 
 
-def _count_sample_entropy(monkeypatch) -> list[int]:
-    """Patch measurement.sample_entropy to log the address of each series it
-    gets, each row of a (channels, n) block counting as one series; while a
-    dataset is alive that address names one (record, lead)."""
-    calls: list[int] = []
-    real = measurement.sample_entropy
+def _count_sample_entropy(monkeypatch) -> list[tuple[str, int]]:
+    """Patch measurement.sample_entropy to log each series it gets as (file,
+    lead), each row of a (channels, n) block counting as one series.
+
+    A record is mapped anew on each use, and a freed mapping's address can be
+    reused, so an address no longer names one (record, lead). The entropy row
+    maps a record just before each call, so a row is named by the record
+    mapped last and the row's place in its payload (leads are interleaved).
+    """
+    calls: list[tuple[str, int]] = []
+    last: list = []
+    real_read, real_entropy = F32Record.read, measurement.sample_entropy
+
+    def read(record):
+        payload = real_read(record)
+        last[:] = [record.path, payload.ctypes.data]
+        return payload
 
     def counted(series, p=measurement.SampleEntropyParams()):
+        path, start = last
         rows = series if series.ndim == 2 else [series]
-        calls.extend(row.__array_interface__["data"][0] for row in rows)
-        return real(series, p)
+        calls.extend((path, (row.ctypes.data - start) // 4) for row in rows)
+        return real_entropy(series, p)
 
+    monkeypatch.setattr(F32Record, "read", read)
     monkeypatch.setattr(measurement, "sample_entropy", counted)
     return calls
 

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dqeval
 from dqeval.datamodel import MISSING, ColumnSpec, DataModelError, Dataset, _normalize_cell
+from dqeval.harness import load_ptbxl, write_demo_root
 from dqeval.report import (
     _ROW_BLOCK,
     DataLoadError,
@@ -351,15 +356,115 @@ def test_csv_signal_rate_that_is_not_finite_is_a_load_error(table_dir):
         load_dataset(parse_descriptor(doc, base_dir=str(table_dir)))
 
 
+F32_SIGNALS = {"dir": "sig", "format": "f32le", "file_column": "rid", "pattern": "{value}.f32"}
+
+
 def test_f32_truncated_payload_is_rejected(table_dir):
     sig_dir = table_dir / "sig"
     sig_dir.mkdir()
     _write_f32(sig_dir / "r1.f32", [[1.0, 10.0]], n_samples=4)
-    doc = _basic_doc(
-        signals={"dir": "sig", "format": "f32le", "file_column": "rid", "pattern": "{value}.f32"}
-    )
-    with pytest.raises(DataLoadError, match="header promises"):
+    doc = _basic_doc(signals=F32_SIGNALS)
+    with pytest.raises(DataLoadError, match="payload holds 2 floats, header promises 2x4"):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+def test_f32_payload_that_is_not_whole_floats_is_rejected(table_dir):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    _write_f32(sig_dir / "r1.f32", [[1.0, 10.0]])
+    with open(sig_dir / "r1.f32", "ab") as fh:
+        fh.write(b"\0\0")
+    doc = _basic_doc(signals=F32_SIGNALS)
+    with pytest.raises(DataLoadError, match="r1.f32: buffer size must be a multiple of element size"):
+        load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+def test_f32_samples_are_a_read_only_map_of_the_file(table_dir):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    leads = np.random.default_rng(4).normal(size=(700, 12)).astype("<f4")
+    _write_f32(sig_dir / "r1.f32", leads, names=[f"l{i}" for i in range(12)])
+    ds = load_dataset(read_descriptor(_write_descriptor(table_dir, _basic_doc(signals=F32_SIGNALS))))
+    raw = (sig_dir / "r1.f32").read_bytes()
+    want = np.frombuffer(raw[raw.index(b"\n") + 1 :], dtype="<f4").reshape(700, 12).T
+    blk = ds.signals[0]
+    got = blk.samples
+    assert blk.shape == got.shape == (12, 700)
+    assert got.dtype == np.float32
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_loaded_and_evaluated_records_hold_no_file_descriptor(tmp_path):
+    root = str(tmp_path / "root")
+    write_demo_root(root, n_records=40, seed=2)
+    before = _open_fds()
+    ds = load_ptbxl(root).dataset
+    assert _open_fds() == before
+    row = evaluate_row(ds, "entropy", "accuracy", {"max_samples": 60})
+    assert "error" not in row
+    assert _open_fds() == before
+
+
+LOW_FD_LIMIT = """
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+from dqeval.harness import load_ptbxl
+from dqeval.report import evaluate_row
+ds = load_ptbxl(sys.argv[1]).dataset
+rows = [
+    evaluate_row(ds, "entropy", "accuracy", {"max_samples": 60}),
+    evaluate_row(ds, "completeness", "completeness", {"target": "signals"}),
+]
+print(ds.n_records, [row.get("error") for row in rows], rows[1]["value"])
+"""
+
+
+def test_a_root_of_more_records_than_file_descriptors_loads_and_evaluates(tmp_path):
+    root = str(tmp_path / "root")
+    write_demo_root(root, n_records=400, seed=0)
+    src = os.path.dirname(os.path.dirname(dqeval.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", LOW_FD_LIMIT, root], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["400", "[None,", "None]", "1.0"]
+
+
+@pytest.mark.parametrize("change", ["truncate", "delete"])
+def test_a_record_that_changes_after_load_is_an_error_row_naming_it(tmp_path, change):
+    root = str(tmp_path / "root")
+    write_demo_root(root, n_records=5, seed=1)
+    ds = load_ptbxl(root).dataset
+    path = os.path.join(root, "signals_f32", "3.f32")
+    if change == "truncate":
+        os.truncate(path, os.path.getsize(path) - 8)
+    else:
+        os.remove(path)
+    row = evaluate_row(ds, "entropy", "accuracy", {"max_samples": 60})
+    assert row["value"] is None
+    assert path in row["error"]
+
+
+def test_f32_record_of_no_samples_loads_empty(table_dir):
+    sig_dir = table_dir / "sig"
+    sig_dir.mkdir()
+    _write_f32(sig_dir / "r1.f32", np.zeros((0, 2)))
+    _write_f32(sig_dir / "r3.f32", [[5.0, 50.0]])
+    ds = load_dataset(read_descriptor(_write_descriptor(table_dir, _basic_doc(signals=F32_SIGNALS))))
+    empty = ds.signals[0].samples
+    assert empty.shape == ds.signals[0].shape == (2, 0)
+    assert empty.dtype == np.float32 and not empty.flags.writeable
+    row = evaluate_row(ds, "completeness", "completeness", {"target": "signals"})
+    assert row["value"] == 1 / 3  # only r3 carries samples
 
 
 def test_csv_signals_need_a_declared_rate(table_dir):

@@ -453,6 +453,13 @@ def test_load_tree_round_trips_a_file(tmp_path):
         load_tree(bad)
 
 
+def test_load_tree_rejects_nan(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(_tree_doc(weight=float("nan"))), encoding="utf-8")
+    with pytest.raises(ValueError, match="NaN is not a JSON value"):
+        load_tree(path)
+
+
 # --- traversal ---------------------------------------------------------------
 
 
