@@ -54,6 +54,14 @@ def _read_json(path: str, what: str) -> dict:
     return doc
 
 
+def _params_map(doc: dict) -> dict:
+    """A metric id -> params object map; any other value is a usage error."""
+    for mid, params in doc.items():
+        if not isinstance(params, dict):
+            raise click.UsageError(f"params of {mid!r} must be a JSON object")
+    return doc
+
+
 def _note(ctx: click.Context, message: str) -> None:
     if ctx.obj.get("verbose"):
         click.echo(message, err=True)
@@ -152,15 +160,6 @@ def select_cmd(ctx, profile_path, interactive, mode, out_path) -> None:
             click.echo(f"  {s.dimension}: unanswered {', '.join(s.unanswered)}", err=True)
 
 
-def _load_or_die(path: str):
-    try:
-        return load_dataset(read_descriptor(path))
-    except DataLoadError:
-        raise
-    except OSError as exc:
-        raise DataLoadError(str(exc))
-
-
 @cli.command("evaluate")
 @click.option("--data", "data_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--selection", "selection_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -170,39 +169,43 @@ def _load_or_die(path: str):
 @click.pass_context
 def evaluate_cmd(ctx, data_path, selection_path, params_path, out_path, md_path) -> None:
     """Compute every selected metric on a dataset; failures become rows."""
-    ds = _load_or_die(data_path)
+    ds = load_dataset(read_descriptor(data_path))
     sel_doc = _read_json(selection_path, "selection")
-    params_map: dict = {}
-    rows_spec: list[dict] | None = None
-    if params_path:
-        loaded = _read_json(params_path, "params")
-        if "rows" in loaded:
-            rows_spec = loaded["rows"]
-            if not isinstance(rows_spec, list) or not all(
-                isinstance(row, dict) and "metric_id" in row for row in rows_spec
-            ):
-                raise click.UsageError("params rows must be a list of objects with a metric_id")
-        else:
-            params_map = loaded
+    loaded = _read_json(params_path, "params") if params_path else {}
+    if "rows" in loaded:
+        rows = loaded["rows"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, dict)
+            and isinstance(row.get("metric_id"), str)
+            and isinstance(row.get("params", {}), dict)
+            for row in rows
+        ):
+            raise click.UsageError("params rows must be a list of objects with a metric_id and object params")
+    else:
+        frags = sel_doc.get("selections", [])
+        if not isinstance(frags, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("metrics", []), list)
+            and all(isinstance(mid, str) for mid in f.get("metrics", []))
+            for f in frags
+        ):
+            raise click.UsageError("selection selections must be a list of objects with a list of metric ids")
+        params_map = _params_map(loaded)
+        rows = [
+            {"metric_id": mid, "dimension": f.get("dimension", ""), "params": params_map.get(mid, {})}
+            for f in frags
+            for mid in f.get("metrics", [])
+        ]
+    profile = sel_doc.get("profile", {})
+    if not isinstance(profile, dict):
+        raise click.UsageError("selection profile must be a JSON object")
 
     seed = ctx.obj["seed"]
     results = []
-    if rows_spec is not None:
-        for row in rows_spec:
-            mid = row["metric_id"]
-            dim = row.get("dimension", "")
-            results.append(evaluate_row(ds, mid, dim, params=row.get("params", {}), seed=seed))
-            _note(ctx, f"evaluated {mid}")
-    else:
-        for frag in sel_doc.get("selections", []):
-            for mid in frag.get("metrics", []):
-                results.append(
-                    evaluate_row(ds, mid, frag.get("dimension", ""), params=params_map.get(mid, {}), seed=seed)
-                )
-                _note(ctx, f"evaluated {mid} for {frag.get('dimension')}")
-    report = build_report(
-        ds.dataset_id, sel_doc.get("profile", {}), sel_doc, results, seed=seed
-    )
+    for row in rows:
+        mid, dim = row["metric_id"], row.get("dimension", "")
+        results.append(evaluate_row(ds, mid, dim, params=row.get("params", {}), seed=seed))
+        _note(ctx, f"evaluated {mid} for {dim}")
+    report = build_report(ds.dataset_id, profile, sel_doc, results, seed=seed)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report_json(report))
     if md_path:
@@ -232,29 +235,9 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     if recipe.get("seed") is None and ctx.obj["seed"] is not None:
         recipe["seed"] = ctx.obj["seed"]
 
-    desc = read_descriptor(data_path)
-    ds = load_dataset(desc)
-    # generic datasets have no superclass sets; class_imbalance falls back
-    # to the target-role column against the configured norm label
-    if recipe.get("kind") == "class_imbalance" and "column" not in recipe:
-        target = ds.role_column("target")
-        if target is None:
-            raise click.UsageError("class_imbalance needs a target-role column or recipe.column")
-        recipe["column"] = target
+    ds = load_dataset(read_descriptor(data_path))
     try:
-        if recipe.get("kind") == "class_imbalance":
-            from .datamodel import MISSING
-
-            label = str(recipe.get("norm_label", "NORM"))
-            values = ds.column(recipe["column"])
-            classes = tuple(
-                frozenset(["NORM"]) if v is not MISSING and str(v) == label else frozenset(["OTHER"])
-                for v in values
-            )
-            bundle = _harness.PtbxlBundle(ds, classes)
-        else:
-            bundle = _harness.PtbxlBundle(ds, tuple(frozenset() for _ in range(ds.n_records)))
-        indices = _harness.apply_recipe(bundle, recipe)
+        indices = _harness.apply_recipe(ds, recipe)
     except _harness.HarnessError as exc:
         raise click.UsageError(str(exc))
 
@@ -267,8 +250,8 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     doc["table"]["path"] = os.path.join(base, doc["table"]["path"])
     if doc.get("signals"):
         doc["signals"]["dir"] = os.path.join(base, doc["signals"]["dir"])
-    doc["dictionaries"] = {
-        k: (os.path.join(base, v) if isinstance(v, str) else v)
+    doc["dictionaries"] = {  # load_dataset reads a dictionary file beside the table
+        k: (os.path.join(os.path.dirname(doc["table"]["path"]), v) if isinstance(v, str) else v)
         for k, v in doc.get("dictionaries", {}).items()
     }
     doc["row_index"] = "indices.json"
@@ -292,13 +275,13 @@ def compare_cmd(ctx, data_paths, metrics_csv, params_path, out_path) -> None:
     """Evaluate the same metrics on two datasets and show deltas."""
     if len(data_paths) != 2:
         raise click.UsageError("compare needs exactly two --data descriptors")
-    ds_a = _load_or_die(data_paths[0])
-    ds_b = _load_or_die(data_paths[1])
+    ds_a = load_dataset(read_descriptor(data_paths[0]))
+    ds_b = load_dataset(read_descriptor(data_paths[1]))
     try:
         check_same_schema(ds_a, ds_b)
     except DataLoadError as exc:
         raise click.UsageError(str(exc))
-    params_map = _read_json(params_path, "params") if params_path else {}
+    params_map = _params_map(_read_json(params_path, "params")) if params_path else {}
     metric_ids = [m.strip() for m in metrics_csv.split(",") if m.strip()]
     if not metric_ids:
         raise click.UsageError("no metric ids given")

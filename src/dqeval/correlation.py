@@ -141,11 +141,9 @@ def concordance_cc(x: Sample | Sequence[float], y: Sample | Sequence[float]) -> 
     return float(2.0 * cov / denom)
 
 
-def icc(m: RatingsMatrix, form: str = "two_way_random_single") -> float:
+def icc(m: RatingsMatrix) -> float:
     """Intraclass correlation, two-way random effects, single measure,
     absolute agreement. Items with any missing rating are dropped."""
-    if form != "two_way_random_single":
-        raise MetricInputError(f"unsupported ICC form {form!r}")
     if m.n_raters < 2:
         raise MetricInputError("icc requires at least 2 raters")
     rows = [

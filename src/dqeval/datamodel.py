@@ -145,10 +145,9 @@ class SignalBlock:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """Ordered finite values as a read-only float64 vector, plus the count dropped."""
+    """Ordered finite values as a read-only float64 vector."""
 
     values: np.ndarray
-    dropped: int = 0
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
@@ -274,6 +273,16 @@ def parse_timestamp(value: Any) -> float:
 def reject_json_constant(token: str) -> NoReturn:
     """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
     raise ValueError(f"{token} is not a JSON value")
+
+
+def read_word_list(path: str) -> list[str]:
+    """The words of a UTF-8 text file, one per line: each line stripped,
+    blank lines skipped. Text that is not UTF-8 is a DataModelError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [word for word in map(str.strip, fh) if word]
+    except UnicodeDecodeError as exc:
+        raise DataModelError(f"{path}: word list is not UTF-8 text ({exc.reason})") from None
 
 
 def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
@@ -410,9 +419,8 @@ def coded(ds: Dataset, col: str) -> tuple[Any, ...]:
 
 
 def present_sample(values: Sequence[Any]) -> Sample:
-    """The non-missing values, with the count of missing ones dropped."""
-    vals = [v for v in values if v is not MISSING]
-    return Sample(vals, dropped=len(values) - len(vals))
+    """The non-missing values."""
+    return Sample([v for v in values if v is not MISSING])
 
 
 def column_sample(ds: Dataset, col: str) -> Sample:

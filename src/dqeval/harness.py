@@ -23,7 +23,7 @@ import numpy as np
 from . import registry as _registry
 from . import selection as _selection
 from . import structure as _struct
-from .datamodel import CategoricalCounts, ColumnSpec, Dataset, MISSING, take_records
+from .datamodel import MISSING, CategoricalCounts, ColumnSpec, DataModelError, Dataset, take_records
 from .report import (
     DataLoadError,
     build_report,
@@ -143,7 +143,7 @@ def _parse_scp_codes(text: Any) -> dict[str, float]:
     return parsed if isinstance(parsed, dict) else {}
 
 
-def load_ptbxl(root: str, dataset_id: str = "ptbxl") -> PtbxlBundle:
+def load_ptbxl(root: str) -> PtbxlBundle:
     """Load PTB-XL (or a synthetic stand-in with the same layout) from root.
 
     Adds an is_norm indicator column (1.0 when the record carries the NORM
@@ -156,7 +156,7 @@ def load_ptbxl(root: str, dataset_id: str = "ptbxl") -> PtbxlBundle:
     if not os.path.isfile(os.path.join(root, "scp_statements.csv")):
         raise DataLoadError(f"PTB-XL data not found: scp_statements.csv missing in {root}")
     doc: dict[str, Any] = {
-        "dataset_id": dataset_id,
+        "dataset_id": "ptbxl",
         "table": {"path": "ptbxl_database.csv", "delimiter": ","},
         "columns": [
             {"name": n, "vtype": v, "role": r} for n, v, r in _PTBXL_COLUMNS
@@ -183,7 +183,7 @@ def load_ptbxl(root: str, dataset_id: str = "ptbxl") -> PtbxlBundle:
         columns=columns,
         cells={**ds.cells, "is_norm": is_norm},
         signals=ds.signals,
-        dataset_id=dataset_id,
+        dataset_id=ds.dataset_id,
         dictionaries=ds.dictionaries,
     )
     return PtbxlBundle(full, tuple(classes))
@@ -192,50 +192,72 @@ def load_ptbxl(root: str, dataset_id: str = "ptbxl") -> PtbxlBundle:
 # --- stratified subset recipes ------------------------------------------------
 
 
-def _sample_stratum(indices: list[int], n: int, rng: np.random.Generator, label: str) -> list[int]:
-    if n > len(indices):
-        raise HarnessError(
-            f"recipe requests {n} records from stratum {label!r} but only {len(indices)} exist"
-        )
-    picked = rng.choice(len(indices), size=n, replace=False)
-    return [indices[int(i)] for i in picked]
+def _natural(recipe: Mapping[str, Any], key: str) -> int:
+    """recipe[key] as an integer >= 0, cast as strictly as registry.integer."""
+    try:
+        n = _registry.integer(recipe.get(key))
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise HarnessError(f"recipe field {key!r} must be an integer >= 0, got {recipe.get(key)!r}")
+    return n
 
 
-def apply_recipe(bundle: PtbxlBundle, recipe: Mapping[str, Any]) -> list[int]:
-    """Row indices for a stratified subset; seeded draws, no replacement."""
-    ds = bundle.dataset
+def _labels(ds: Dataset, recipe: Mapping[str, Any], default: str | None) -> list[str | None]:
+    """The cells of recipe["column"] (default when absent) as strings, None when missing."""
+    try:
+        cells = ds.column(recipe.get("column", default))
+    except DataModelError as exc:
+        raise HarnessError(f"recipe field 'column': {exc}") from None
+    return [None if v is MISSING else str(v) for v in cells]
+
+
+def _draw(recipe: Mapping[str, Any], *strata: tuple[str, list[int]]) -> list[int]:
+    """Sorted seeded draws without replacement: recipe["n_<name>"] records per stratum."""
+    counts = [_natural(recipe, f"n_{name}") for name, _ in strata]
+    rng = np.random.default_rng(None if recipe.get("seed") is None else _natural(recipe, "seed"))
+    picked: list[int] = []
+    for (name, indices), n in zip(strata, counts):
+        if n > len(indices):
+            raise HarnessError(
+                f"recipe requests {n} records from stratum {name!r} but only {len(indices)} exist"
+            )
+        picked += [indices[int(i)] for i in rng.choice(len(indices), size=n, replace=False)]
+    return sorted(picked)
+
+
+def apply_recipe(ds: Dataset, recipe: Mapping[str, Any]) -> list[int]:
+    """Row indices of a stratified subset of ds.
+
+    Cells and labels are compared as strings; a missing cell matches no
+    label. A malformed recipe raises HarnessError naming the field.
+    """
     kind = recipe.get("kind")
     if kind == "sex_imbalance":
-        col = recipe.get("column", "sex")
+        values = _labels(ds, recipe, "sex")
         male = str(recipe.get("male_label", "0"))
         female = str(recipe.get("female_label", "1"))
-        values = [str(v) if v is not MISSING else None for v in ds.column(col)]
-        rng = np.random.default_rng(recipe.get("seed"))
-        picked = _sample_stratum(
-            [i for i, v in enumerate(values) if v == male], int(recipe["n_male"]), rng, "male"
+        return _draw(
+            recipe,
+            ("male", [i for i, v in enumerate(values) if v == male]),
+            ("female", [i for i, v in enumerate(values) if v == female]),
         )
-        picked += _sample_stratum(
-            [i for i, v in enumerate(values) if v == female], int(recipe["n_female"]), rng, "female"
-        )
-        return sorted(picked)
     if kind == "device_filter":
-        col = recipe.get("column", "device")
+        if "device_id" not in recipe:
+            raise HarnessError("recipe field 'device_id' is required")
         wanted = str(recipe["device_id"])
-        values = ds.column(col)
-        idx = [i for i, v in enumerate(values) if v is not MISSING and str(v) == wanted]
+        idx = [i for i, v in enumerate(_labels(ds, recipe, "device")) if v == wanted]
         if not idx:
             raise HarnessError(f"device {wanted!r} matches no records")
         return idx
     if kind == "class_imbalance":
-        norm = [1.0 if "NORM" in cl else 0.0 for cl in bundle.superclasses]
-        rng = np.random.default_rng(recipe.get("seed"))
-        picked = _sample_stratum(
-            [i for i, v in enumerate(norm) if v == 1.0], int(recipe["n_norm"]), rng, "norm"
+        values = _labels(ds, recipe, ds.role_column("target"))
+        norm = str(recipe.get("norm_label", "NORM"))
+        return _draw(
+            recipe,
+            ("norm", [i for i, v in enumerate(values) if v == norm]),
+            ("other", [i for i, v in enumerate(values) if v != norm]),
         )
-        picked += _sample_stratum(
-            [i for i, v in enumerate(norm) if v == 0.0], int(recipe["n_other"]), rng, "other"
-        )
-        return sorted(picked)
     raise HarnessError(f"unknown recipe kind {kind!r}")
 
 
@@ -261,7 +283,8 @@ def default_recipes(bundle: PtbxlBundle, seed: int | None) -> list[dict[str, Any
             "seed": seed,
         },
         {"kind": "device_filter", "device_id": device},
-        {"kind": "class_imbalance", "n_norm": n_norm, "n_other": half - n_norm, "seed": seed},
+        {"kind": "class_imbalance", "column": "is_norm", "norm_label": 1.0,
+         "n_norm": n_norm, "n_other": half - n_norm, "seed": seed},
     ]
 
 
@@ -365,7 +388,6 @@ def run_harness(
     now: float | None = None,
     entropy_max_records: int = 100,
     entropy_max_samples: int = 500,
-    recipes: Sequence[Mapping[str, Any]] | None = None,
     strict_checks: bool = True,
 ) -> dict[str, Any]:
     """Evaluate the case-study table on the original data and 3 subsets.
@@ -375,15 +397,12 @@ def run_harness(
     directionally only, matching what the published table pins down.
     """
     original = load_ptbxl(root)
-    if recipes is None:
-        recipes = default_recipes(original, seed)
-    if len(recipes) != 3:
-        raise HarnessError("the harness expects exactly 3 subset recipes")
+    recipes = default_recipes(original, seed)
     names = ("original", "subset_sex_imbalance", "subset_device_filter", "subset_class_imbalance")
     bundles = [original]
     subset_indices = []
     for name, recipe in zip(names[1:], recipes):
-        idx = apply_recipe(original, recipe)
+        idx = apply_recipe(original.dataset, recipe)
         subset_indices.append(idx)
         bundles.append(original.subset(idx, name))
 

@@ -632,18 +632,13 @@ def completeness(ds: Dataset, scope: Sequence[str] | None = None) -> float:
     return (total - missing) / total
 
 
-def patient_level_completeness(
-    ds: Dataset, patient_col: str | None = None, variable: str | None = None
-) -> float:
+def patient_level_completeness(ds: Dataset, patient_col: str, variable: str | None = None) -> float:
     """Fraction of patients with at least one complete entry of a variable.
 
     variable None asks about the signal payload instead of a column. Records
     without a patient identifier are excluded (flagged).
     """
-    pid_col = patient_col or ds.role_column("patient_id")
-    if pid_col is None:
-        raise MetricInputError("patient_level_completeness needs a patient_id column")
-    pids = ds.column(pid_col)
+    pids = ds.column(patient_col)
     # a missing cell and an absent signal are both None
     if variable is None:
         entries = ds.signals or (None,) * ds.n_records

@@ -37,6 +37,7 @@ from .datamodel import (
     group_by,
     pooled_counts,
     present_sample,
+    read_word_list,
 )
 from .distribution import MetricInputError, MetricWarning
 
@@ -605,13 +606,9 @@ def _ev_record_completeness(metric, ds, params, ds_b, seed):
 def _ev_syntactic(metric, ds, params, ds_b, seed):
     col = _param_column(ds, params, "column")
     words = _arg(params, "dictionary", column_list, None)
-    path = params.get("dictionary_file")
+    path = _arg(params, "dictionary_file", str, None)
     if words is None and path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                words = [line.strip() for line in fh if line.strip()]
-        except UnicodeDecodeError:
-            raise MetricInputError(f"{path}: dictionary file is not UTF-8 text") from None
+        words = read_word_list(path)
     if words is None:
         words = ds.dictionaries.get(col)
     _require(words is not None, f"syntactic_accuracy needs a dictionary for column {col!r}")

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import registry as _registry
-from .datamodel import ColumnSpec, DataModelError, Dataset, F32Record, SignalBlock, parse_timestamp
+from .datamodel import ColumnSpec, DataModelError, Dataset, F32Record, SignalBlock, read_word_list
 
 SIGNAL_FORMATS = ("f32le", "csv")
 _ROW_BLOCK = 2048  # table rows parsed and transposed at a time
@@ -36,11 +36,14 @@ class SignalSource:
     file_column: str
     pattern: str = "{value}"
     sampling_hz: float | None = None
-    channels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.format not in SIGNAL_FORMATS:
             raise DataLoadError(f"unknown signal format {self.format!r}; expected one of {SIGNAL_FORMATS}")
+        try:
+            self.pattern.format(value="")
+        except (AttributeError, LookupError, ValueError):
+            raise DataLoadError(f"signals pattern may name no field but {{value}}: {self.pattern!r}") from None
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,6 @@ class DatasetDescriptor:
     dataset_id: str = "dataset"
     signals: SignalSource | None = None
     dictionaries: Mapping[str, Any] = field(default_factory=dict)
-    evaluation_time: float | None = None
     row_index: str | None = None
 
 
@@ -93,9 +95,7 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
                 file_column=s["file_column"],
                 pattern=s.get("pattern", "{value}"),
                 sampling_hz=s.get("sampling_hz"),
-                channels=tuple(s.get("channels", ())),
             )
-        eval_time = doc.get("evaluation_time")
         return DatasetDescriptor(
             table_path=os.path.join(base_dir, table["path"]),
             delimiter=table.get("delimiter", ","),
@@ -103,7 +103,6 @@ def parse_descriptor(doc: Mapping[str, Any], base_dir: str = ".") -> DatasetDesc
             dataset_id=doc.get("dataset_id", "dataset"),
             signals=signals,
             dictionaries=dict(_section(doc, "dictionaries")) if "dictionaries" in doc else {},
-            evaluation_time=parse_timestamp(eval_time) if eval_time is not None else None,
             row_index=os.path.join(base_dir, doc["row_index"]) if doc.get("row_index") else None,
         )
     except KeyError as exc:
@@ -118,7 +117,7 @@ def read_descriptor(path: str) -> DatasetDescriptor:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataLoadError(f"cannot read descriptor {path}: {exc}") from exc
     try:
         return parse_descriptor(doc, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -135,20 +134,24 @@ def _read_signal_f32le(path: str) -> tuple[F32Record, float, tuple[str, ...]]:
         nbytes = os.fstat(fh.fileno()).st_size - offset
     if nbytes % 4:
         raise ValueError("buffer size must be a multiple of element size")
-    channels = int(header["channels"])
-    n_samples = int(header["n_samples"])
+    try:
+        channels, n_samples = int(header["channels"]), int(header["n_samples"])
+        hz = float(header["sampling_hz"])
+        names = tuple(header.get("channel_names", ()) or (f"ch{i}" for i in range(channels)))
+    except KeyError as exc:
+        raise ValueError(f"header misses required field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"header is not a JSON object of the right field types: {exc}") from None
     if nbytes // 4 != channels * n_samples or min(channels, n_samples) < 0:
         raise DataLoadError(
             f"{path}: payload holds {nbytes // 4} floats, header promises {channels}x{n_samples}"
         )
-    names = tuple(header.get("channel_names", ()) or (f"ch{i}" for i in range(channels)))
-    record = F32Record(os.path.abspath(path), offset, channels, n_samples)
-    return record, float(header["sampling_hz"]), names
+    return F32Record(os.path.abspath(path), offset, channels, n_samples), hz, names
 
 
-def _read_signal_csv(path: str, sampling_hz: float, delimiter: str = ",") -> tuple[np.ndarray, float, tuple[str, ...]]:
+def _read_signal_csv(path: str, sampling_hz: float) -> tuple[np.ndarray, float, tuple[str, ...]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataLoadError(f"{path}: empty signal file")
     return np.array(rows[1:], dtype=float).T, float(sampling_hz), tuple(rows[0])
@@ -197,7 +200,7 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
         try:
             with open(desc.row_index, "r", encoding="utf-8") as fh:
                 keep = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DataLoadError(f"cannot read row index {desc.row_index}: {exc}") from exc
         if not isinstance(keep, list):
             raise DataLoadError(f"row index {desc.row_index} must be a JSON list, not {type(keep).__name__}")
@@ -212,15 +215,15 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
     dictionaries = {}
     for col, source in desc.dictionaries.items():
         if isinstance(source, str):
-            path = source if os.path.isabs(source) else os.path.join(os.path.dirname(desc.table_path), source)
+            path = os.path.join(os.path.dirname(desc.table_path), source)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    words = [line.rstrip("\n") for line in fh if line.strip()]
-            except OSError as exc:
+                dictionaries[col] = read_word_list(path)
+            except (OSError, DataModelError) as exc:
                 raise DataLoadError(f"cannot read dictionary {path}: {exc}") from exc
+        elif isinstance(source, list):
+            dictionaries[col] = source
         else:
-            words = list(source)
-        dictionaries[col] = words
+            raise DataLoadError(f"dictionary of {col!r} must be a file name or a JSON list, not {source!r}")
 
     signals = None
     if desc.signals is not None:
@@ -312,7 +315,7 @@ def evaluate_row(
     """One report row; evaluation failures are recorded, not raised."""
     try:
         res = _registry.evaluate(metric_id, ds, params=params, ds_b=ds_b, seed=seed)
-    except _registry.EvaluationError as exc:
+    except (_registry.EvaluationError, _registry.RegistryError) as exc:
         return result_entry(
             metric_id, dimension, scope="unresolved", params=params or {}, error=str(exc)
         )
@@ -367,9 +370,9 @@ def _round2(value: Any) -> str:
     return str(value)
 
 
-def render_report_markdown(report: Mapping[str, Any], title: str | None = None) -> str:
+def render_report_markdown(report: Mapping[str, Any]) -> str:
     """Dimension-grouped result table, values rounded to two decimals."""
-    lines = [f"# {title or 'Data quality report: ' + report['dataset_id']}", ""]
+    lines = [f"# Data quality report: {report['dataset_id']}", ""]
     lines.append("| Dimension | Metric | Scope | Value |")
     lines.append("| --- | --- | --- | --- |")
     for row in report["results"]:

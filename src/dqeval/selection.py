@@ -294,7 +294,9 @@ def traverse(
             unanswered.append(node.question_key)
             recommended.extend(_collect_below(tree, node))
             return
-        tokens = [answer] if isinstance(answer, str) else list(answer)
+        tokens = [answer] if isinstance(answer, str) else answer
+        if not isinstance(tokens, (list, tuple)) or not all(isinstance(t, str) for t in tokens):
+            raise SelectionError(f"answer to {node.question_key!r} must be a string or list of strings, not {answer!r}")
         normed = {_norm(label) for label in labels}
         for tok in tokens:
             if _norm(tok) not in normed:

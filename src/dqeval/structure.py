@@ -437,7 +437,7 @@ def float_columns(ds: Dataset, cols: Sequence[str]) -> np.ndarray:
 
 
 def littles_mcar_test(
-    data: Dataset | np.ndarray | Sequence[Sequence[float | None]],
+    data: np.ndarray | Sequence[Sequence[float | None]],
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> McarTestResult:
@@ -451,13 +451,7 @@ def littles_mcar_test(
     observed together in fewer than 2 rows leaves the covariance not
     identified; the result then carries a warning.
     """
-    if isinstance(data, Dataset):
-        cols = [c.name for c in data.columns if c.vtype == "numerical"]
-        if len(cols) < 2:
-            raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
-        x = float_columns(data, cols)
-    else:
-        x = np.array(data, dtype=float)  # None becomes NaN
+    x = np.array(data, dtype=float)  # None becomes NaN
     if x.ndim != 2 or x.shape[1] < 2:
         raise MetricInputError("littles_mcar_test needs >= 2 numerical columns")
     if np.isinf(x).any():

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from dqeval.cli import cli, main
-from dqeval.harness import PTBXL_PROFILE
+from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl
 from dqeval.registry import render_card
 from dqeval.report import load_dataset, read_descriptor
 
@@ -308,6 +308,25 @@ def test_subset_accepts_inline_recipes_and_global_seed(tmp_path, descriptor):
     assert ds.column("sex").count("f") == 1
 
 
+def test_subset_keeps_the_dictionaries_of_a_table_in_a_subdirectory(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "table.csv").write_text("rid,code\nr1,A\nr2,B\n", encoding="utf-8")
+    (tmp_path / "sub" / "codes.txt").write_text("A\nB\n", encoding="utf-8")
+    (tmp_path / "codes.txt").write_text("A\n", encoding="utf-8")
+    doc = {
+        "table": {"path": "sub/table.csv"},
+        "columns": [{"name": "rid", "vtype": "identifier"}, {"name": "code", "vtype": "categorical"}],
+        "dictionaries": {"code": "codes.txt"},
+    }
+    (tmp_path / "descriptor.json").write_text(json.dumps(doc), encoding="utf-8")
+    recipe = '{"kind": "device_filter", "column": "code", "device_id": "A"}'
+    assert main(["subset", "--data", str(tmp_path / "descriptor.json"), "--recipe", recipe,
+                 "--out", str(tmp_path / "s")]) == 0
+    parent = load_dataset(read_descriptor(str(tmp_path / "descriptor.json")))
+    subset = load_dataset(read_descriptor(str(tmp_path / "s" / "descriptor.json")))
+    assert subset.dictionaries == parent.dictionaries == {"code": frozenset({"A", "B"})}
+
+
 def test_subset_insufficient_stratum_is_a_usage_error(tmp_path, descriptor):
     recipe = '{"kind": "class_imbalance", "n_norm": 100, "n_other": 1, "seed": 0, "norm_label": "a"}'
     res = runner.invoke(cli, ["subset", "--data", descriptor, "--recipe", recipe, "--out", str(tmp_path / "x")])
@@ -474,3 +493,148 @@ def test_select_interactive_strict_mode_stops_at_a_skipped_question(tmp_path):
     assert "question 'ground_truth' is unanswered" in res.stderr
     assert "[noisy_labels]" not in res.stdout
     assert not out.exists()
+
+
+# --- malformed inputs: an exit code and a message, or an error row, never a traceback
+
+F32 = {"dir": "sig", "format": "f32le", "file_column": "rid", "pattern": "{value}.f32"}
+SEX = {"kind": "sex_imbalance", "column": "sex", "male_label": "m", "female_label": "f"}
+
+
+def _f32(header) -> bytes:
+    """An f32le record of two float32 zeros under the given JSON header."""
+    return (json.dumps(header) + "\n").encode("utf-8") + bytes(8)
+
+
+ARGV = {
+    "evaluate": ["evaluate", "--data", "descriptor.json", "--selection", "selection.json",
+                 "--params", "params.json", "--out", "report.json"],
+    "compare": ["compare", "--data", "descriptor.json", "--data", "descriptor.json",
+                "--metrics", "range", "--params", "params.json"],
+    "subset": ["subset", "--data", "descriptor.json", "--recipe", "recipe.json", "--out", "subset"],
+    "select": ["select", "--profile", "profile.json", "--out", "selection.json"],
+}
+
+# case -> (command, input files, exit code, message); a file given as a dict
+# is JSON (for descriptor.json: fields over the generic descriptor), bytes
+# are written as they are; exit code 0 means the report holds an error row
+# carrying the message
+MALFORMED_INPUTS = {
+    "f32-header-without-channels": (
+        "evaluate", {"descriptor.json": {"signals": F32}, "sig/r0.f32": _f32({"n_samples": 1, "sampling_hz": 1.0})},
+        2, "header misses required field 'channels'"),
+    "f32-header-without-n_samples": (
+        "evaluate", {"descriptor.json": {"signals": F32}, "sig/r0.f32": _f32({"channels": 2, "sampling_hz": 1.0})},
+        2, "header misses required field 'n_samples'"),
+    "f32-header-without-sampling_hz": (
+        "evaluate", {"descriptor.json": {"signals": F32}, "sig/r0.f32": _f32({"channels": 2, "n_samples": 1})},
+        2, "header misses required field 'sampling_hz'"),
+    "f32-header-not-an-object": (
+        "evaluate", {"descriptor.json": {"signals": F32}, "sig/r0.f32": _f32([1, 2])},
+        2, "header is not a JSON object"),
+    "signals-pattern-names-another-field": (
+        "evaluate", {"descriptor.json": {"signals": {**F32, "pattern": "{rid}.f32"}}},
+        2, "signals pattern may name no field but {value}: '{rid}.f32'"),
+    "dictionary-file-not-utf8": (
+        "evaluate", {"descriptor.json": {"dictionaries": {"sex": "words.txt"}}, "words.txt": b"m\n\xff\xfe\n"},
+        2, "word list is not UTF-8 text"),
+    "dictionary-neither-file-nor-list": (
+        "evaluate", {"descriptor.json": {"dictionaries": {"sex": 5}}},
+        2, "dictionary of 'sex' must be a file name or a JSON list, not 5"),
+    "descriptor-not-utf8": ("evaluate", {"descriptor.json": b"\xff\xfe{}"}, 2, "cannot read descriptor"),
+    "row-index-not-utf8": (
+        "evaluate", {"descriptor.json": {"row_index": "rows.json"}, "rows.json": b"\xff[0]"},
+        2, "cannot read row index"),
+    "recipe-without-n_male": ("subset", {"recipe.json": {**SEX, "n_female": 1}}, 1, "'n_male'"),
+    "recipe-without-device_id": ("subset", {"recipe.json": {"kind": "device_filter"}}, 1, "'device_id'"),
+    "recipe-negative-count": (
+        "subset", {"recipe.json": {**SEX, "n_male": -1, "n_female": 1}},
+        1, "recipe field 'n_male' must be an integer >= 0, got -1"),
+    "recipe-string-count": (
+        "subset", {"recipe.json": {**SEX, "n_male": "x", "n_female": 1}},
+        1, "recipe field 'n_male' must be an integer >= 0, got 'x'"),
+    "recipe-fractional-count": (
+        "subset", {"recipe.json": {**SEX, "n_male": 2.7, "n_female": 1}},
+        1, "recipe field 'n_male' must be an integer >= 0, got 2.7"),
+    "recipe-unknown-column": (
+        "subset", {"recipe.json": {"kind": "device_filter", "column": "nope", "device_id": "m"}},
+        1, "recipe field 'column': unknown column 'nope'"),
+    "rows-unknown-metric": (
+        "evaluate", {"params.json": {"rows": [{"metric_id": "made_up", "dimension": "variety"}]}},
+        0, "unknown metric 'made_up'"),
+    "selection-unknown-metric": (
+        "evaluate", {"selection.json": {"selections": [{"dimension": "variety", "metrics": ["made_up"]}]}},
+        0, "unknown metric 'made_up'"),
+    "rows-params-not-an-object": (
+        "evaluate", {"params.json": {"rows": [{"metric_id": "range", "params": 5}]}},
+        1, "params rows must be a list of objects with a metric_id and object params"),
+    "evaluate-params-value-not-an-object": (
+        "evaluate", {"params.json": {"range": 5}}, 1, "params of 'range' must be a JSON object"),
+    "compare-params-value-not-an-object": (
+        "compare", {"params.json": {"range": [1]}}, 1, "params of 'range' must be a JSON object"),
+    "selections-not-a-list": (
+        "evaluate", {"selection.json": {"selections": {"variety": ["range"]}}},
+        1, "selection selections must be a list"),
+    "profile-answer-not-a-string": (
+        "select", {"profile.json": {"ml_task": 5}},
+        1, "answer to 'ml_task' must be a string or list of strings, not 5"),
+}
+
+
+@pytest.mark.parametrize("command, given, code, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_inputs_end_in_their_exit_code_or_an_error_row(
+    tmp_path, monkeypatch, capsys, data_dir, command, given, code, message
+):
+    (tmp_path / "table.csv").write_text((data_dir / "table.csv").read_text(encoding="utf-8"), encoding="utf-8")
+    descriptor = json.loads((data_dir / "descriptor.json").read_text(encoding="utf-8"))
+    files = {
+        "descriptor.json": descriptor,
+        "selection.json": {"profile": {}, "selections": []},
+        "params.json": {},
+        "recipe.json": {},
+        "profile.json": {},
+        **given,
+    }
+    if isinstance(given.get("descriptor.json"), dict):
+        files["descriptor.json"] = {**descriptor, **given["descriptor.json"]}
+    (tmp_path / "sig").mkdir()
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert main(ARGV[command]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        rows = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
+        assert [(r["scope"], r["error"]) for r in rows] == [("unresolved", message)]
+    else:
+        assert message in err.partition("data load error: " if code == 2 else "Error: ")[2]
+
+
+def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
+    bundle = load_ptbxl(demo_root)
+    names = ("sex", "device", "is_norm")
+    lines = [",".join(names)]
+    lines += [",".join("" if v is None else str(v) for v in row)
+              for row in zip(*(bundle.dataset.column(n) for n in names))]
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = {
+        "table": {"path": "table.csv"},
+        "columns": [
+            {"name": "sex", "vtype": "categorical"},
+            {"name": "device", "vtype": "categorical"},
+            {"name": "is_norm", "vtype": "numerical", "role": "target"},
+        ],
+    }
+    (tmp_path / "descriptor.json").write_text(json.dumps(doc), encoding="utf-8")
+    recipes = default_recipes(bundle, seed=3)
+    assert [r["kind"] for r in recipes] == ["sex_imbalance", "device_filter", "class_imbalance"]
+    for recipe in recipes:
+        out = tmp_path / recipe["kind"]
+        argv = ["subset", "--data", str(tmp_path / "descriptor.json"), "--recipe", json.dumps(recipe),
+                "--out", str(out)]
+        assert main(argv) == 0
+        drawn = json.loads((out / "indices.json").read_text(encoding="utf-8"))
+        assert drawn == apply_recipe(bundle.dataset, recipe)
+        assert drawn  # a draw that finds nothing would pass vacuously

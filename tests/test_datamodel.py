@@ -109,7 +109,7 @@ def test_column_sample_drops_missing_and_counts():
     s = column_sample(ds, "age")
     assert s.values.tolist() == [30.0, 40.0, 50.0, 60.0, 70.0]
     assert s.values.dtype == np.float64
-    assert s.dropped == 1
+    assert len(s) == 5
 
 
 def test_feature_columns_exclude_identifier_vtype():

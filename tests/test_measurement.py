@@ -678,9 +678,9 @@ def test_completeness_counts_cells():
 def test_patient_level_completeness_any_record_counts():
     ds = _gappy_dataset()
     # a patient counts when at least one of their records has the variable
-    assert patient_level_completeness(ds, variable="a") == pytest.approx(2 / 3)
+    assert patient_level_completeness(ds, "pid", variable="a") == pytest.approx(2 / 3)
     # p2's only record misses b, so b coverage drops to 2 of 3 patients too
-    assert patient_level_completeness(ds, variable="b") == pytest.approx(2 / 3)
+    assert patient_level_completeness(ds, "pid", variable="b") == pytest.approx(2 / 3)
 
 
 def test_record_completeness_requires_all_fields():

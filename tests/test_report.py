@@ -97,22 +97,13 @@ def test_descriptor_rejects_unknown_signal_format(tmp_path):
     [
         {"table": {"path": 5}},
         {"row_index": 5},
-        {"signals": {"dir": "sig", "file_column": "rid", "channels": 5}},
         {"dictionaries": [1]},
     ],
-    ids=["table-path", "row-index", "signal-channels", "dictionaries"],
+    ids=["table-path", "row-index", "dictionaries"],
 )
 def test_descriptor_fields_of_the_wrong_json_type_are_load_errors(overrides):
     with pytest.raises(DataLoadError):
         parse_descriptor(_basic_doc(**overrides))
-
-
-def test_descriptor_parses_evaluation_time_formats():
-    assert parse_descriptor(_basic_doc(evaluation_time=12.5)).evaluation_time == 12.5
-    iso = parse_descriptor(_basic_doc(evaluation_time="1970-01-01T00:01:00+00:00"))
-    assert iso.evaluation_time == 60.0
-    with pytest.raises(DataLoadError, match="cannot parse timestamp"):
-        parse_descriptor(_basic_doc(evaluation_time="yesterday"))
 
 
 def test_unreadable_descriptor_is_a_load_error(tmp_path):
@@ -210,6 +201,30 @@ def test_dictionaries_load_inline_and_from_files(table_dir):
     doc = _basic_doc(dictionaries={"code": "absent.txt"})
     with pytest.raises(DataLoadError, match="cannot read dictionary"):
         load_dataset(read_descriptor(_write_descriptor(table_dir, doc)))
+
+
+@pytest.mark.parametrize("route", ["descriptor", "dictionary_file"])
+def test_word_lists_strip_each_line_and_must_be_utf8(table_dir, route):
+    (table_dir / "crlf.txt").write_bytes(b"I21\r\n I50 \r\n\r\nZ99\r\n")
+    (table_dir / "latin1.txt").write_bytes("I21\nZ\xe9\n".encode("latin-1"))
+
+    def syntactic_accuracy(name):
+        if route == "descriptor":
+            ds = load_dataset(read_descriptor(_write_descriptor(table_dir, _basic_doc(dictionaries={"code": name}))))
+            return evaluate_row(ds, "syntactic_accuracy", "accuracy", {"column": "code"})
+        ds = load_dataset(read_descriptor(_write_descriptor(table_dir, _basic_doc())))
+        params = {"column": "code", "dictionary_file": str(table_dir / name)}
+        return evaluate_row(ds, "syntactic_accuracy", "accuracy", params)
+
+    row = syntactic_accuracy("crlf.txt")
+    assert (row["value"], row["params"]["dictionary_size"]) == (1.0, 3)
+    message = f"{table_dir / 'latin1.txt'}: word list is not UTF-8 text (invalid continuation byte)"
+    if route == "descriptor":
+        with pytest.raises(DataLoadError, match="word list is not UTF-8 text") as info:
+            syntactic_accuracy("latin1.txt")
+        assert str(info.value).endswith(message)
+    else:
+        assert syntactic_accuracy("latin1.txt")["error"] == message
 
 
 def test_dataset_validation_failures_surface_as_load_errors(table_dir):

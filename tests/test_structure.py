@@ -16,12 +16,14 @@ from dqeval.datamodel import (
     SignalBlock,
 )
 from dqeval.distribution import MetricInputError, MetricWarning
+from dqeval.registry import evaluate
 from dqeval.structure import (
     CurrencyParams,
     PageHinkleyParams,
     currency,
     dataset_size,
     effective_sample_size,
+    float_columns,
     granularity,
     imbalance_degree,
     imbalance_ratio,
@@ -336,8 +338,9 @@ def test_littles_on_dataset_uses_numerical_columns():
             "tag": ("t",) * 20,
         },
     )
-    res = littles_mcar_test(ds)
-    assert res.n_patterns == 2
+    res = evaluate("littles_test", ds)
+    assert res.params["columns"] == ["a", "b"]
+    assert res.value == evaluate("littles_test", ds, {"columns": ["a", "b"]}).value
 
 
 def _em_normal_per_row(x, tol, max_iter):
@@ -507,7 +510,7 @@ def test_littles_requires_two_numeric_columns():
         cells={"a": (1.0, 2.0), "t": ("x", "y")},
     )
     with pytest.raises(MetricInputError):
-        littles_mcar_test(ds)
+        littles_mcar_test(float_columns(ds, ["a"]))
 
 
 def test_littles_names_an_infinite_cell_not_a_missing_column():
@@ -516,6 +519,7 @@ def test_littles_names_an_infinite_cell_not_a_missing_column():
         columns=(ColumnSpec("a", vtype="numerical"), ColumnSpec("b", vtype="numerical")),
         cells={"a": (1.0, 2.0, inf, 4.0, 5.0, None), "b": (2.0, None, 1.0, 3.0, 5.0, 4.0)},
     )
-    for data in (ds, [[1.0, 2.0], [2.0, None], [-inf, 1.0], [4.0, 3.0], [5.0, 5.0], [None, 4.0]]):
+    rows = [[1.0, 2.0], [2.0, None], [-inf, 1.0], [4.0, 3.0], [5.0, 5.0], [None, 4.0]]
+    for data in (float_columns(ds, ["a", "b"]), rows):
         with pytest.raises(MetricInputError, match=r"finite values; row 2, column 0 holds -?inf"):
             littles_mcar_test(data)
