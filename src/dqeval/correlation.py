@@ -7,25 +7,21 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .datamodel import MISSING, RatingsMatrix, Sample
+from .datamodel import MISSING, Codes, RatingsMatrix, Sample
 from .distribution import MetricInputError
 
 
 def _pairwise_complete(
     x: Sample | Sequence[Any], y: Sample | Sequence[Any]
 ) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = list(x), list(y)
-    if len(xs) != len(ys):
+    """The pairs where neither value is missing (None or NaN)."""
+    vx, vy = (np.array(v.values if isinstance(v, Sample) else v, dtype=float) for v in (x, y))
+    if len(vx) != len(vy):
         raise MetricInputError("correlation inputs must have equal length")
-    pairs = [
-        (float(a), float(b))
-        for a, b in zip(xs, ys)
-        if a is not MISSING and b is not MISSING
-    ]
-    if not pairs:
+    both = ~(np.isnan(vx) | np.isnan(vy))
+    if not both.any():
         raise MetricInputError("no complete pairs after pairwise deletion")
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0], arr[:, 1]
+    return vx[both], vy[both]
 
 
 def _pearson(vx: np.ndarray, vy: np.ndarray) -> float:
@@ -171,31 +167,30 @@ def icc(m: RatingsMatrix) -> float:
     return float((msr - mse) / denom)
 
 
-def cramers_v(
-    a: Sequence[Any], b: Sequence[Any], bias_correction: bool = False
-) -> float:
-    """Cramér's V from the pairwise-complete contingency table."""
-    pairs = [
-        (x, y) for x, y in zip(a, b) if x is not MISSING and y is not MISSING
-    ]
+def _by_name(labels: Codes, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows' codes renumbered by the str of the categories present there."""
+    present = sorted(np.unique(labels.codes[rows]).tolist(), key=lambda k: str(labels.categories[k]))
+    rank = np.zeros(len(labels.categories), np.intp)
+    rank[present] = np.arange(len(present))
+    return rank[labels.codes[rows]], len(present)
+
+
+def cramers_v(a: Codes, b: Codes, bias_correction: bool = False) -> float:
+    """Cramér's V from the pairwise-complete contingency table of two label
+    columns coded by value (Dataset.codes), categories in str order."""
     if len(a) != len(b):
         raise MetricInputError("cramers_v inputs must have equal length")
-    if not pairs:
+    rows = np.flatnonzero((a.codes >= 0) & (b.codes >= 0))
+    if not rows.size:
         raise MetricInputError("no complete pairs after pairwise deletion")
-    cats_a = sorted({x for x, _ in pairs}, key=str)
-    cats_b = sorted({y for _, y in pairs}, key=str)
-    if len(cats_a) < 2 or len(cats_b) < 2:
+    (ia, r), (ib, c) = _by_name(a, rows), _by_name(b, rows)
+    if r < 2 or c < 2:
         raise MetricInputError("cramers_v requires >= 2 categories per variable")
-    table = np.zeros((len(cats_a), len(cats_b)))
-    ia = {c: i for i, c in enumerate(cats_a)}
-    ib = {c: i for i, c in enumerate(cats_b)}
-    for x, y in pairs:
-        table[ia[x], ib[y]] += 1
+    table = np.bincount(ia * c + ib, minlength=r * c).reshape(r, c).astype(float)
     from scipy.stats import chi2_contingency
 
     chi2, _, _, _ = chi2_contingency(table, correction=False)
     n = table.sum()
-    r, c = table.shape
     if bias_correction:
         phi2 = max(0.0, chi2 / n - (r - 1) * (c - 1) / (n - 1))
         r_adj = r - (r - 1) ** 2 / (n - 1)

@@ -1,8 +1,12 @@
 """Typed, immutable in-memory representation of datasets.
 
-Tabular metadata plus optional per-record signal payloads, with explicit
-missing-value markers. Missing cells are stored as ``None`` and never
-participate in arithmetic; each metric decides its own deletion policy.
+Tabular metadata plus optional per-record signal payloads. Each column is
+stored once as a typed read-only array: float64 values with NaN for a
+missing cell (numerical, datetime), or int32 Codes into a tuple of
+categories with -1 for a missing cell (categorical, ordinal, identifier).
+Dataset.column derives the cells as Python values, ``None`` (MISSING) for
+missing. Missing cells never participate in arithmetic; each metric decides
+its own deletion policy.
 """
 
 from __future__ import annotations
@@ -10,12 +14,10 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import repeat
-from operator import is_
-from typing import Any, Iterator, Mapping, NoReturn, Sequence
+from itertools import compress, count
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -184,13 +186,6 @@ class CategoricalCounts:
     def from_mapping(cls, mapping: Mapping[Any, float]) -> "CategoricalCounts":
         return cls(tuple(mapping.items()))
 
-    @classmethod
-    def from_values(cls, values: Sequence[Any]) -> "CategoricalCounts":
-        """Counts of the non-missing values in first-appearance order."""
-        acc = Counter(values)
-        acc.pop(MISSING, None)
-        return cls.from_mapping(acc)
-
     def as_dict(self) -> dict[Any, float]:
         return dict(self.counts)
 
@@ -253,21 +248,27 @@ def parse_timestamp(value: Any) -> float:
     NaN is returned as is, and a cell that holds it is missing.
     """
     text = value if isinstance(value, (int, float)) else str(value).strip()
+    if isinstance(text, str) and ":" in text:  # float() never accepts ":"
+        return _iso_seconds(value, text)
     try:
         seconds = float(text)
     except OverflowError:
         seconds = math.inf
     except ValueError:
-        try:
-            dt = datetime.fromisoformat(text)
-        except ValueError:
-            raise DataModelError(f"cannot parse timestamp {value!r}") from None
-        if dt.tzinfo is None:
-            return (dt - _EPOCH).total_seconds()
-        return dt.timestamp()
+        return _iso_seconds(value, text)
     if math.isinf(seconds):
         raise DataModelError(f"cannot parse timestamp {value!r}: not a finite number")
     return seconds
+
+
+def _iso_seconds(value: Any, text: str) -> float:
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        raise DataModelError(f"cannot parse timestamp {value!r}") from None
+    if dt.tzinfo is None:
+        return (dt - _EPOCH).total_seconds()
+    return dt.timestamp()
 
 
 def reject_json_constant(token: str) -> NoReturn:
@@ -306,25 +307,122 @@ def _normalize_cell(value: Any, spec: ColumnSpec) -> Any:
     return number if number == number else MISSING  # "NAN", "-nan", ... parse to NaN
 
 
-def _decode_column(col: Sequence[Any], spec: ColumnSpec) -> tuple[Any, ...]:
-    """Normalised cells of a column, each distinct string decoded once.
+@dataclass(frozen=True, eq=False)
+class Codes:
+    """A column of labels: codes[i] indexes categories, -1 marks a missing
+    cell. Categories are listed in order of first appearance and each is
+    used; codes is a read-only int32 array. (Dataset.codes of a numerical or
+    datetime column lists its numbers in ascending order instead.)"""
 
-    Only a column of str and MISSING cells is decoded through a dict of its
-    distinct values, in first-appearance order so an error names the first
-    bad cell; other cells are not keys (0.0/-0.0 and 1/1.0/True collide).
+    codes: np.ndarray
+    categories: tuple[Any, ...]
+
+    def __post_init__(self) -> None:
+        self.codes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @classmethod
+    def from_rows(cls, levels: tuple[Any, ...], firsts: Iterable[int], rows: np.ndarray) -> "Codes":
+        """Codes of cells given as the row of their level's first appearance;
+        firsts lists those rows in ascending order, one per level."""
+        number = np.empty(len(rows), np.int32)
+        number[np.fromiter(firsts, np.intp, len(levels))] = np.arange(len(levels), dtype=np.int32)
+        return cls(number[rows], levels)
+
+    @classmethod
+    def factorize(cls, cells: Sequence[Any]) -> "Codes":
+        """Raw cells as codes, none missing. Equal strings share a code; other
+        cells are keyed by type and repr, so 1, 1.0 and True, or 0.0 and -0.0,
+        stay apart."""
+        keys = cells if {*map(type, cells)} <= {str, type(MISSING)} else [(type(v), repr(v)) for v in cells]
+        first: dict[Any, int] = {}
+        rows = np.fromiter(map(first.setdefault, keys, count()), np.intp, len(keys))
+        return cls.from_rows(tuple(map(cells.__getitem__, first.values())), first.values(), rows)
+
+    def take(self, idx: np.ndarray) -> "Codes":
+        """The cells at idx, categories numbered again by first appearance there."""
+        sub = self.codes[idx]
+        used, firsts, inverse = np.unique(sub, return_index=True, return_inverse=True)
+        kept = np.flatnonzero(used >= 0)
+        order = kept[np.argsort(firsts[kept])]
+        rank = np.full(len(used), -1, np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        return Codes(rank[inverse.reshape(-1)], tuple(map(self.categories.__getitem__, used[order].tolist())))
+
+    def by_value(self) -> "Codes":
+        """Categories that are equal as dict keys (1, 1.0 and True; 0.0 and
+        -0.0) merged into the first of them."""
+        merged = dict.fromkeys(self.categories)
+        if len(merged) == len(self.categories):
+            return self
+        index = {cat: i for i, cat in enumerate(merged)}
+        number = np.array([*map(index.__getitem__, self.categories), -1], np.int32)
+        return Codes(number[self.codes], tuple(merged))
+
+    def counts(self) -> CategoricalCounts:
+        """Cells per category in category order, missing skipped; the
+        categories must be distinct as dict keys (see by_value)."""
+        tally = np.bincount(self.codes[self.codes >= 0], minlength=len(self.categories))
+        return CategoricalCounts.from_mapping(dict(zip(self.categories, tally.tolist())))
+
+
+def _label_codes(raw: Codes, spec: ColumnSpec) -> Codes:
+    """Codes with the categories that are missing cells dropped to -1."""
+    if {*map(type, raw.categories)} <= {str}:
+        missing = np.fromiter(map(spec.missing_tokens.__contains__, map(str.strip, raw.categories)), bool)
+    else:
+        missing = np.array([_normalize_cell(v, spec) is MISSING for v in raw.categories], bool)
+    if not missing.any():
+        return raw
+    number = np.append(np.where(missing, -1, np.cumsum(~missing) - 1), -1).astype(np.int32)
+    return Codes(number[raw.codes], tuple(compress(raw.categories, ~missing)))
+
+
+def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
+    """A column as stored: float64 values, NaN for missing, for numerical and
+    datetime columns; Codes for the others. Each distinct cell is decoded
+    once, in order of first appearance, so an error names the first bad cell.
+
+    A float array given for a numerical or datetime column is taken as
+    decoded values.
     """
-    if {*map(type, col)} <= {str, type(MISSING)}:
-        memo = {v: _normalize_cell(v, spec) for v in dict.fromkeys(col)}
-        return tuple(map(memo.__getitem__, col))
-    return tuple(_normalize_cell(v, spec) for v in col)
+    numeric = spec.vtype in ("numerical", "datetime")
+    if numeric and isinstance(cells, np.ndarray) and cells.dtype.kind == "f":
+        values = cells.astype(float)
+        if spec.vtype == "datetime" and np.isinf(values).any():
+            parse_timestamp(values[np.isinf(values)][0])
+    else:
+        raw = cells if isinstance(cells, Codes) else Codes.factorize(cells)
+        if not numeric:
+            return _label_codes(raw, spec)
+        decoded = [_normalize_cell(v, spec) for v in raw.categories]
+        values = np.array([*decoded, MISSING], dtype=float)[raw.codes]
+    values.flags.writeable = False
+    return values
 
 
-@dataclass(frozen=True)
+def float_cells(values: np.ndarray) -> tuple[Any, ...]:
+    """Python floats of a float column, NaN as MISSING."""
+    cells = values.astype(object)
+    cells[np.isnan(values)] = MISSING
+    return tuple(cells.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable column-major table plus optional per-record signals."""
+    """Immutable column-major table plus optional per-record signals.
+
+    `cells` gives each column as a sequence of raw cells, as Codes of raw
+    cells (what load_dataset reads), or, for a numerical or datetime
+    column, as a float array. The build stores each column once, typed
+    (see _typed): float64 values with NaN for missing, 8 bytes per cell, or
+    Codes, 4 bytes per cell plus one tuple of the distinct categories.
+    """
 
     columns: tuple[ColumnSpec, ...]
-    cells: Mapping[str, tuple[Any, ...]]
+    cells: Mapping[str, Any]
     signals: tuple[SignalBlock | None, ...] | None = None
     dataset_id: str = "dataset"
     dictionaries: Mapping[str, frozenset[str]] = field(default_factory=dict)
@@ -344,13 +442,12 @@ class Dataset:
         if len(lengths) > 1:
             raise DataModelError("all columns must have the same number of cells")
         n = lengths.pop() if lengths else 0
-        normalized = {spec.name: _decode_column(self.cells[spec.name], spec) for spec in cols}
+        typed = {spec.name: _typed(self.cells[spec.name], spec) for spec in cols}
         for spec in cols:
             if spec.vtype == "ordinal":
-                observed = {v for v in normalized[spec.name] if v is not MISSING}
                 if spec.ordinal_order is None:
                     raise DataModelError(f"ordinal column {spec.name!r} needs ordinal_order")
-                uncovered = observed - set(spec.ordinal_order)
+                uncovered = set(typed[spec.name].categories) - set(spec.ordinal_order)
                 if uncovered:
                     raise DataModelError(
                         f"ordinal_order of {spec.name!r} misses categories {sorted(map(str, uncovered))}"
@@ -361,7 +458,7 @@ class Dataset:
                 raise DataModelError("signals must provide one entry (or None) per record")
             object.__setattr__(self, "signals", sig)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "cells", normalized)
+        object.__setattr__(self, "cells", typed)
         object.__setattr__(
             self,
             "dictionaries",
@@ -369,9 +466,6 @@ class Dataset:
         )
         object.__setattr__(self, "_n_records", n)
         object.__setattr__(self, "_specs", {c.name: c for c in cols})
-        object.__setattr__(
-            self, "_missing", {k: sum(map(is_, v, repeat(MISSING))) for k, v in normalized.items()}
-        )
 
     @property
     def n_records(self) -> int:
@@ -387,14 +481,36 @@ class Dataset:
         except (KeyError, TypeError):
             raise DataModelError(f"unknown column {name!r}") from None
 
+    def array(self, name: str) -> np.ndarray | Codes:
+        """The column as stored: float64 values or Codes."""
+        return self.cells[self.spec(name).name]
+
     def column(self, name: str) -> tuple[Any, ...]:
-        self.spec(name)
-        return self.cells[name]
+        """The cells as Python values, MISSING for missing, built from the
+        stored column on each call."""
+        col = self.array(name)
+        if isinstance(col, Codes):
+            return tuple(map((*col.categories, MISSING).__getitem__, col.codes.tolist()))
+        return float_cells(col)
+
+    def codes(self, name: str) -> Codes:
+        """The column coded by value: equal categories merged (see
+        Codes.by_value), numbers coded in ascending order."""
+        col = self.array(name)
+        if isinstance(col, Codes):
+            return col.by_value()
+        numbers, inverse = np.unique(col, return_inverse=True)  # 0.0 and -0.0 are one, NaN is last
+        missing = np.isnan(col)
+        codes = np.where(missing, -1, inverse.reshape(-1)).astype(np.int32)
+        return Codes(codes, tuple(numbers[: len(numbers) - missing.any()].tolist()))
+
+    def missing(self, name: str) -> np.ndarray:
+        """A bool array, True where the cell is missing."""
+        col = self.array(name)
+        return col.codes < 0 if isinstance(col, Codes) else np.isnan(col)
 
     def missing_count(self, name: str) -> int:
-        """Number of MISSING cells in a column, counted once at build."""
-        self.spec(name)
-        return self._missing[name]  # type: ignore[attr-defined]
+        return int(np.count_nonzero(self.missing(name)))
 
     def role_column(self, role: str) -> str | None:
         for c in self.columns:
@@ -409,18 +525,22 @@ class Dataset:
         )
 
 
-def coded(ds: Dataset, col: str) -> tuple[Any, ...]:
-    """Column values, ordinal categories replaced by their rank, missing kept."""
+def coded(ds: Dataset, col: str) -> np.ndarray:
+    """Float values of a numerical, datetime or ordinal column, NaN for
+    missing; ordinal categories are replaced by their rank in ordinal_order."""
     spec = ds.spec(col)
+    if spec.vtype in ("numerical", "datetime"):
+        return ds.array(col)
     if spec.vtype != "ordinal":
-        return ds.column(col)
-    codes = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
-    return tuple(MISSING if v is MISSING else codes[v] for v in ds.column(col))
+        raise DataModelError(f"column {col!r} is {spec.vtype}; numeric or ordinal required")
+    labels = ds.array(col)
+    rank = {cat: float(i) for i, cat in enumerate(spec.ordinal_order or ())}
+    return np.array([*map(rank.__getitem__, labels.categories), math.nan])[labels.codes]
 
 
-def present_sample(values: Sequence[Any]) -> Sample:
-    """The non-missing values."""
-    return Sample([v for v in values if v is not MISSING])
+def present_sample(values: np.ndarray) -> Sample:
+    """The values that are not NaN."""
+    return Sample(values[~np.isnan(values)])
 
 
 def column_sample(ds: Dataset, col: str) -> Sample:
@@ -428,29 +548,24 @@ def column_sample(ds: Dataset, col: str) -> Sample:
 
     Ordinal columns are encoded by their position in ordinal_order.
     """
-    vtype = ds.spec(col).vtype
-    if vtype not in ("numerical", "datetime", "ordinal"):
-        raise DataModelError(f"column {col!r} is {vtype}; numeric or ordinal required")
     return present_sample(coded(ds, col))
 
 
-def group_by(ds: Dataset, col: str) -> tuple[dict[Any, list[int]], list[int]]:
+def group_by(ds: Dataset, col: str) -> tuple[dict[Any, np.ndarray], np.ndarray]:
     """Partition record indices by a categorical/ordinal column.
 
-    Returns (groups, missing_indices); groups are disjoint and together with
-    the missing set cover all records.
+    Returns (groups, missing_indices), ascending index arrays; groups are
+    keyed by category in order of first appearance, disjoint, and together
+    with the missing set cover all records.
     """
     spec = ds.spec(col)
     if spec.vtype not in ("categorical", "ordinal", "identifier"):
         raise DataModelError(f"group_by needs a categorical column, {col!r} is {spec.vtype}")
-    groups: dict[Any, list[int]] = {}
-    missing: list[int] = []
-    for i, v in enumerate(ds.cells[col]):
-        if v is MISSING:
-            missing.append(i)
-        else:
-            groups.setdefault(v, []).append(i)
-    return groups, missing
+    labels = ds.codes(col)
+    order = np.argsort(labels.codes, kind="stable")
+    sizes = np.bincount(labels.codes + 1, minlength=len(labels.categories) + 1)
+    missing, *groups = np.split(order, np.cumsum(sizes)[:-1])
+    return dict(zip(labels.categories, groups)), missing
 
 
 def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[CategoricalCounts, CategoricalCounts]:
@@ -480,18 +595,15 @@ def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[CategoricalCounts, C
 def take_records(ds: Dataset, indices: Sequence[int], dataset_id: str | None = None) -> Dataset:
     """Row-subset a dataset, keeping records in the given order."""
     n = ds.n_records
-    idx = []
-    for i in indices:
-        j = int(i)
-        if not 0 <= j < n:
-            raise DataModelError(f"record index {i} out of range 0..{n - 1}")
-        idx.append(j)
-    names = ds.column_names
-    cells = {name: [col[j] for j in idx] for name, col in zip(names, map(ds.column, names))}
-    signals = tuple(ds.signals[j] for j in idx) if ds.signals is not None else None
+    indices = list(indices)
+    idx = np.fromiter(map(int, indices), np.intp, len(indices))
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise DataModelError(f"record index {indices[np.argmax(outside)]} out of range 0..{n - 1}")
+    signals = tuple(ds.signals[j] for j in idx.tolist()) if ds.signals is not None else None
     return Dataset(
         columns=ds.columns,
-        cells=cells,
+        cells={name: ds.array(name).take(idx) for name in ds.column_names},
         signals=signals,
         dataset_id=dataset_id or f"{ds.dataset_id}[subset]",
         dictionaries=ds.dictionaries,

@@ -134,8 +134,6 @@ def _read_superclass_map(root: str) -> dict[str, str]:
 
 
 def _parse_scp_codes(text: Any) -> dict[str, float]:
-    if text is MISSING or text in ("", None):
-        return {}
     try:
         parsed = ast.literal_eval(str(text))
     except (ValueError, SyntaxError):
@@ -172,11 +170,10 @@ def load_ptbxl(root: str) -> PtbxlBundle:
     ds = load_dataset(parse_descriptor(doc, base_dir=root))
 
     class_map = _read_superclass_map(root)
-    classes = []
-    for raw in ds.column("scp_codes"):
-        codes = _parse_scp_codes(raw)
-        classes.append(frozenset(class_map[c] for c in codes if c in class_map))
-    is_norm = [1.0 if "NORM" in cl else 0.0 for cl in classes]
+    scp = ds.codes("scp_codes")  # each distinct statement string is parsed once
+    per_code = [frozenset(class_map[c] for c in _parse_scp_codes(text) if c in class_map) for text in scp.categories]
+    classes = [per_code[k] if k >= 0 else frozenset() for k in scp.codes.tolist()]
+    is_norm = np.array([1.0 if "NORM" in cl else 0.0 for cl in classes])
 
     columns = ds.columns + (ColumnSpec("is_norm", "numerical", role="target"),)
     full = Dataset(
@@ -266,10 +263,7 @@ def default_recipes(bundle: PtbxlBundle, seed: int | None) -> list[dict[str, Any
     ds = bundle.dataset
     n = ds.n_records
     half = 5000 if n >= 10000 else max(20, n // 2)
-    device_counts: dict[str, int] = {}
-    for v in ds.column("device"):
-        if v is not MISSING:
-            device_counts[str(v)] = device_counts.get(str(v), 0) + 1
+    device_counts = {str(v): count for v, count in ds.codes("device").counts().counts}
     if "CS-12" in device_counts:
         device = "CS-12"
     else:

@@ -638,34 +638,28 @@ def patient_level_completeness(ds: Dataset, patient_col: str, variable: str | No
     variable None asks about the signal payload instead of a column. Records
     without a patient identifier are excluded (flagged).
     """
-    pids = ds.column(patient_col)
-    # a missing cell and an absent signal are both None
+    pids = ds.codes(patient_col)
     if variable is None:
-        entries = ds.signals or (None,) * ds.n_records
+        present = np.array([blk is not None for blk in ds.signals or (None,) * ds.n_records], dtype=bool)
     else:
-        entries = ds.column(variable)
-    covered: dict[Any, bool] = {}
-    skipped = 0
-    for pid, entry in zip(pids, entries):
-        if pid is MISSING:
-            skipped += 1
-            continue
-        covered[pid] = covered.get(pid, False) or entry is not None
+        present = ~ds.missing(variable)
+    identified = pids.codes >= 0
+    skipped = ds.n_records - int(np.count_nonzero(identified))
     if skipped:
         _warn(f"{skipped} records lack a patient identifier and were excluded")
-    if not covered:
+    if not pids.categories:
         raise MetricInputError("no identifiable patients")
-    return sum(covered.values()) / len(covered)
+    covered = np.bincount(pids.codes[identified & present], minlength=len(pids.categories))
+    return int(np.count_nonzero(covered)) / len(pids.categories)
 
 
 def record_completeness(ds: Dataset, required: Sequence[str]) -> float:
     """Fraction of records whose required fields are all present."""
-    req = list(required)
-    rows = zip(*map(ds.column, req))
-    if not req:
+    missing = [ds.missing(col) for col in required]
+    if not missing:
         _warn("record_completeness with empty requirement is vacuously 1")
         return 1.0
     if ds.n_records == 0:
         raise MetricInputError("record_completeness requires at least one record")
-    complete = sum(all(v is not MISSING for v in row) for row in rows)
-    return complete / ds.n_records
+    incomplete = int(np.count_nonzero(np.logical_or.reduce(missing)))
+    return (ds.n_records - incomplete) / ds.n_records

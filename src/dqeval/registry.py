@@ -25,8 +25,8 @@ from . import measurement as _meas
 from . import structure as _struct
 from .cards import Applicability, MetricCard, RegistryError  # noqa: F401  (re-exported)
 from .datamodel import (
-    MISSING,
     CategoricalCounts,
+    Codes,
     DataModelError,
     Dataset,
     RatingsMatrix,
@@ -34,6 +34,7 @@ from .datamodel import (
     SignalBlock,
     coded,
     column_sample,
+    float_cells,
     group_by,
     pooled_counts,
     present_sample,
@@ -268,7 +269,10 @@ def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
 
 def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
     """Rater columns as items x raters, ordinal labels coded by rank."""
-    columns = [coded(ds, col) for col in cols]
+    columns = [
+        ds.column(c) if ds.spec(c).vtype in ("categorical", "identifier") else float_cells(coded(ds, c))
+        for c in cols
+    ]
     return RatingsMatrix(tuple(zip(*columns)), rater_names=tuple(cols))
 
 
@@ -304,7 +308,7 @@ def _pair(
     vtypes: tuple[str, ...] | None,
     *params: Param,
     keys: tuple[str, str] = ("column_a", "column_b"),
-    read: Callable[[Dataset, str], Any] = Dataset.column,
+    read: Callable[[Dataset, str], Any] = coded,
     notes: Mapping[str, Any] | None = None,
 ) -> Evaluator:
     """Two columns of one dataset: kernel(read(ds, a), read(ds, b), **params)."""
@@ -363,29 +367,29 @@ def _raters(
 
 
 def _counts(ds: Dataset, col: str) -> CategoricalCounts:
-    counts = CategoricalCounts.from_values(ds.column(col))
+    counts = ds.codes(col).counts()
     _require(len(counts) >= 1, f"no categories present in column {col!r}")
     return counts
 
 
-def _complete(a: Sequence[Any], b: Sequence[Any]) -> list[tuple[Any, Any]]:
-    return [(x, y) for x, y in zip(a, b) if x is not MISSING and y is not MISSING]
+def _complete(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    both = ~(np.isnan(a) | np.isnan(b))
+    return a[both], b[both]
 
 
-def _instrument(measured: Sequence[Any], reference: Sequence[Any]) -> dict[str, float]:
-    rows = _complete(measured, reference)
-    _require(len(rows) >= 2, "needs >= 2 complete measurement pairs")
-    measured, reference = zip(*rows)
+def _instrument(measured: np.ndarray, reference: np.ndarray) -> dict[str, float]:
+    measured, reference = _complete(measured, reference)
+    _require(len(measured) >= 2, "needs >= 2 complete measurement pairs")
     return _meas.instrument_error(Sample(measured), Sample(reference))
 
 
-def _mask(values: Sequence[Any]) -> np.ndarray:
-    _require(all(v is not MISSING for v in values), "mask columns must be complete")
-    return np.array([bool(v) for v in values])
+def _mask(labels: Codes) -> np.ndarray:
+    _require(bool((labels.codes >= 0).all()), "mask columns must be complete")
+    return np.array([bool(v) for v in labels.categories], dtype=bool)[labels.codes]
 
 
-def _resolution(widths: Sequence[Any], heights: Sequence[Any]) -> dict[str, list]:
-    value = _struct.resolution(_complete(widths, heights))
+def _resolution(widths: np.ndarray, heights: np.ndarray) -> dict[str, list]:
+    value = _struct.resolution(np.column_stack(_complete(widths, heights)))
     return {
         "per_image": [list(s) for s in value["per_image"]],
         "min": list(value["min"]),
@@ -399,17 +403,13 @@ def _mean_std(s: Sample) -> dict[str, float]:
 
 
 def _correlation(kind: str, vtypes: tuple[str, ...]) -> Evaluator:
-    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes, read=coded)
+    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes)
 
 
 def _split(
-    ds: Dataset,
-    value_col: str,
-    group_col: str,
-    allow_k: bool = False,
-    read: Callable[[Dataset, str], Sequence[Any]] = Dataset.column,
-) -> tuple[list[list], str, dict]:
-    """read(ds, value_col) per group of group_col, groups in name order."""
+    ds: Dataset, value_col: str, group_col: str, allow_k: bool = False
+) -> tuple[list[np.ndarray], str, dict]:
+    """Record indices per group of group_col, groups in name order."""
     groups, _ = group_by(ds, group_col)
     keys = sorted(groups, key=str)
     _require(len(keys) >= 2, f"group column {group_col!r} has fewer than 2 groups")
@@ -417,9 +417,8 @@ def _split(
         len(keys) == 2 or allow_k,
         f"group column {group_col!r} has {len(keys)} groups; this metric compares exactly 2",
     )
-    vals = read(ds, value_col)
     used = {"column": value_col, "group_column": group_col, "groups": [str(k) for k in keys]}
-    return [[vals[i] for i in groups[key]] for key in keys], f"groups:{group_col}", used
+    return [groups[key] for key in keys], f"groups:{group_col}", used
 
 
 def _two_numeric_samples(
@@ -439,8 +438,9 @@ def _two_numeric_samples(
     if params.get("group_column"):
         value_col = _param_column(ds, params, "column")
         _require_vtype(ds, value_col, _NUMERIC, metric)
-        parts, scope, used = _split(ds, value_col, params["group_column"], allow_k, coded)
-        return [present_sample(part) for part in parts], scope, used
+        parts, scope, used = _split(ds, value_col, params["group_column"], allow_k)
+        values = coded(ds, value_col)
+        return [present_sample(values[part]) for part in parts], scope, used
     if params.get("column_a") and params.get("column_b"):
         cols = [_param_column(ds, params, key) for key in ("column_a", "column_b")]
         for col in cols:
@@ -459,12 +459,12 @@ def _counts_pair(
     col = params.get("column")
     if col is not None and ds.spec(col).vtype in _LABELS:
         if ds_b is not None:
-            ca = CategoricalCounts.from_values(ds.column(col))
-            cb = CategoricalCounts.from_values(ds_b.column(col))
+            ca, cb = ds.codes(col).counts(), ds_b.codes(col).counts()
             return ca, cb, f"pair:{ds.dataset_id},{ds_b.dataset_id}", {"column": col}
         if params.get("group_column"):
             (a, b), scope, used = _split(ds, col, params["group_column"])
-            return CategoricalCounts.from_values(a), CategoricalCounts.from_values(b), scope, used
+            labels = ds.codes(col)
+            return labels.take(a).counts(), labels.take(b).counts(), scope, used
         raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
     bins = _arg(params, "bins", integer, 10)
     samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
@@ -514,8 +514,7 @@ def _channel_entropies(
 def _ev_entropy(metric, ds, params, ds_b, seed):
     if params.get("column") and ds.spec(params["column"]).vtype in ("categorical", "ordinal"):
         col = params["column"]
-        counts = CategoricalCounts.from_values(ds.column(col))
-        value = _meas.shannon_entropy(counts)
+        value = _meas.shannon_entropy(ds.codes(col).counts())
         return value, f"column:{col}", {"column": col, "form": "shannon", "base": "e"}
     _require(ds.signals is not None, "entropy needs signals or a categorical column")
     p = _meas.SampleEntropyParams(m=_arg(params, "m", integer, 2), r=_arg(params, "r", real, 0.2))
@@ -554,7 +553,9 @@ def _repeated(by: str, kernel: Callable[[Any], float]) -> Evaluator:
         v_col = _param_column(ds, params, "value_column")
         _require_vtype(ds, v_col, ("numerical",), metric)
         b_col = _param_column(ds, params, by)
-        rows = _complete(ds.column(v_col), ds.column(b_col))
+        values, labels = coded(ds, v_col), ds.codes(b_col)
+        both = ~np.isnan(values) & (labels.codes >= 0)
+        rows = list(zip(values[both].tolist(), map(labels.categories.__getitem__, labels.codes[both].tolist())))
         _require(bool(rows), f"{metric}: no complete (value, {by.split('_')[0]}) rows")
         if by == "condition_column":
             rm = _meas.RepeatedMeasures(
@@ -628,7 +629,7 @@ def _ev_label_granularity(metric, ds, params, ds_b, seed):
     if hierarchy is not None:
         return _struct.label_granularity(hierarchy), "global", {"source": "hierarchy"}
     col = _param_column(ds, params, "column", role="target")
-    labels = [v for v in ds.column(col) if v is not MISSING]
+    labels = ds.codes(col).categories
     _require(bool(labels), "label_granularity: no labels present")
     return _struct.label_granularity(labels), f"column:{col}", {"column": col, "source": "flat"}
 
@@ -637,7 +638,8 @@ def _currency(variant: str, *params: Param) -> Evaluator:
     def ev(metric, ds, given, ds_b, seed):
         col = _param_column(ds, given, "timestamp_column", role="timestamp")
         _require_vtype(ds, col, ("datetime", "numerical"), metric)
-        stamps = [v for v in ds.column(col) if v is not MISSING]
+        stamps = coded(ds, col)
+        stamps = stamps[~np.isnan(stamps)].tolist()
         _require(bool(stamps), "currency: no timestamps present")
         now = _arg(given, "now", real, None)
         used: dict[str, Any] = {"timestamp_column": col, "variant": variant, "aggregate": "mean"}
@@ -683,8 +685,8 @@ def _ev_ess(metric, ds, params, ds_b, seed):
         "effective_sample_size needs a weight column or (n, cluster_size, icc)",
     )
     _require_vtype(ds, w_col, ("numerical",), metric)
-    weights = [v for v in ds.column(w_col) if v is not MISSING]
-    value = _struct.effective_sample_size(weights=weights)
+    weights = coded(ds, w_col)
+    value = _struct.effective_sample_size(weights=weights[~np.isnan(weights)])
     return value, f"column:{w_col}", {"form": "weighted", "weight_column": w_col}
 
 
@@ -773,8 +775,8 @@ def _test(kind: str) -> Evaluator:
 
 def _embeddings_pair(ds, params, ds_b, metric):
     if params.get("embeddings_a") and params.get("embeddings_b"):
-        ea = _dist.load_embeddings(params["embeddings_a"])
-        eb = _dist.load_embeddings(params["embeddings_b"])
+        ea = _dist.load_embeddings(str(params["embeddings_a"]))
+        eb = _dist.load_embeddings(str(params["embeddings_b"]))
         scope = f"pair:{params['embeddings_a']},{params['embeddings_b']}"
         used = {"embeddings_a": params["embeddings_a"], "embeddings_b": params["embeddings_b"]}
         return ea, eb, scope, used
@@ -785,7 +787,8 @@ def _embeddings_pair(ds, params, ds_b, metric):
             _require_vtype(ds_b, c, ("numerical",), metric)
 
         def matrix(d: Dataset):
-            rows = [row for row in zip(*map(d.column, cols)) if MISSING not in row]
+            rows = np.column_stack([coded(d, c) for c in cols])
+            rows = rows[~np.isnan(rows).any(axis=1)]
             _require(len(rows) >= 2, f"{metric}: fewer than 2 complete rows")
             return _dist.EmbeddingSet(rows)
 
@@ -832,7 +835,9 @@ _EVALUATORS: dict[str, Evaluator] = {
         keys=("measured_column", "reference_column"),
     ),
     "bland_altman_cr": _pair(
-        lambda a, b: _meas.bland_altman_cr(_complete(a, b)), ("numerical",), notes={"factor": 1.96}
+        lambda a, b: _meas.bland_altman_cr(np.column_stack(_complete(a, b))),
+        ("numerical",),
+        notes={"factor": 1.96},
     ),
     "repeatability_cv": _repeated("subject_column", lambda rm: _meas.repeatability_cv(rm)),
     "reproducibility_variance": _repeated(
@@ -848,8 +853,10 @@ _EVALUATORS: dict[str, Evaluator] = {
     "krippendorff_alpha": _raters(
         lambda m, level: _meas.krippendorff_alpha(m, level=level), ("level", str, "nominal")
     ),
-    "dice_score": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "dice"), None),
-    "intersection_over_union": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "iou"), None),
+    "dice_score": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "dice"), None, read=Dataset.codes),
+    "intersection_over_union": _pair(
+        lambda a, b: _meas.overlap(_mask(a), _mask(b), "iou"), None, read=Dataset.codes
+    ),
     "completeness": _ev_completeness,
     "patient_level_completeness": _ev_patient_completeness,
     "record_completeness": _ev_record_completeness,
@@ -914,9 +921,8 @@ _EVALUATORS: dict[str, Evaluator] = {
     ),
     "pearson": _correlation("pearson", ("numerical", "datetime")),
     "concordance_cc": _pair(
-        lambda a, b: _corr.concordance_cc(list(a), list(b)),
+        lambda a, b: _corr.concordance_cc(a, b),
         _NUMERIC,
-        read=coded,
         notes={"moments": "population (1/n)"},
     ),
     "goodman_kruskal_gamma": _correlation("goodman_kruskal_gamma", _NUMERIC),
@@ -931,6 +937,7 @@ _EVALUATORS: dict[str, Evaluator] = {
         lambda a, b, bias_correction: _corr.cramers_v(a, b, bias_correction=bias_correction),
         _LABELS,
         ("bias_correction", boolean, False),
+        read=Dataset.codes,
     ),
 }
 

@@ -13,13 +13,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import registry as _registry
-from .datamodel import ColumnSpec, DataModelError, Dataset, F32Record, SignalBlock, read_word_list
+from .datamodel import Codes, ColumnSpec, DataModelError, Dataset, F32Record, SignalBlock, read_word_list
 
 SIGNAL_FORMATS = ("f32le", "csv")
 _ROW_BLOCK = 2048  # table rows parsed and transposed at a time
@@ -44,6 +44,11 @@ class SignalSource:
             self.pattern.format(value="")
         except (AttributeError, LookupError, ValueError):
             raise DataLoadError(f"signals pattern may name no field but {{value}}: {self.pattern!r}") from None
+        if not isinstance(self.file_column, str):
+            raise DataLoadError(f"signals file_column must be a column name, not {self.file_column!r}")
+        hz = self.sampling_hz
+        if hz is not None and (type(hz) not in (int, float) or not 0 < hz < math.inf):  # bool is not a rate
+            raise DataLoadError(f"signals sampling_hz must be finite and > 0, got {hz!r}")
 
 
 @dataclass(frozen=True)
@@ -157,22 +162,28 @@ def _read_signal_csv(path: str, sampling_hz: float) -> tuple[np.ndarray, float, 
     return np.array(rows[1:], dtype=float).T, float(sampling_hz), tuple(rows[0])
 
 
-def _read_columns(reader: Iterator[list[str]], positions: Mapping[str, int]) -> tuple[dict[str, list[str]], int]:
-    """The named columns of the table body and its row count, read in row blocks.
+def _read_columns(reader: Iterator[list[str]], positions: Mapping[str, int]) -> tuple[dict[str, Codes], int]:
+    """The named columns of the table body as Codes of their strings, and
+    its row count, read in row blocks.
 
-    A row shorter than a column's position gives that column "". Equal
-    strings of one column are one object, so each is decoded once.
+    A row shorter than a column's position gives that column "". Each cell
+    is first coded as the row where its string first appears, by one
+    dict.setdefault per cell.
     """
     width = max(positions.values(), default=-1) + 1
-    seen: dict[str, dict[str, str]] = {name: {} for name in positions}
-    cells: dict[str, list[str]] = {name: [] for name in positions}
+    first: dict[str, dict[str, int]] = {name: {} for name in positions}
+    rows: dict[str, list[np.ndarray]] = {name: [np.empty(0, np.int32)] for name in positions}
     n_rows = 0
     while block := list(islice(reader, _ROW_BLOCK)):
-        n_rows += len(block)
         by_pos = list(zip(*(row if len(row) >= width else row + [""] * (width - len(row)) for row in block)))
         for name, pos in positions.items():
-            cells[name].extend(map(seen[name].setdefault, by_pos[pos], by_pos[pos]))
-    return cells, n_rows
+            firsts = map(first[name].setdefault, by_pos[pos], count(n_rows))
+            rows[name].append(np.fromiter(firsts, np.int32, len(block)))
+        n_rows += len(block)
+    return {
+        name: Codes.from_rows(tuple(seen), seen.values(), np.concatenate(rows[name]))
+        for name, seen in first.items()
+    }, n_rows
 
 
 def load_dataset(desc: DatasetDescriptor) -> Dataset:
@@ -210,7 +221,7 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
         outside = [i for i in keep if not 0 <= i < n_rows]
         if outside:
             raise DataLoadError(f"row index out of range: {outside[0]} not in 0..{n_rows - 1}")
-        cells = {name: [col[i] for i in keep] for name, col in cells.items()}
+        cells = {name: col.take(keep) for name, col in cells.items()}
 
     dictionaries = {}
     for col, source in desc.dictionaries.items():
@@ -233,7 +244,8 @@ def load_dataset(desc: DatasetDescriptor) -> Dataset:
         if src.file_column not in cells:
             raise DataLoadError(f"signal file column {src.file_column!r} is not a loaded column")
         blocks = []
-        for value in cells[src.file_column]:
+        files = cells[src.file_column]
+        for value in map(files.categories.__getitem__, files.codes.tolist()):
             if value in ("", None):
                 blocks.append(None)
                 continue

@@ -8,7 +8,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datamodel import MISSING, CategoricalCounts, Dataset, Sample
+from .datamodel import MISSING, CategoricalCounts, Dataset, Sample, coded
 from .distribution import MetricInputError, _values, _warn, distinct_rows
 
 
@@ -303,10 +303,12 @@ def prevalence_of_duplicates(
     duplicates.
     """
     cols = list(keys) if keys is not None else list(ds.column_names)
-    seen = set(zip(*map(ds.column, cols)))
+    codes = [ds.codes(col).codes for col in cols]
     if ds.n_records == 0 or not cols:
         return {"count": 0, "ratio": 0.0}
-    dup = ds.n_records - len(seen)
+    # each row of codes as one opaque value: one sort, not a lexsort per column
+    rows = np.column_stack(codes)
+    dup = ds.n_records - len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * len(cols))))))
     return {"count": dup, "ratio": dup / ds.n_records}
 
 
@@ -429,11 +431,8 @@ def _em_normal(
 
 
 def float_columns(ds: Dataset, cols: Sequence[str]) -> np.ndarray:
-    """Numerical columns as one float64 array, MISSING as NaN."""
-    x = np.empty((ds.n_records, len(cols)))
-    for j, c in enumerate(cols):
-        x[:, j] = ds.column(c)
-    return x
+    """Numerical columns as one float64 array, NaN for missing."""
+    return np.column_stack([coded(ds, c) for c in cols])
 
 
 def littles_mcar_test(

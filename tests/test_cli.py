@@ -532,6 +532,12 @@ MALFORMED_INPUTS = {
     "f32-header-not-an-object": (
         "evaluate", {"descriptor.json": {"signals": F32}, "sig/r0.f32": _f32([1, 2])},
         2, "header is not a JSON object"),
+    "signals-file-column-not-a-string": (
+        "evaluate", {"descriptor.json": {"signals": {**F32, "file_column": ["rid"]}}},
+        2, "signals file_column must be a column name, not ['rid']"),
+    "signals-csv-rate-not-a-number": (
+        "evaluate", {"descriptor.json": {"signals": {**F32, "format": "csv", "sampling_hz": [1]}}},
+        2, "signals sampling_hz must be finite and > 0, got [1]"),
     "signals-pattern-names-another-field": (
         "evaluate", {"descriptor.json": {"signals": {**F32, "pattern": "{rid}.f32"}}},
         2, "signals pattern may name no field but {value}: '{rid}.f32'"),
@@ -562,6 +568,10 @@ MALFORMED_INPUTS = {
     "rows-unknown-metric": (
         "evaluate", {"params.json": {"rows": [{"metric_id": "made_up", "dimension": "variety"}]}},
         0, "unknown metric 'made_up'"),
+    "embeddings-paths-not-strings": (
+        "evaluate", {"params.json": {"rows": [{"metric_id": "frechet_inception_distance", "dimension": "homogeneity",
+                                               "params": {"embeddings_a": 5, "embeddings_b": 5}}]}},
+        0, "[Errno 2] No such file or directory: '5'"),
     "selection-unknown-metric": (
         "evaluate", {"selection.json": {"selections": [{"dimension": "variety", "metrics": ["made_up"]}]}},
         0, "unknown metric 'made_up'"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqeval.correlation import concordance_cc, correlation, cramers_v, icc
-from dqeval.datamodel import MISSING, RatingsMatrix
+from dqeval.datamodel import MISSING, Codes, RatingsMatrix
 from dqeval.distribution import MetricInputError
 
 
@@ -149,13 +149,13 @@ def test_icc_perfect_agreement_is_one():
 
 
 def _label_pairs(table):
-    """Expand a contingency table into two parallel label sequences."""
+    """Expand a contingency table into two parallel label columns."""
     a, b = [], []
     for i, row in enumerate(table):
         for j, count in enumerate(row):
             a.extend([f"r{i}"] * int(count))
             b.extend([f"c{j}"] * int(count))
-    return a, b
+    return Codes.factorize(a), Codes.factorize(b)
 
 
 def test_cramers_v_frozen_value():

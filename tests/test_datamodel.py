@@ -18,6 +18,7 @@ from dqeval.datamodel import (
     RatingsMatrix,
     Sample,
     SignalBlock,
+    _normalize_cell,
     column_sample,
     group_by,
     parse_timestamp,
@@ -26,6 +27,7 @@ from dqeval.datamodel import (
 )
 from dqeval.harness import load_ptbxl
 from dqeval.report import load_dataset, parse_descriptor
+from dqeval.structure import prevalence_of_duplicates
 from tests.conftest import make_dataset
 
 
@@ -43,8 +45,12 @@ def test_sample_rejects_non_finite():
         Sample((float("nan"),))
 
 
-def test_categorical_counts_from_values_skips_missing():
-    c = CategoricalCounts.from_values(["a", "b", MISSING, "a"])
+def _label_counts(values):
+    return Dataset(columns=(ColumnSpec("x", vtype="categorical"),), cells={"x": values}).codes("x").counts()
+
+
+def test_label_counts_skip_missing():
+    c = _label_counts(["a", "b", MISSING, "a"])
     assert c.as_dict() == {"a": 2.0, "b": 1.0}
     assert c.total == 3.0
     props = c.proportions()
@@ -122,8 +128,8 @@ def test_group_by_separates_missing():
     ds = make_dataset()
     groups, missing = group_by(ds, "sex")
     assert sorted(groups) == ["f", "m"]
-    assert groups["f"] == [1, 3]
-    assert missing == []
+    assert groups["f"].tolist() == [1, 3]
+    assert missing.tolist() == []
 
 
 def test_signal_block_requires_equal_channel_lengths():
@@ -228,8 +234,8 @@ cells = st.one_of(
 
 
 @given(st.lists(cells, max_size=40))
-def test_counts_from_values_equal_the_dict_loop(values):
-    got, ref = CategoricalCounts.from_values(values).counts, _counts_by_dict_loop(values).counts
+def test_label_counts_equal_the_dict_loop(values):
+    got, ref = _label_counts(values).counts, _counts_by_dict_loop(values).counts
     assert got == ref
     assert [(type(k), type(c)) for k, c in got] == [(type(k), type(c)) for k, c in ref]
 
@@ -264,10 +270,18 @@ def test_naive_timestamps_parse_as_utc_aware_ones(dt):
     assert parse_timestamp(dt.isoformat() + "+00:00") == want
 
 
+@pytest.mark.parametrize("text", ["12:3x", " 1e3:00 ", "nan:", "2001-02-30 10:00"])
+def test_text_with_a_colon_that_is_not_iso_names_the_cell(text):
+    with pytest.raises(DataModelError) as info:
+        parse_timestamp(text)
+    assert str(info.value) == f"cannot parse timestamp {text!r}"
+
+
 def test_take_records_full_index_is_identity():
     ds = make_dataset()
     sub = take_records(ds, list(range(ds.n_records)), dataset_id=ds.dataset_id)
-    assert sub.cells == ds.cells
+    for name in ds.column_names:
+        assert list(map(repr, sub.column(name))) == list(map(repr, ds.column(name)))
     assert sub.columns == ds.columns
 
 
@@ -353,3 +367,65 @@ def test_missing_counts_are_held_by_every_build(demo_root):
     assert sum(map(full.missing_count, full.column_names)) > 0
     with pytest.raises(DataModelError, match="unknown column"):
         ds.missing_count("nope")
+
+
+# --- typed columns against the per-cell reference ----------------------------
+
+TYPED_SPECS = (
+    ColumnSpec("label", vtype="categorical"),
+    ColumnSpec("num", vtype="numerical"),
+    ColumnSpec("time", vtype="datetime"),
+    ColumnSpec("grade", vtype="ordinal", ordinal_order=("lo", "mid", "hi")),
+)
+_ODD = st.sampled_from([None, math.nan, " NA ", "null ", "", -0.0, 0.0, 1, 1.0, True])
+TYPED_CELLS = {
+    "label": st.one_of(_ODD, st.sampled_from(["a", "b", " a", 2])),
+    "num": st.one_of(_ODD, st.sampled_from(["1", " 2.5", "-0.0", "nan", 3.5])),
+    "time": st.one_of(_ODD, st.sampled_from(["1000", "2001-02-03T04:05:06", "2001-02-03 04:05:06+01:00", 86400])),
+    "grade": st.sampled_from([" NA", "", "null ", "lo", "mid", "hi"]),  # strings only
+}
+
+
+@st.composite
+def _typed_tables(draw):
+    n = draw(st.integers(0, 14))
+    cells = {name: draw(st.lists(cell, min_size=n, max_size=n)) for name, cell in TYPED_CELLS.items()}
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
+    return cells, picks
+
+
+def _groups_by_dict_loop(column):
+    groups, missing = {}, []
+    for i, v in enumerate(column):
+        if v is MISSING:
+            missing.append(i)
+        else:
+            groups.setdefault(v, []).append(i)
+    return groups, missing
+
+
+def _assert_matches_reference(ds, want):
+    for spec in TYPED_SPECS:
+        # repr tells -0.0 from 0.0 and 1 from 1.0 and True
+        assert list(map(repr, ds.column(spec.name))) == list(map(repr, want[spec.name])), spec.name
+        assert ds.missing_count(spec.name) == sum(v is MISSING for v in want[spec.name])
+        if spec.vtype in ("categorical", "ordinal"):
+            groups, missing = group_by(ds, spec.name)
+            ref_groups, ref_missing = _groups_by_dict_loop(want[spec.name])
+            assert [(repr(k), g.tolist()) for k, g in groups.items()] == [(repr(k), g) for k, g in ref_groups.items()]
+            assert missing.tolist() == ref_missing
+    views = [ds.column(spec.name) for spec in TYPED_SPECS]
+    if ds.n_records:
+        # 0.0 equals -0.0, and missing equals missing
+        assert prevalence_of_duplicates(ds)["count"] == ds.n_records - len(set(zip(*views)))
+        assert prevalence_of_duplicates(ds, ["label"])["count"] == ds.n_records - len(set(views[0]))
+
+
+@given(_typed_tables())
+def test_typed_columns_match_the_per_cell_reference(table):
+    cells, picks = table
+    ds = Dataset(columns=TYPED_SPECS, cells=cells)
+    want = {spec.name: [_normalize_cell(v, spec) for v in cells[spec.name]] for spec in TYPED_SPECS}
+    _assert_matches_reference(ds, want)
+    sub = take_records(ds, picks)
+    _assert_matches_reference(sub, {name: [col[i] for i in picks] for name, col in want.items()})
