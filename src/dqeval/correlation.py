@@ -7,8 +7,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .datamodel import MISSING, Codes, RatingsMatrix, Sample
+from .datamodel import Codes, Sample
 from .distribution import MetricInputError
+from .measurement import _floats
 
 
 def _pairwise_complete(
@@ -137,19 +138,15 @@ def concordance_cc(x: Sample | Sequence[float], y: Sample | Sequence[float]) -> 
     return float(2.0 * cov / denom)
 
 
-def icc(m: RatingsMatrix) -> float:
+def icc(m: Codes) -> float:
     """Intraclass correlation, two-way random effects, single measure,
-    absolute agreement. Items with any missing rating are dropped."""
-    if m.n_raters < 2:
+    absolute agreement, of an items x raters matrix of codes (see
+    registry._ratings). Items with any missing rating are dropped."""
+    if m.codes.shape[1] < 2:
         raise MetricInputError("icc requires at least 2 raters")
-    rows = [
-        [float(v) for v in row]
-        for row in m.ratings
-        if all(v is not MISSING for v in row)
-    ]
-    if len(rows) < 2:
+    data = _floats(m, m.codes[(m.codes >= 0).all(axis=1)])
+    if len(data) < 2:
         raise MetricInputError("icc requires at least 2 complete items")
-    data = np.asarray(rows, dtype=float)
     n, k = data.shape
     grand = data.mean()
     row_means = data.mean(axis=1)

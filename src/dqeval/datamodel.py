@@ -4,7 +4,8 @@ Tabular metadata plus optional per-record signal payloads. Each column is
 stored once as a typed read-only array: float64 values with NaN for a
 missing cell (numerical, datetime), or int32 Codes into a tuple of
 categories with -1 for a missing cell (categorical, ordinal, identifier).
-Dataset.column derives the cells as Python values, ``None`` (MISSING) for
+Readers take the arrays (Dataset.array, Dataset.codes, Dataset.missing,
+coded); cells given in memory are Python values, ``None`` (MISSING) for
 missing. Missing cells never participate in arithmetic; each metric decides
 its own deletion policy.
 """
@@ -207,37 +208,6 @@ class CategoricalCounts:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class RatingsMatrix:
-    """Items x raters grid of labels; None marks a missing rating."""
-
-    ratings: tuple[tuple[Any, ...], ...]
-    rater_names: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.ratings)
-        if not rows:
-            raise DataModelError("RatingsMatrix needs at least one item")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise DataModelError("all items must carry one slot per rater")
-        if len(rows[0]) < 1:
-            raise DataModelError("RatingsMatrix needs at least one rater")
-        object.__setattr__(self, "ratings", rows)
-        object.__setattr__(self, "rater_names", tuple(self.rater_names))
-
-    @property
-    def n_items(self) -> int:
-        return len(self.ratings)
-
-    @property
-    def n_raters(self) -> int:
-        return len(self.ratings[0])
-
-    def column(self, j: int) -> tuple[Any, ...]:
-        return tuple(row[j] for row in self.ratings)
-
-
 _EPOCH = datetime(1970, 1, 1)
 
 
@@ -312,7 +282,9 @@ class Codes:
     """A column of labels: codes[i] indexes categories, -1 marks a missing
     cell. Categories are listed in order of first appearance and each is
     used; codes is a read-only int32 array. (Dataset.codes of a numerical or
-    datetime column lists its numbers in ascending order instead.)"""
+    datetime column lists its numbers in ascending order instead, Codes.of
+    by bit pattern; a rater matrix, see registry._ratings, holds one column
+    of codes per rater.)"""
 
     codes: np.ndarray
     categories: tuple[Any, ...]
@@ -340,6 +312,19 @@ class Codes:
         first: dict[Any, int] = {}
         rows = np.fromiter(map(first.setdefault, keys, count()), np.intp, len(keys))
         return cls.from_rows(tuple(map(cells.__getitem__, first.values())), first.values(), rows)
+
+    @classmethod
+    def of(cls, column: "np.ndarray | Codes") -> "Codes":
+        """A stored column as Codes: Codes as they are, float values (NaN
+        missing) keyed by bit pattern, so 0.0 and -0.0 stay apart as their
+        reprs do."""
+        if isinstance(column, Codes):
+            return column
+        present = ~np.isnan(column)
+        bits, inverse = np.unique(column[present].view(np.int64), return_inverse=True)
+        codes = np.full(len(column), -1, np.int32)
+        codes[present] = inverse.reshape(-1)
+        return cls(codes, tuple(bits.view(float).tolist()))
 
     def take(self, idx: np.ndarray) -> "Codes":
         """The cells at idx, categories numbered again by first appearance there."""
@@ -401,13 +386,6 @@ def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
         values = np.array([*decoded, MISSING], dtype=float)[raw.codes]
     values.flags.writeable = False
     return values
-
-
-def float_cells(values: np.ndarray) -> tuple[Any, ...]:
-    """Python floats of a float column, NaN as MISSING."""
-    cells = values.astype(object)
-    cells[np.isnan(values)] = MISSING
-    return tuple(cells.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,14 +462,6 @@ class Dataset:
     def array(self, name: str) -> np.ndarray | Codes:
         """The column as stored: float64 values or Codes."""
         return self.cells[self.spec(name).name]
-
-    def column(self, name: str) -> tuple[Any, ...]:
-        """The cells as Python values, MISSING for missing, built from the
-        stored column on each call."""
-        col = self.array(name)
-        if isinstance(col, Codes):
-            return tuple(map((*col.categories, MISSING).__getitem__, col.codes.tolist()))
-        return float_cells(col)
 
     def codes(self, name: str) -> Codes:
         """The column coded by value: equal categories merged (see

@@ -23,7 +23,7 @@ import numpy as np
 from . import registry as _registry
 from . import selection as _selection
 from . import structure as _struct
-from .datamodel import MISSING, CategoricalCounts, ColumnSpec, DataModelError, Dataset, take_records
+from .datamodel import CategoricalCounts, Codes, ColumnSpec, DataModelError, Dataset, take_records
 from .report import (
     DataLoadError,
     build_report,
@@ -200,13 +200,15 @@ def _natural(recipe: Mapping[str, Any], key: str) -> int:
     return n
 
 
-def _labels(ds: Dataset, recipe: Mapping[str, Any], default: str | None) -> list[str | None]:
-    """The cells of recipe["column"] (default when absent) as strings, None when missing."""
+def _matches(ds: Dataset, recipe: Mapping[str, Any], default: str | None, label: str) -> np.ndarray:
+    """A bool per record: the str of its cell in recipe["column"] (default
+    when absent) equals label. Each category's str is built once; a missing
+    cell matches no label."""
     try:
-        cells = ds.column(recipe.get("column", default))
+        labels = Codes.of(ds.array(recipe.get("column", default)))
     except DataModelError as exc:
         raise HarnessError(f"recipe field 'column': {exc}") from None
-    return [None if v is MISSING else str(v) for v in cells]
+    return np.array([*(str(c) == label for c in labels.categories), False])[labels.codes]
 
 
 def _draw(recipe: Mapping[str, Any], *strata: tuple[str, list[int]]) -> list[int]:
@@ -231,30 +233,20 @@ def apply_recipe(ds: Dataset, recipe: Mapping[str, Any]) -> list[int]:
     """
     kind = recipe.get("kind")
     if kind == "sex_imbalance":
-        values = _labels(ds, recipe, "sex")
-        male = str(recipe.get("male_label", "0"))
-        female = str(recipe.get("female_label", "1"))
-        return _draw(
-            recipe,
-            ("male", [i for i, v in enumerate(values) if v == male]),
-            ("female", [i for i, v in enumerate(values) if v == female]),
-        )
+        male = _matches(ds, recipe, "sex", str(recipe.get("male_label", "0")))
+        female = _matches(ds, recipe, "sex", str(recipe.get("female_label", "1")))
+        return _draw(recipe, ("male", np.flatnonzero(male).tolist()), ("female", np.flatnonzero(female).tolist()))
     if kind == "device_filter":
         if "device_id" not in recipe:
             raise HarnessError("recipe field 'device_id' is required")
         wanted = str(recipe["device_id"])
-        idx = [i for i, v in enumerate(_labels(ds, recipe, "device")) if v == wanted]
+        idx = np.flatnonzero(_matches(ds, recipe, "device", wanted)).tolist()
         if not idx:
             raise HarnessError(f"device {wanted!r} matches no records")
         return idx
     if kind == "class_imbalance":
-        values = _labels(ds, recipe, ds.role_column("target"))
-        norm = str(recipe.get("norm_label", "NORM"))
-        return _draw(
-            recipe,
-            ("norm", [i for i, v in enumerate(values) if v == norm]),
-            ("other", [i for i, v in enumerate(values) if v != norm]),
-        )
+        norm = _matches(ds, recipe, ds.role_column("target"), str(recipe.get("norm_label", "NORM")))
+        return _draw(recipe, ("norm", np.flatnonzero(norm).tolist()), ("other", np.flatnonzero(~norm).tolist()))
     raise HarnessError(f"unknown recipe kind {kind!r}")
 
 

@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import (
-    MISSING,
-    CategoricalCounts,
-    Dataset,
-    RatingsMatrix,
-    Sample,
-)
+from .datamodel import CategoricalCounts, Codes, Dataset, Sample
 from .distribution import MetricInputError, _values, _warn
 
 
@@ -419,32 +413,55 @@ def instrument_error(
 # --- inter-rater agreement ---------------------------------------------------
 
 
-def _category_order(values: set[Any]) -> list[Any]:
+def _category_order(values: Iterable[Any]) -> list[Any]:
     try:
         return sorted(values)
     except TypeError:
         return sorted(values, key=str)
 
 
-def cohens_kappa(m: RatingsMatrix, weights: str = "none") -> float:
+def _categories(m: Codes, read: np.ndarray) -> tuple[list[Any], np.ndarray]:
+    """The categories of the cells a kernel reads (codes in reading order,
+    -1 skipped), merged by value and ordered by _category_order, and each
+    code's position among them (-1 for the rest). A merged category is the
+    first of its values read, as a set of the cells keeps it; categories
+    whose str is equal keep the order of first reading."""
+    used, first = np.unique(read, return_index=True)
+    used = used[np.argsort(first)]
+    used = used[used >= 0].tolist()
+    cats = _category_order(dict.fromkeys(map(m.categories.__getitem__, used)))
+    position = {c: i for i, c in enumerate(cats)}
+    index = np.full(len(m.categories) + 1, -1, np.intp)  # the last slot is code -1
+    index[used] = [position[m.categories[k]] for k in used]
+    return cats, index
+
+
+def _floats(m: Codes, cells: np.ndarray) -> np.ndarray:
+    """float() of the categories at cells, each category converted once in
+    order of first appearance, so a bad cell fails as it would cell by cell."""
+    used, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    values = np.empty(len(used))
+    values[order] = [float(m.categories[k]) for k in used[order].tolist()]
+    return values[inverse.reshape(cells.shape)]
+
+
+def cohens_kappa(m: Codes, weights: str = "none") -> float:
     """Cohen's kappa for two raters, optionally linear/quadratic weighted.
 
+    m is an items x raters matrix of codes (see registry._ratings).
     Weighted variants score disagreement by the distance between category
     positions, so they presume an ordinal category order.
     """
-    if m.n_raters != 2:
+    if m.codes.shape[1] != 2:
         raise MetricInputError("cohens_kappa requires exactly 2 raters")
-    pairs = [
-        (a, b) for a, b in m.ratings if a is not MISSING and b is not MISSING
-    ]
-    if not pairs:
+    pairs = m.codes[(m.codes >= 0).all(axis=1)]
+    if not len(pairs):
         raise MetricInputError("cohens_kappa: no complete rating pairs")
-    cats = _category_order({a for a, _ in pairs} | {b for _, b in pairs})
-    idx = {c: i for i, c in enumerate(cats)}
+    cats, index = _categories(m, pairs.T)
     k = len(cats)
-    table = np.zeros((k, k))
-    for a, b in pairs:
-        table[idx[a], idx[b]] += 1
+    table = np.bincount(index[pairs[:, 0]] * k + index[pairs[:, 1]], minlength=k * k)
+    table = table.reshape(k, k).astype(float)
     n = table.sum()
     obs = table / n
     marg_a = obs.sum(axis=1)
@@ -466,20 +483,17 @@ def cohens_kappa(m: RatingsMatrix, weights: str = "none") -> float:
     return float(1.0 - (w * obs).sum() / expected_disagreement)
 
 
-def fleiss_kappa(m: RatingsMatrix) -> float:
+def fleiss_kappa(m: Codes) -> float:
     """Fleiss' kappa for a fixed number of raters per item."""
-    if m.n_raters < 2:
+    n_items, n = m.codes.shape
+    if n < 2:
         raise MetricInputError("fleiss_kappa requires >= 2 raters")
-    for row in m.ratings:
-        if any(v is MISSING for v in row):
-            raise MetricInputError("fleiss_kappa requires every item rated by every rater")
-    cats = _category_order({v for row in m.ratings for v in row})
-    idx = {c: i for i, c in enumerate(cats)}
-    counts = np.zeros((m.n_items, len(cats)))
-    for i, row in enumerate(m.ratings):
-        for v in row:
-            counts[i, idx[v]] += 1
-    n = m.n_raters
+    if (m.codes < 0).any():
+        raise MetricInputError("fleiss_kappa requires every item rated by every rater")
+    cats, index = _categories(m, m.codes)
+    k = len(cats)
+    cells = np.arange(n_items)[:, None] * k + index[m.codes]
+    counts = np.bincount(cells.ravel(), minlength=n_items * k).reshape(n_items, k).astype(float)
     p_i = (np.sum(counts**2, axis=1) - n) / (n * (n - 1))
     p_bar = float(p_i.mean())
     p_j = counts.sum(axis=0) / counts.sum()
@@ -489,7 +503,7 @@ def fleiss_kappa(m: RatingsMatrix) -> float:
     return float((p_bar - p_e) / (1.0 - p_e))
 
 
-def kendalls_w(m: RatingsMatrix) -> float:
+def kendalls_w(m: Codes) -> float:
     """Kendall's coefficient of concordance with tie correction.
 
     Each rater column is converted to average ranks over the items;
@@ -497,16 +511,16 @@ def kendalls_w(m: RatingsMatrix) -> float:
     """
     from scipy.stats import rankdata
 
-    n, k = m.n_items, m.n_raters
+    n, k = m.codes.shape
     if n < 2:
         raise MetricInputError("kendalls_w requires at least 2 items")
     ranks = np.zeros((n, k))
     tie_term = 0.0
     for j in range(k):
-        col = m.column(j)
-        if any(v is MISSING for v in col):
+        col = m.codes[:, j]
+        if (col < 0).any():
             raise MetricInputError("kendalls_w requires complete rankings")
-        vals = np.asarray([float(v) for v in col])
+        vals = _floats(m, col)
         ranks[:, j] = rankdata(vals)
         _, counts = np.unique(vals, return_counts=True)
         tie_term += float(sum(t**3 - t for t in counts))
@@ -548,29 +562,27 @@ def _krippendorff_delta(level: str, cats: list[Any], marginals: np.ndarray) -> n
     return d**2
 
 
-def krippendorff_alpha(m: RatingsMatrix, level: str = "nominal") -> float:
+def krippendorff_alpha(m: Codes, level: str = "nominal") -> float:
     """Krippendorff's alpha via the coincidence matrix.
 
     Missing ratings are allowed; items with fewer than two ratings do not
     contribute. level selects the difference function (nominal, ordinal,
     interval, ratio).
     """
-    units = [
-        [v for v in row if v is not MISSING] for row in m.ratings
-    ]
-    units = [u for u in units if len(u) >= 2]
-    if not units:
+    rated = (m.codes >= 0).sum(axis=1)
+    units, mu = m.codes[rated >= 2], rated[rated >= 2]
+    if not len(units):
         raise MetricInputError("krippendorff_alpha: no item has two pairable ratings")
-    cats = _category_order({v for u in units for v in u})
-    idx = {c: i for i, c in enumerate(cats)}
+    cats, index = _categories(m, units)
     k = len(cats)
-    coin = np.zeros((k, k))
-    for u in units:
-        mu = len(u)
-        for a in range(mu):
-            for b in range(mu):
-                if a != b:
-                    coin[idx[u[a]], idx[u[b]]] += 1.0 / (mu - 1)
+    # every ordered pair of two ratings of a unit, unit by unit, each adding
+    # 1 / (mu - 1) in the order a loop over the units adds it
+    pos = index[units]
+    a, b = pos[:, :, None], pos[:, None, :]
+    pair = (a >= 0) & (b >= 0) & ~np.eye(m.codes.shape[1], dtype=bool)
+    weight = np.broadcast_to((1.0 / (mu - 1))[:, None, None], pair.shape)
+    cells = np.broadcast_to(a * k, pair.shape) + b
+    coin = np.bincount(cells[pair], weights=weight[pair], minlength=k * k).reshape(k, k)
     marginals = coin.sum(axis=1)
     n = marginals.sum()
     delta = _krippendorff_delta(level, cats, marginals)

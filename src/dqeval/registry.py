@@ -29,12 +29,10 @@ from .datamodel import (
     Codes,
     DataModelError,
     Dataset,
-    RatingsMatrix,
     Sample,
     SignalBlock,
     coded,
     column_sample,
-    float_cells,
     group_by,
     pooled_counts,
     present_sample,
@@ -267,13 +265,20 @@ def _annotation_columns(ds: Dataset, params: dict) -> list[str]:
     return cols
 
 
-def _ratings(ds: Dataset, cols: Sequence[str]) -> RatingsMatrix:
-    """Rater columns as items x raters, ordinal labels coded by rank."""
-    columns = [
-        ds.column(c) if ds.spec(c).vtype in ("categorical", "identifier") else float_cells(coded(ds, c))
+def _ratings(ds: Dataset, cols: Sequence[str]) -> Codes:
+    """Rater columns as one items x raters matrix of codes, -1 for missing,
+    into each rater's categories in turn: the cells of a categorical or
+    identifier column, the floats of coded for the others (ordinal labels by
+    rank). The kernels merge the equal categories of the cells they read."""
+    parts = [
+        Codes.of(ds.array(c) if ds.spec(c).vtype in ("categorical", "identifier") else coded(ds, c))
         for c in cols
     ]
-    return RatingsMatrix(tuple(zip(*columns)), rater_names=tuple(cols))
+    if not ds.n_records:
+        raise DataModelError("rater metrics need at least one item")
+    offsets = np.cumsum([0] + [len(p.categories) for p in parts])
+    codes = [np.where(p.codes >= 0, p.codes + o, -1) for p, o in zip(parts, offsets.tolist())]
+    return Codes(np.column_stack(codes).astype(np.int32), sum((p.categories for p in parts), ()))
 
 
 # Runners, one per input shape. Each resolves and type-checks its columns,
@@ -613,7 +618,7 @@ def _ev_syntactic(metric, ds, params, ds_b, seed):
     if words is None:
         words = ds.dictionaries.get(col)
     _require(words is not None, f"syntactic_accuracy needs a dictionary for column {col!r}")
-    value = _struct.syntactic_accuracy(ds.column(col), words)
+    value = _struct.syntactic_accuracy(Codes.of(ds.array(col)), words)
     return value, f"column:{col}", {"column": col, "dictionary_size": len(set(map(str, words)))}
 
 
@@ -639,19 +644,19 @@ def _currency(variant: str, *params: Param) -> Evaluator:
         col = _param_column(ds, given, "timestamp_column", role="timestamp")
         _require_vtype(ds, col, ("datetime", "numerical"), metric)
         stamps = coded(ds, col)
-        stamps = stamps[~np.isnan(stamps)].tolist()
-        _require(bool(stamps), "currency: no timestamps present")
+        stamps = stamps[~np.isnan(stamps)]
+        _require(bool(stamps.size), "currency: no timestamps present")
         now = _arg(given, "now", real, None)
         used: dict[str, Any] = {"timestamp_column": col, "variant": variant, "aggregate": "mean"}
         if now is None:
-            now = max(stamps)
+            now = float(stamps[np.argmax(stamps)])  # the first of equal maxima, as max() picks
             used.update(now=now, now_default="newest timestamp")
         else:
             used["now"] = now
         args = _args(given, params)
         used.update(args)
         p = _struct.CurrencyParams(variant=variant, now=now, **args)
-        return float(np.mean([_struct.currency(ts, p) for ts in stamps])), f"column:{col}", used
+        return float(np.mean(_struct.currency(stamps, p))), f"column:{col}", used
 
     return ev
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datamodel import MISSING, CategoricalCounts, Dataset, Sample, coded
+from .datamodel import CategoricalCounts, Codes, Dataset, Sample, coded
 from .distribution import MetricInputError, _values, _warn, distinct_rows
 
 
@@ -58,16 +59,19 @@ class CurrencyParams:
 # --- consistency -------------------------------------------------------------
 
 
-def syntactic_accuracy(col: Sequence[Any], dictionary: Iterable[str]) -> float:
-    """Share of non-missing entries found in the dictionary."""
+def syntactic_accuracy(col: Codes, dictionary: Iterable[str]) -> float:
+    """Share of non-missing cells whose str is in the dictionary; the str of
+    each category is looked up once."""
     words = {str(w) for w in dictionary}
     if not words:
         raise MetricInputError("syntactic_accuracy requires a nonempty dictionary")
-    present = [v for v in col if v is not MISSING]
+    counts = np.bincount(col.codes[col.codes >= 0], minlength=len(col.categories))
+    present = int(counts.sum())
     if not present:
         _warn("syntactic_accuracy undefined: all entries missing")
         return float("nan")
-    return sum(1 for v in present if str(v) in words) / len(present)
+    known = np.fromiter((str(c) in words for c in col.categories), bool, len(col.categories))
+    return int(counts[known].sum()) / present
 
 
 def _ph_one_direction(x: np.ndarray, p: PageHinkleyParams, sign: float) -> tuple[list[int], float]:
@@ -269,26 +273,34 @@ def lrid(c: CategoricalCounts) -> float:
 # --- timeliness --------------------------------------------------------------
 
 
-def currency(ts: float, p: CurrencyParams) -> float:
-    """Timeliness of a record timestamp under the selected decay model."""
-    age = p.now - ts
-    if age < 0:
+_CURRENCY_RATE = {"li": "shelf_life", "ballou": "volatility", "hinrichs": "update_rate", "heinrich": "decline"}
+
+
+def currency(ts: Sequence[float] | np.ndarray, p: CurrencyParams) -> np.ndarray:
+    """Timeliness of each record timestamp under the selected decay model.
+
+    Errors come in the order a loop over single timestamps meets them: the
+    first timestamp in the future, then a missing model parameter, then a
+    later timestamp in the future. exp and ** are Python's, mapped over the
+    ages, so each value has the digits of the formula on one timestamp.
+    """
+    ages = p.now - np.asarray(ts, dtype=float)
+    future = ages < 0
+    if future[:1].any():
         raise MetricInputError("currency: timestamp lies in the future")
-    if p.variant == "li":
-        if p.shelf_life is None or p.shelf_life <= 0:
-            raise MetricInputError("li variant needs shelf_life > 0")
-        return max(0.0, 1.0 - age / p.shelf_life)
-    if p.variant == "ballou":
-        if p.volatility is None or p.volatility <= 0:
-            raise MetricInputError("ballou variant needs volatility > 0")
-        return max(0.0, 1.0 - age / p.volatility) ** p.s
+    name = _CURRENCY_RATE[p.variant]
+    rate, bound = getattr(p, name), ">= 0" if p.variant == "heinrich" else "> 0"
+    if rate is None or rate < 0 or (rate == 0 and bound == "> 0"):
+        raise MetricInputError(f"{p.variant} variant needs {name} {bound}")
+    if future.any():
+        raise MetricInputError("currency: timestamp lies in the future")
     if p.variant == "hinrichs":
-        if p.update_rate is None or p.update_rate <= 0:
-            raise MetricInputError("hinrichs variant needs update_rate > 0")
-        return 1.0 / (p.update_rate * age + 1.0)
-    if p.decline is None or p.decline < 0:
-        raise MetricInputError("heinrich variant needs decline >= 0")
-    return math.exp(-p.decline * age)
+        return 1.0 / (rate * ages + 1.0)
+    if p.variant == "heinrich":
+        return np.array(list(map(math.exp, (-rate * ages).tolist())))
+    left = 1.0 - ages / rate
+    left = np.where(left > 0.0, left, 0.0)  # max(0.0, v): NaN and -0.0 give 0.0
+    return left if p.variant == "li" else np.array(list(map(pow, left.tolist(), repeat(p.s))))
 
 
 # --- informativeness ---------------------------------------------------------

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from dqeval.datamodel import ColumnSpec, Dataset
+from dqeval.datamodel import MISSING, Codes, ColumnSpec, Dataset
 from dqeval.harness import write_demo_root
+from dqeval.registry import _ratings
 
 
 def make_dataset(**overrides):
@@ -25,6 +26,24 @@ def make_dataset(**overrides):
     kwargs = {"columns": columns, "cells": cells, "dataset_id": "mixed"}
     kwargs.update(overrides)
     return Dataset(**kwargs)
+
+
+def cells_of(ds, name):
+    """A stored column as Python values, MISSING where missing: the form the
+    per-cell references give, for comparing with them."""
+    col = ds.array(name)
+    if isinstance(col, Codes):
+        return tuple(MISSING if k < 0 else col.categories[k] for k in col.codes.tolist())
+    return tuple(MISSING if v != v else v for v in col.tolist())
+
+
+def ratings(rows):
+    """Items x raters rows of cells (None missing) as the code matrix the
+    rater kernels read: one categorical column per rater, through the
+    registry's reader."""
+    names = [f"r{j}" for j in range(len(rows[0]))]
+    columns = tuple(ColumnSpec(name, vtype="categorical") for name in names)
+    return _ratings(Dataset(columns=columns, cells=dict(zip(names, zip(*rows)))), names)
 
 
 @pytest.fixture

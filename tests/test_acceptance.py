@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dqeval import harness as _harness
-from dqeval.datamodel import CategoricalCounts, RatingsMatrix
+from dqeval.datamodel import CategoricalCounts
 from dqeval.distribution import (
     cohens_d,
     divergence,
@@ -39,7 +39,7 @@ from dqeval.structure import (
     littles_mcar_test,
     page_hinkley,
 )
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, ratings
 from tests.test_harness import TABLE_PLAN
 from tests.test_registry import DIMENSION_MATRIX, GROUP_SIZES
 from tests.test_selection import PTBXL_METRICS, TREE_STRUCTURES, _structure
@@ -101,7 +101,7 @@ def test_criterion_3_analytic_values():
     hill_split = hill_number(CategoricalCounts.from_mapping({"norm": 4000, "other": 1000}), 2)
     hill_even = hill_number(CategoricalCounts.from_mapping({"a": 500, "b": 500}), 2)
     age_s = 32.4 * 365.25 * 86400
-    heinrich = currency(0.0, CurrencyParams(variant="heinrich", now=age_s, decline=1e-9))
+    heinrich = currency([0.0], CurrencyParams(variant="heinrich", now=age_s, decline=1e-9))[0]
     ratio = imbalance_ratio(CategoricalCounts.from_mapping({"min": 250, "maj": 4750}))
     ok = (
         abs(hill_split - 1.47) <= 0.005
@@ -141,14 +141,14 @@ def test_criterion_4_real_dataset_reproduction():
 def test_criterion_5_agreement_coefficients():
     start = time.perf_counter()
     # perfect agreement across two category labels
-    two = RatingsMatrix(tuple([("a", "a"), ("b", "b")] * 30))
-    three = RatingsMatrix(tuple([("a", "a", "a"), ("b", "b", "b")] * 30))
+    two = ratings(tuple([("a", "a"), ("b", "b")] * 30))
+    three = ratings(tuple([("a", "a", "a"), ("b", "b", "b")] * 30))
     ranking = tuple(tuple(float(i) for _ in range(5)) for i in range(40))
     perfect = (
         cohens_kappa(two),
         fleiss_kappa(three),
         krippendorff_alpha(three),
-        kendalls_w(RatingsMatrix(ranking)),
+        kendalls_w(ratings(ranking)),
     )
     perfect_ok = all(abs(v - 1.0) < 1e-12 for v in perfect)
 
@@ -156,18 +156,18 @@ def test_criterion_5_agreement_coefficients():
     n = 5000
     ra = rng.integers(0, 4, n)
     rb = rng.integers(0, 4, n)
-    k_c = cohens_kappa(RatingsMatrix(tuple((int(x), int(y)) for x, y in zip(ra, rb))))
+    k_c = cohens_kappa(ratings(tuple((int(x), int(y)) for x, y in zip(ra, rb))))
     grid = rng.integers(0, 4, (n, 3))
-    m3 = RatingsMatrix(tuple(tuple(int(v) for v in row) for row in grid))
+    m3 = ratings(tuple(tuple(int(v) for v in row) for row in grid))
     k_f = fleiss_kappa(m3)
     k_a = krippendorff_alpha(m3)
     # E[W] is 1/k for k independent raters, so 30 raters sit well under .05
     scores = rng.normal(size=(n, 30))
-    w = kendalls_w(RatingsMatrix(tuple(tuple(float(v) for v in row) for row in scores)))
+    w = kendalls_w(ratings(tuple(tuple(float(v) for v in row) for row in scores)))
     random_ok = all(abs(v) < 0.05 for v in (k_c, k_f, k_a, w))
 
     pairs = [("x", "x")] * 20 + [("x", "y")] * 5 + [("y", "x")] * 10 + [("y", "y")] * 15
-    k_table = cohens_kappa(RatingsMatrix(tuple(pairs)))
+    k_table = cohens_kappa(ratings(tuple(pairs)))
     table_ok = abs(k_table - 0.4) < 1e-12
 
     _verdict(5, perfect_ok and random_ok and table_ok,

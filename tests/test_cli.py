@@ -12,6 +12,7 @@ from dqeval.cli import cli, main
 from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl
 from dqeval.registry import render_card
 from dqeval.report import load_dataset, read_descriptor
+from tests.conftest import cells_of
 
 runner = CliRunner()
 
@@ -295,7 +296,7 @@ def test_subset_class_imbalance_chain(tmp_path, descriptor):
     ds = load_dataset(read_descriptor(str(out_dir / "descriptor.json")))
     assert ds.n_records == 5
     assert ds.dataset_id == "generic[class_imbalance]"
-    assert ds.column("label").count("a") == 2
+    assert ds.codes("label").counts().as_dict()["a"] == 2
 
 
 def test_subset_accepts_inline_recipes_and_global_seed(tmp_path, descriptor):
@@ -304,8 +305,7 @@ def test_subset_accepts_inline_recipes_and_global_seed(tmp_path, descriptor):
     res = runner.invoke(cli, ["--seed", "2", "subset", "--data", descriptor, "--recipe", recipe, "--out", str(out_dir)])
     assert res.exit_code == 0
     ds = load_dataset(read_descriptor(str(out_dir / "descriptor.json")))
-    assert ds.column("sex").count("m") == 3
-    assert ds.column("sex").count("f") == 1
+    assert ds.codes("sex").counts().as_dict() == {"m": 3, "f": 1}
 
 
 def test_subset_keeps_the_dictionaries_of_a_table_in_a_subdirectory(tmp_path):
@@ -627,7 +627,7 @@ def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
     names = ("sex", "device", "is_norm")
     lines = [",".join(names)]
     lines += [",".join("" if v is None else str(v) for v in row)
-              for row in zip(*(bundle.dataset.column(n) for n in names))]
+              for row in zip(*(cells_of(bundle.dataset, n) for n in names))]
     (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     doc = {
         "table": {"path": "table.csv"},

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqeval.correlation import concordance_cc, correlation, cramers_v, icc
-from dqeval.datamodel import MISSING, Codes, RatingsMatrix
+from dqeval.datamodel import MISSING, Codes
 from dqeval.distribution import MetricInputError
+from tests.conftest import ratings
 
 
 def test_pearson_frozen_value():
@@ -138,13 +139,13 @@ SHROUT_FLEISS = (
 
 
 def test_icc_2_1_matches_anova_oracle():
-    value = icc(RatingsMatrix(SHROUT_FLEISS))
+    value = icc(ratings(SHROUT_FLEISS))
     assert value == pytest.approx(_icc21_anova_oracle(SHROUT_FLEISS))
     assert value == pytest.approx(0.29, abs=0.005)  # published benchmark
 
 
 def test_icc_perfect_agreement_is_one():
-    m = RatingsMatrix(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
+    m = ratings(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
     assert icc(m) == pytest.approx(1.0)
 
 

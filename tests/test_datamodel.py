@@ -15,7 +15,6 @@ from dqeval.datamodel import (
     ColumnSpec,
     DataModelError,
     Dataset,
-    RatingsMatrix,
     Sample,
     SignalBlock,
     _normalize_cell,
@@ -28,7 +27,7 @@ from dqeval.datamodel import (
 from dqeval.harness import load_ptbxl
 from dqeval.report import load_dataset, parse_descriptor
 from dqeval.structure import prevalence_of_duplicates
-from tests.conftest import make_dataset
+from tests.conftest import cells_of, make_dataset
 
 
 def test_column_spec_rejects_unknown_vtype_and_role():
@@ -60,11 +59,6 @@ def test_label_counts_skip_missing():
 def test_categorical_counts_rejects_negative():
     with pytest.raises(DataModelError):
         CategoricalCounts((("a", -1.0),))
-
-
-def test_ratings_matrix_rejects_ragged_rows():
-    with pytest.raises(DataModelError):
-        RatingsMatrix((("a", "b"), ("a",)))
 
 
 def test_dataset_rejects_duplicate_columns():
@@ -107,7 +101,7 @@ def test_missing_tokens_normalize_to_missing():
         columns=(ColumnSpec("age", vtype="numerical"),),
         cells={"age": ("1", "NA", "", "2.5")},
     )
-    assert ds.column("age") == (1.0, MISSING, MISSING, 2.5)
+    np.testing.assert_array_equal(ds.array("age"), [1.0, np.nan, np.nan, 2.5])
 
 
 def test_column_sample_drops_missing_and_counts():
@@ -198,7 +192,7 @@ def test_take_records_slices_cells_and_signals():
     ds = make_dataset(signals=sig)
     sub = take_records(ds, [0, 5])
     assert sub.n_records == 2
-    assert sub.column("age") == (30.0, 70.0)
+    assert sub.array("age").tolist() == [30.0, 70.0]
     assert sub.signals[1].samples.tolist() == [[5.0]]
     assert sub.signals[1] is ds.signals[5]
     assert sub.dataset_id == "mixed[subset]"
@@ -270,6 +264,12 @@ def test_naive_timestamps_parse_as_utc_aware_ones(dt):
     assert parse_timestamp(dt.isoformat() + "+00:00") == want
 
 
+def test_a_z_suffix_means_utc():
+    # datetime.fromisoformat reads "Z" from Python 3.11 on
+    assert parse_timestamp("2020-01-01T00:00:00Z") == 1577836800.0
+    assert parse_timestamp(" 2020-01-01T00:00:01.5Z ") == 1577836801.5
+
+
 @pytest.mark.parametrize("text", ["12:3x", " 1e3:00 ", "nan:", "2001-02-30 10:00"])
 def test_text_with_a_colon_that_is_not_iso_names_the_cell(text):
     with pytest.raises(DataModelError) as info:
@@ -281,12 +281,12 @@ def test_take_records_full_index_is_identity():
     ds = make_dataset()
     sub = take_records(ds, list(range(ds.n_records)), dataset_id=ds.dataset_id)
     for name in ds.column_names:
-        assert list(map(repr, sub.column(name))) == list(map(repr, ds.column(name)))
+        assert list(map(repr, cells_of(sub, name))) == list(map(repr, cells_of(ds, name)))
     assert sub.columns == ds.columns
 
 
 def _one_column(vtype, cells):
-    return Dataset(columns=(ColumnSpec("x", vtype=vtype),), cells={"x": cells}).column("x")
+    return cells_of(Dataset(columns=(ColumnSpec("x", vtype=vtype),), cells={"x": cells}), "x")
 
 
 def test_negative_zero_numerical_cells_keep_their_sign():
@@ -312,8 +312,8 @@ def test_cells_that_parse_to_nan_are_missing():
         columns=(ColumnSpec("x", vtype="numerical"), ColumnSpec("t", vtype="datetime")),
         cells={"x": ("1", "NAN", "inf", "2", "-nan"), "t": ("+nan", "5.0", "nan", "NaN ", "7")},
     )
-    assert ds.column("x") == (1.0, MISSING, math.inf, 2.0, MISSING)
-    assert ds.column("t") == (MISSING, 5.0, MISSING, MISSING, 7.0)
+    np.testing.assert_array_equal(ds.array("x"), [1.0, np.nan, math.inf, 2.0, np.nan])
+    np.testing.assert_array_equal(ds.array("t"), [np.nan, 5.0, np.nan, np.nan, 7.0])
     assert ds.missing_count("x") == 2 and ds.missing_count("t") == 3
 
 
@@ -338,9 +338,9 @@ def test_signal_block_needs_a_finite_positive_rate(hz):
 def test_equal_cell_strings_of_a_loaded_column_are_one_object(tmp_path):
     (tmp_path / "t.csv").write_text("sex,age\nfemale,1\nmale,2\nfemale,3\n", encoding="utf-8")
     doc = {"table": {"path": "t.csv"}, "columns": [{"name": "sex", "vtype": "categorical"}]}
-    sex = load_dataset(parse_descriptor(doc, base_dir=str(tmp_path))).column("sex")
-    assert sex == ("female", "male", "female")
-    assert sex[0] is sex[2]
+    sex = load_dataset(parse_descriptor(doc, base_dir=str(tmp_path))).array("sex")
+    assert sex.categories == ("female", "male")
+    assert sex.codes.tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
@@ -353,7 +353,7 @@ def test_non_numeric_error_names_the_first_bad_cell_in_row_order(order):
 
 def _assert_missing_counts_held(ds):
     for name in ds.column_names:
-        assert ds.missing_count(name) == sum(v is MISSING for v in ds.column(name)), name
+        assert ds.missing_count(name) == sum(v is MISSING for v in cells_of(ds, name)), name
 
 
 def test_missing_counts_are_held_by_every_build(demo_root):
@@ -407,14 +407,14 @@ def _groups_by_dict_loop(column):
 def _assert_matches_reference(ds, want):
     for spec in TYPED_SPECS:
         # repr tells -0.0 from 0.0 and 1 from 1.0 and True
-        assert list(map(repr, ds.column(spec.name))) == list(map(repr, want[spec.name])), spec.name
+        assert list(map(repr, cells_of(ds, spec.name))) == list(map(repr, want[spec.name])), spec.name
         assert ds.missing_count(spec.name) == sum(v is MISSING for v in want[spec.name])
         if spec.vtype in ("categorical", "ordinal"):
             groups, missing = group_by(ds, spec.name)
             ref_groups, ref_missing = _groups_by_dict_loop(want[spec.name])
             assert [(repr(k), g.tolist()) for k, g in groups.items()] == [(repr(k), g) for k, g in ref_groups.items()]
             assert missing.tolist() == ref_missing
-    views = [ds.column(spec.name) for spec in TYPED_SPECS]
+    views = [cells_of(ds, spec.name) for spec in TYPED_SPECS]
     if ds.n_records:
         # 0.0 equals -0.0, and missing equals missing
         assert prevalence_of_duplicates(ds)["count"] == ds.n_records - len(set(zip(*views)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dqeval import measurement
-from dqeval.datamodel import MISSING, ColumnSpec, Dataset, F32Record
+from dqeval.datamodel import ColumnSpec, Dataset, F32Record
 from dqeval.harness import (
     SUPERCLASSES,
     HarnessError,
@@ -78,7 +78,7 @@ def test_load_ptbxl_builds_dataset_and_superclasses(bundle):
     assert ds.role_column("target") == "is_norm"
     assert ds.role_column("patient_id") == "patient_id"
     assert len(bundle.superclasses) == 300
-    for classes, flag in zip(bundle.superclasses, ds.column("is_norm")):
+    for classes, flag in zip(bundle.superclasses, ds.array("is_norm").tolist()):
         assert classes <= set(SUPERCLASSES)
         assert flag == (1.0 if "NORM" in classes else 0.0)
     assert all(blk is not None and blk.sampling_hz == 500.0 for blk in ds.signals)
@@ -110,8 +110,7 @@ def test_sex_imbalance_recipe_draws_exact_strata(bundle):
     assert len(idx) == len(set(idx)) == 50
     assert idx == sorted(idx)
     sub = bundle.subset(idx, "s1")
-    sexes = sub.dataset.column("sex")
-    assert sexes.count("0") == 40 and sexes.count("1") == 10
+    assert sub.dataset.codes("sex").counts().as_dict() == {"0": 40, "1": 10}
     assert apply_recipe(bundle.dataset, recipe) == idx
     assert apply_recipe(bundle.dataset, {**recipe, "seed": 4}) != idx
 
@@ -119,7 +118,8 @@ def test_sex_imbalance_recipe_draws_exact_strata(bundle):
 def test_device_filter_recipe_keeps_only_that_device(bundle):
     idx = apply_recipe(bundle.dataset, {"kind": "device_filter", "device_id": "CS-12"})
     sub = bundle.subset(idx, "s2")
-    assert set(sub.dataset.column("device")) == {"CS-12"}
+    assert sub.dataset.array("device").categories == ("CS-12",)
+    assert not sub.dataset.missing("device").any()
     with pytest.raises(HarnessError, match="matches no records"):
         apply_recipe(bundle.dataset, {"kind": "device_filter", "device_id": "XX-99"})
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from dqeval.datamodel import MISSING, CategoricalCounts, ColumnSpec, Dataset, RatingsMatrix
+from dqeval.datamodel import MISSING, CategoricalCounts, ColumnSpec, Dataset
 from dqeval.distribution import MetricInputError, MetricWarning
 import dqeval.measurement as measurement
 from dqeval.measurement import (
@@ -34,6 +34,7 @@ from dqeval.measurement import (
     sample_entropy,
     shannon_entropy,
 )
+from tests.conftest import ratings
 
 
 # --- entropy -----------------------------------------------------------------
@@ -451,7 +452,7 @@ def _expand_confusion(table):
     for i, row in enumerate(table):
         for j, count in enumerate(row):
             rows.extend([(f"c{i}", f"c{j}")] * int(count))
-    return RatingsMatrix(tuple(rows))
+    return ratings(tuple(rows))
 
 
 def test_cohens_kappa_frozen_table():
@@ -460,20 +461,20 @@ def test_cohens_kappa_frozen_table():
 
 
 def test_cohens_kappa_perfect_is_one():
-    m = RatingsMatrix((("a", "a"), ("b", "b"), ("c", "c")))
+    m = ratings((("a", "a"), ("b", "b"), ("c", "c")))
     assert cohens_kappa(m) == pytest.approx(1.0)
 
 
 def test_cohens_kappa_weighted_orders_disagreement():
     # one-step disagreements hurt the quadratic variant less than two-step
-    near = RatingsMatrix((("0", "1"), ("1", "2"), ("0", "0"), ("2", "2"), ("1", "1")))
-    far = RatingsMatrix((("0", "2"), ("2", "0"), ("0", "0"), ("2", "2"), ("1", "1")))
+    near = ratings((("0", "1"), ("1", "2"), ("0", "0"), ("2", "2"), ("1", "1")))
+    far = ratings((("0", "2"), ("2", "0"), ("0", "0"), ("2", "2"), ("1", "1")))
     assert cohens_kappa(near, weights="quadratic") > cohens_kappa(far, weights="quadratic")
 
 
 def test_cohens_kappa_requires_two_raters():
     with pytest.raises(MetricInputError):
-        cohens_kappa(RatingsMatrix((("a", "a", "a"),)))
+        cohens_kappa(ratings((("a", "a", "a"),)))
 
 
 FLEISS_WIKI_COUNTS = (
@@ -497,7 +498,7 @@ def _counts_to_ratings(counts):
         for j, c in enumerate(item):
             labels.extend([f"k{j}"] * c)
         rows.append(tuple(labels))
-    return RatingsMatrix(tuple(rows))
+    return ratings(tuple(rows))
 
 
 def _fleiss_oracle(counts):
@@ -516,25 +517,25 @@ def test_fleiss_kappa_published_example():
 
 
 def test_fleiss_kappa_perfect_is_one():
-    m = RatingsMatrix((("a",) * 4, ("b",) * 4, ("a",) * 4))
+    m = ratings((("a",) * 4, ("b",) * 4, ("a",) * 4))
     assert fleiss_kappa(m) == pytest.approx(1.0)
 
 
 def test_kendalls_w_perfect_and_reversed():
-    perfect = RatingsMatrix(((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)))
+    perfect = ratings(((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)))
     assert kendalls_w(perfect) == pytest.approx(1.0)
     # two raters in exact reversal: every rank sum equals n+1, so W = 0
-    reversed_two = RatingsMatrix(((1.0, 3.0), (2.0, 2.0), (3.0, 1.0)))
+    reversed_two = ratings(((1.0, 3.0), (2.0, 2.0), (3.0, 1.0)))
     assert kendalls_w(reversed_two) == pytest.approx(0.0)
 
 
 def test_kendalls_w_one_dissenter_is_one_ninth():
-    m = RatingsMatrix(((1.0, 1.0, 3.0), (2.0, 2.0, 2.0), (3.0, 3.0, 1.0)))
+    m = ratings(((1.0, 1.0, 3.0), (2.0, 2.0, 2.0), (3.0, 3.0, 1.0)))
     assert kendalls_w(m) == pytest.approx(1 / 9)
 
 
 def test_kendalls_w_tie_correction():
-    m = RatingsMatrix(((1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (4.0, 4.0)))
+    m = ratings(((1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (4.0, 4.0)))
     ranks = np.array([1.0, 2.5, 2.5, 4.0])
     totals = 2 * ranks
     s = np.sum((totals - totals.mean()) ** 2)
@@ -598,27 +599,27 @@ def test_krippendorff_matches_pair_oracle(level):
         if rng.random() < 0.3:
             row[rng.integers(0, 4)] = MISSING
         rows.append(tuple(row))
-    m = RatingsMatrix(tuple(rows))
+    m = ratings(tuple(rows))
     assert krippendorff_alpha(m, level=level) == pytest.approx(
         _krippendorff_pair_oracle(rows, level)
     )
 
 
 def test_krippendorff_perfect_agreement():
-    m = RatingsMatrix((("a", "a"), ("b", "b"), ("a", "a"), ("c", "c")))
+    m = ratings((("a", "a"), ("b", "b"), ("a", "a"), ("c", "c")))
     assert krippendorff_alpha(m) == pytest.approx(1.0)
 
 
 def test_krippendorff_degenerate_single_category_warns_one():
-    m = RatingsMatrix((("a", "a"), ("a", "a")))
+    m = ratings((("a", "a"), ("a", "a")))
     with pytest.warns(MetricWarning, match="expected disagreement"):
         assert krippendorff_alpha(m) == 1.0
 
 
 def test_krippendorff_skips_singleton_units():
     rows = (("a", "b"), ("a", MISSING))
-    full = krippendorff_alpha(RatingsMatrix(rows))
-    assert full == krippendorff_alpha(RatingsMatrix((("a", "b"),)))
+    full = krippendorff_alpha(ratings(rows))
+    assert full == krippendorff_alpha(ratings((("a", "b"),)))
 
 
 # --- overlap -----------------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy import stats
 
 from dqeval import correlation as corr
 from dqeval import measurement as meas
-from dqeval.datamodel import ColumnSpec, Dataset, RatingsMatrix, SignalBlock
+from dqeval.datamodel import Codes, ColumnSpec, Dataset, SignalBlock
 from dqeval.report import evaluate_row, report_json
 from dqeval.registry import (
     DIMENSIONS,
@@ -32,6 +32,7 @@ from dqeval.registry import (
     render_card,
     resolve_id,
 )
+from tests.conftest import ratings
 
 # Expected dimension assignment for every metric in the library.
 DIMENSION_MATRIX = {
@@ -654,7 +655,7 @@ def test_default_parameters_are_echoed(clinic):
     assert res.params["q"] == 2.0
     res = evaluate("currency_heinrich", clinic)
     assert res.params["now_default"] == "newest timestamp"
-    assert res.params["now"] == max(clinic.column("stamp"))
+    assert res.params["now"] == max(clinic.array("stamp").tolist())
 
 
 def test_second_dataset_route_names_both_datasets(clinic, clinic_b):
@@ -732,17 +733,19 @@ ORDER = ("low", "mid", "high")
 RANK = {label: float(i) for i, label in enumerate(ORDER)}
 
 
-def _ordinal_raters() -> tuple[Dataset, RatingsMatrix]:
-    # alphabetical order (high < low < mid) is not the declared one
-    r1 = ("low", "mid", "high", "low", "mid", "high")
-    r2 = ("low", "mid", "mid", "mid", "high", "high")
+# alphabetical order (high < low < mid) is not the declared one
+R1 = ("low", "mid", "high", "low", "mid", "high")
+R2 = ("low", "mid", "mid", "mid", "high", "high")
+
+
+def _ordinal_raters() -> tuple[Dataset, Codes]:
     ds = Dataset(
         columns=tuple(
             ColumnSpec(name, "ordinal", role="annotation", ordinal_order=ORDER) for name in ("r1", "r2")
         ),
-        cells={"r1": r1, "r2": r2},
+        cells={"r1": R1, "r2": R2},
     )
-    codes = RatingsMatrix(tuple((RANK[a], RANK[b]) for a, b in zip(r1, r2)), rater_names=("r1", "r2"))
+    codes = ratings(tuple((RANK[a], RANK[b]) for a, b in zip(R1, R2)))
     return ds, codes
 
 
@@ -764,7 +767,7 @@ def test_ordinal_rater_columns_are_coded_by_rank(metric_id, params, kernel):
 
 def test_ordinal_weighted_agreement_does_not_follow_alphabetical_order():
     ds, codes = _ordinal_raters()
-    labels = RatingsMatrix(tuple(zip(ds.column("r1"), ds.column("r2"))))
+    labels = ratings(tuple(zip(R1, R2)))
     for metric_id, params, kernel in (
         ("cohens_kappa", {"weights": "linear"}, lambda m: meas.cohens_kappa(m, weights="linear")),
         ("krippendorff_alpha", {"level": "ordinal"}, lambda m: meas.krippendorff_alpha(m, level="ordinal")),
@@ -775,7 +778,7 @@ def test_ordinal_weighted_agreement_does_not_follow_alphabetical_order():
 def test_concordance_of_ordinal_columns_uses_rank_codes():
     ds, _ = _ordinal_raters()
     res = evaluate("concordance_cc", ds, {"column_a": "r1", "column_b": "r2"})
-    assert res.value == corr.concordance_cc([RANK[v] for v in ds.column("r1")], [RANK[v] for v in ds.column("r2")])
+    assert res.value == corr.concordance_cc([RANK[v] for v in R1], [RANK[v] for v in R2])
 
 
 # One column of each kind, none of them usable by every metric. Every

@@ -43,17 +43,21 @@ from tests.conftest import make_dataset
 # --- consistency -------------------------------------------------------------
 
 
+def _labels(cells):
+    return Dataset(columns=(ColumnSpec("x", vtype="categorical"),), cells={"x": cells}).array("x")
+
+
 def test_syntactic_accuracy_counts_dictionary_hits():
-    assert syntactic_accuracy(["a", "b", "zz"], {"a", "b"}) == pytest.approx(2 / 3)
+    assert syntactic_accuracy(_labels(["a", "b", "zz"]), {"a", "b"}) == pytest.approx(2 / 3)
 
 
 def test_syntactic_accuracy_ignores_missing():
-    assert syntactic_accuracy(["a", MISSING, "q"], {"a"}) == pytest.approx(0.5)
+    assert syntactic_accuracy(_labels(["a", MISSING, "q"]), {"a"}) == pytest.approx(0.5)
 
 
 def test_syntactic_accuracy_all_missing_nan_with_warning():
     with pytest.warns(MetricWarning):
-        assert math.isnan(syntactic_accuracy([MISSING, MISSING], {"a"}))
+        assert math.isnan(syntactic_accuracy(_labels([MISSING, MISSING]), {"a"}))
 
 
 # --- drift -------------------------------------------------------------------
@@ -191,28 +195,28 @@ def test_lrid_matches_loglikelihood_oracle():
 def test_currency_heinrich_reproduces_decline_fixture():
     age = -math.log(0.36) / 1e-9  # about 32.4 years in seconds
     p = CurrencyParams("heinrich", now=age, decline=1e-9)
-    assert currency(0.0, p) == pytest.approx(0.36, abs=1e-9)
+    assert currency([0.0], p)[0] == pytest.approx(0.36, abs=1e-9)
 
 
 def test_currency_li_linear_decay_clamped():
     p = CurrencyParams("li", now=100.0, shelf_life=50.0)
-    assert currency(80.0, p) == pytest.approx(0.6)
-    assert currency(0.0, p) == 0.0  # expired
+    assert currency([80.0], p)[0] == pytest.approx(0.6)
+    assert currency([0.0], p)[0] == 0.0  # expired
 
 
 def test_currency_ballou_exponent():
     p = CurrencyParams("ballou", now=100.0, volatility=100.0, s=2.0)
-    assert currency(50.0, p) == pytest.approx(0.25)
+    assert currency([50.0], p)[0] == pytest.approx(0.25)
 
 
 def test_currency_hinrichs_rational_decay():
     p = CurrencyParams("hinrichs", now=10.0, update_rate=0.5)
-    assert currency(6.0, p) == pytest.approx(1 / 3)
+    assert currency([6.0], p)[0] == pytest.approx(1 / 3)
 
 
 def test_currency_future_timestamp_rejected():
     with pytest.raises(MetricInputError):
-        currency(200.0, CurrencyParams("heinrich", now=100.0, decline=1e-9))
+        currency([200.0], CurrencyParams("heinrich", now=100.0, decline=1e-9))
 
 
 @given(
@@ -227,9 +231,59 @@ def test_currency_monotone_in_age(variant, age1, age2):
         variant, now=1e6, volatility=2e5, s=1.5, shelf_life=2e5,
         update_rate=1e-4, decline=1e-5,
     )
-    newer = currency(1e6 - lo, p)
-    older = currency(1e6 - hi, p)
+    newer = currency([1e6 - lo], p)[0]
+    older = currency([1e6 - hi], p)[0]
     assert 0.0 <= older <= newer <= 1.0 + 1e-12
+
+
+def _currency_one(ts, p):
+    """The decay of one timestamp, computed with Python floats."""
+    age = p.now - ts
+    if age < 0:
+        raise MetricInputError("currency: timestamp lies in the future")
+    if p.variant == "li":
+        if p.shelf_life is None or p.shelf_life <= 0:
+            raise MetricInputError("li variant needs shelf_life > 0")
+        return max(0.0, 1.0 - age / p.shelf_life)
+    if p.variant == "ballou":
+        if p.volatility is None or p.volatility <= 0:
+            raise MetricInputError("ballou variant needs volatility > 0")
+        return max(0.0, 1.0 - age / p.volatility) ** p.s
+    if p.variant == "hinrichs":
+        if p.update_rate is None or p.update_rate <= 0:
+            raise MetricInputError("hinrichs variant needs update_rate > 0")
+        return 1.0 / (p.update_rate * age + 1.0)
+    if p.decline is None or p.decline < 0:
+        raise MetricInputError("heinrich variant needs decline >= 0")
+    return math.exp(-p.decline * age)
+
+
+# None, zero and negative rates are bad parameters for some variants. s stays
+# positive: a zero base to a negative s raises ZeroDivisionError, which the
+# array form raises only once no timestamp lies in the future.
+@given(
+    st.sampled_from(["li", "ballou", "hinrichs", "heinrich"]),
+    st.lists(st.floats(-0.1, 10.0), min_size=1, max_size=20),
+    st.floats(0.0, 1e9),
+    st.one_of(st.floats(0.01, 10.0), st.sampled_from([None, 0.0, -1.0])),
+    st.floats(0.1, 5.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_currency_of_an_array_equals_the_loop_over_single_timestamps(variant, ages, now, rate, s):
+    # ages and rates share a scale, so most values lie strictly between 0 and 1,
+    # where np.exp and np.power differ from Python's in the last bit for about
+    # one input in twenty
+    stamps = [now - age for age in ages]
+    p = CurrencyParams(variant, now=now, volatility=rate, s=s, shelf_life=rate, update_rate=rate, decline=rate)
+    try:
+        want = [_currency_one(ts, p) for ts in stamps]
+    except MetricInputError as exc:
+        with pytest.raises(MetricInputError) as info:
+            currency(np.array(stamps), p)
+        assert str(info.value) == str(exc)
+        return
+    # repr tells every bit of a float apart, -0.0 from 0.0 included
+    assert list(map(repr, currency(np.array(stamps), p).tolist())) == list(map(repr, want))
 
 
 # --- uniqueness --------------------------------------------------------------
