@@ -168,44 +168,16 @@ class Sample:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class CategoricalCounts:
-    """Category -> nonnegative count."""
-
-    counts: tuple[tuple[Any, float], ...]
-
-    def __post_init__(self) -> None:
-        norm = []
-        for cat, cnt in dict(self.counts).items():
-            c = float(cnt)
-            if c < 0:
-                raise DataModelError(f"negative count for category {cat!r}")
-            norm.append((cat, c))
-        object.__setattr__(self, "counts", tuple(norm))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Any, float]) -> "CategoricalCounts":
-        return cls(tuple(mapping.items()))
-
-    def as_dict(self) -> dict[Any, float]:
-        return dict(self.counts)
-
-    @property
-    def categories(self) -> tuple[Any, ...]:
-        return tuple(c for c, _ in self.counts)
-
-    @property
-    def total(self) -> float:
-        return sum(c for _, c in self.counts)
-
-    def proportions(self) -> dict[Any, float]:
-        t = self.total
-        if t <= 0:
-            raise DataModelError("CategoricalCounts total must be > 0")
-        return {cat: cnt / t for cat, cnt in self.counts}
-
-    def __len__(self) -> int:
-        return len(self.counts)
+def proportions(counts: Any) -> np.ndarray:
+    """A count vector over its total, as float64. Counts must be nonnegative
+    with a positive total; the total is summed left to right, as Python's sum."""
+    c = np.asarray(counts, dtype=float)
+    if c.ndim != 1 or (c < 0).any():
+        raise DataModelError("counts must be one vector of nonnegative numbers")
+    total = sum(c.tolist())
+    if not total > 0:
+        raise DataModelError("counts total must be > 0")
+    return c / total
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -346,11 +318,10 @@ class Codes:
         number = np.array([*map(index.__getitem__, self.categories), -1], np.int32)
         return Codes(number[self.codes], tuple(merged))
 
-    def counts(self) -> CategoricalCounts:
-        """Cells per category in category order, missing skipped; the
-        categories must be distinct as dict keys (see by_value)."""
-        tally = np.bincount(self.codes[self.codes >= 0], minlength=len(self.categories))
-        return CategoricalCounts.from_mapping(dict(zip(self.categories, tally.tolist())))
+    def counts(self) -> np.ndarray:
+        """Cells per category in category order as float64, missing skipped;
+        the categories must be distinct as dict keys (see by_value)."""
+        return np.bincount(self.codes[self.codes >= 0], minlength=len(self.categories)).astype(float)
 
 
 def _label_codes(raw: Codes, spec: ColumnSpec) -> Codes:
@@ -538,9 +509,9 @@ def group_by(ds: Dataset, col: str) -> tuple[dict[Any, np.ndarray], np.ndarray]:
     return dict(zip(labels.categories, groups)), missing
 
 
-def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[CategoricalCounts, CategoricalCounts]:
-    """Counts of two samples in `bins` equal-width bins over their pooled
-    min-max range, keyed bin0, bin1, ...; a constant pooled sample is one bin.
+def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 counts of two samples in `bins` equal-width bins over their
+    pooled min-max range; a constant pooled sample is one bin.
 
     Shared edges are required by the divergence ops, whose bins must match.
     """
@@ -551,13 +522,12 @@ def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[CategoricalCounts, C
     lo = min(a.values.min(), b.values.min())
     hi = max(a.values.max(), b.values.max())
     if lo == hi:
-        return tuple(CategoricalCounts.from_mapping({"bin0": float(len(s))}) for s in (a, b))
+        return np.array([float(len(a))]), np.array([float(len(b))])
     edges = np.linspace(lo, hi, bins + 1)
 
-    def count(s: Sample) -> CategoricalCounts:
+    def count(s: Sample) -> np.ndarray:
         idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, bins - 1)
-        tally = np.bincount(idx, minlength=bins).tolist()
-        return CategoricalCounts.from_mapping({f"bin{i}": c for i, c in enumerate(tally)})
+        return np.bincount(idx, minlength=bins).astype(float)
 
     return count(a), count(b)
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datamodel import CategoricalCounts, Sample
+from .datamodel import Sample, proportions
 
 SMOOTH_EPS = 1e-6
 
@@ -128,15 +128,15 @@ def summary_stats(s: Sample | Sequence[float]) -> dict[str, float]:
     }
 
 
-def hill_number(c: CategoricalCounts, q: float) -> float:
-    """Effective number of categories of order q.
+def hill_number(c: Sequence[float] | np.ndarray, q: float) -> float:
+    """Effective number of categories of order q, from a count vector.
 
     D_q = (sum p_i^q)^(1/(1-q)); the q=1 limit is exp of the Shannon
     entropy, q=0 is the richness.
     """
     if q < 0:
         raise MetricInputError("hill_number requires q >= 0")
-    props = [p for p in c.proportions().values() if p > 0]
+    props = [p for p in proportions(c).tolist() if p > 0]
     if q == 0:
         return float(len(props))
     if q == 1:
@@ -444,32 +444,28 @@ def energy_distance(
 # --- divergences -------------------------------------------------------------
 
 
-def _aligned_props(p: CategoricalCounts, q: CategoricalCounts) -> tuple[np.ndarray, np.ndarray]:
-    keys = list(dict.fromkeys(list(p.categories) + list(q.categories)))
-    pd_, qd = p.as_dict(), q.as_dict()
-    pv = np.array([pd_.get(k, 0.0) for k in keys], dtype=float)
-    qv = np.array([qd.get(k, 0.0) for k in keys], dtype=float)
-    if pv.sum() <= 0 or qv.sum() <= 0:
-        raise MetricInputError("divergence inputs must have positive total mass")
-    return pv / pv.sum(), qv / qv.sum()
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 def divergence(
-    kind: str, p: CategoricalCounts, q: CategoricalCounts, smoothing: str = "default"
+    kind: str, p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray, smoothing: str = "default"
 ) -> float:
-    """KL, Jensen-Shannon (nats) or population stability index.
+    """KL, Jensen-Shannon (nats) or population stability index of two count
+    vectors over the same categories.
 
     Default mode adds 1e-6 to every bin and renormalizes when a zero bin
     would blow up a log ratio; strict mode raises instead.
     """
     if smoothing not in ("default", "strict"):
         raise MetricInputError(f"unknown smoothing {smoothing!r}; expected 'default' or 'strict'")
-    pv, qv = _aligned_props(p, q)
+    pv, qv = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if pv.shape != qv.shape or (pv < 0).any() or (qv < 0).any():
+        raise MetricInputError("divergence needs two nonnegative count vectors of one length")
+    if pv.sum() <= 0 or qv.sum() <= 0:
+        raise MetricInputError("divergence inputs must have positive total mass")
+    pv, qv = pv / pv.sum(), qv / qv.sum()
     zeros = (pv == 0).any() or (qv == 0).any()
     if zeros:
         if smoothing == "strict":
@@ -523,27 +519,24 @@ def _mwu_exact(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
 
 def two_sample_test(
     kind: str,
-    a: Sample | Sequence[float] | CategoricalCounts,
-    b: Sample | Sequence[float] | CategoricalCounts,
+    a: Sample | Sequence[float] | np.ndarray,
+    b: Sample | Sequence[float] | np.ndarray,
     others: Sequence[Sample | Sequence[float]] = (),
 ) -> TestOutcome:
     """Two-sample hypothesis test selected by kind.
 
     kinds: ks, epps_singleton, anderson_darling_k (accepts extra samples via
-    others), mann_whitney_u, chi_squared (categorical counts). p-values come
-    from the standard asymptotics, except the small Mann-Whitney case which
-    is enumerated exactly.
+    others), mann_whitney_u, chi_squared (two count vectors over the same
+    categories). p-values come from the standard asymptotics, except the
+    small Mann-Whitney case which is enumerated exactly.
     """
     from scipy import stats
 
     warns: list[str] = []
     if kind == "chi_squared":
-        if not isinstance(a, CategoricalCounts) or not isinstance(b, CategoricalCounts):
-            raise MetricInputError("chi_squared expects CategoricalCounts on both sides")
-        keys = list(dict.fromkeys(list(a.categories) + list(b.categories)))
-        obs = np.array(
-            [[a.as_dict().get(k, 0.0) for k in keys], [b.as_dict().get(k, 0.0) for k in keys]]
-        )
+        obs = np.array([a, b], dtype=float)
+        if obs.ndim != 2 or (obs < 0).any() or not (obs.sum(axis=1) > 0).all():
+            raise MetricInputError("chi_squared needs nonnegative counts with a positive total on each side")
         col_tot = obs.sum(axis=0)
         if (col_tot == 0).any():
             raise MetricInputError("chi_squared: category with expected count 0")

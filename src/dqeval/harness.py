@@ -23,7 +23,7 @@ import numpy as np
 from . import registry as _registry
 from . import selection as _selection
 from . import structure as _struct
-from .datamodel import CategoricalCounts, Codes, ColumnSpec, DataModelError, Dataset, take_records
+from .datamodel import Codes, ColumnSpec, DataModelError, Dataset, take_records
 from .report import (
     DataLoadError,
     build_report,
@@ -102,12 +102,13 @@ class PtbxlBundle:
     dataset: Dataset
     superclasses: tuple[frozenset, ...]
 
-    def counts(self) -> CategoricalCounts:
+    def counts(self) -> dict[str, float]:
+        """Occurrences per superclass; a record counts toward each of its own."""
         acc: dict[str, float] = {}
         for classes in self.superclasses:
             for cls in classes:
                 acc[cls] = acc.get(cls, 0.0) + 1.0
-        return CategoricalCounts.from_mapping(acc)
+        return acc
 
     def subset(self, indices: Sequence[int], dataset_id: str) -> "PtbxlBundle":
         ds = take_records(self.dataset, indices, dataset_id=dataset_id)
@@ -255,7 +256,8 @@ def default_recipes(bundle: PtbxlBundle, seed: int | None) -> list[dict[str, Any
     ds = bundle.dataset
     n = ds.n_records
     half = 5000 if n >= 10000 else max(20, n // 2)
-    device_counts = {str(v): count for v, count in ds.codes("device").counts().counts}
+    devices = ds.codes("device")
+    device_counts = dict(zip(map(str, devices.categories), devices.counts().tolist()))
     if "CS-12" in device_counts:
         device = "CS-12"
     else:
@@ -322,7 +324,7 @@ def harness_rows(
     # the published ratio uses superclass occurrence counts (a record with
     # two superclasses counts toward both), so this row bypasses a column
     try:
-        gir, warns = _registry.captured(lambda: _struct.imbalance_ratio(bundle.counts()))
+        gir, warns = _registry.captured(lambda: _struct.imbalance_ratio(list(bundle.counts().values())))
         err = None
     except _registry.EvaluationError as exc:
         gir, warns, err = None, (), str(exc)

@@ -9,40 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import CategoricalCounts, Codes, Dataset, Sample
+from .datamodel import Codes, Dataset, Sample, proportions
 from .distribution import MetricInputError, _values, _warn
-
-
-@dataclass(frozen=True)
-class RepeatedMeasures:
-    """Per-subject repeated measurements, optionally labeled by condition.
-
-    conditions, when given, parallels measurements: conditions[i][j] is the
-    lab/condition of subject i's j-th repeat.
-    """
-
-    subjects: tuple[tuple[Any, tuple[float, ...]], ...]
-    conditions: tuple[tuple[Any, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        subs = tuple((s, tuple(float(v) for v in vals)) for s, vals in self.subjects)
-        if not subs:
-            raise MetricInputError("RepeatedMeasures needs at least one subject")
-        if self.conditions is not None:
-            conds = tuple(tuple(c) for c in self.conditions)
-            if len(conds) != len(subs) or any(
-                len(c) != len(v) for c, (_, v) in zip(conds, subs)
-            ):
-                raise MetricInputError("conditions must parallel the measurements")
-            object.__setattr__(self, "conditions", conds)
-        object.__setattr__(self, "subjects", subs)
-
-    def all_values(self) -> list[float]:
-        return [v for _, vals in self.subjects for v in vals]
 
 
 @dataclass(frozen=True)
@@ -62,9 +34,9 @@ class SampleEntropyParams:
 # --- noise and detection -----------------------------------------------------
 
 
-def shannon_entropy(c: CategoricalCounts, base: float = math.e) -> float:
-    """Shannon entropy of a categorical or binned distribution."""
-    props = [p for p in c.proportions().values() if p > 0]
+def shannon_entropy(c: Sequence[float] | np.ndarray, base: float = math.e) -> float:
+    """Shannon entropy of a count vector of categories or bins."""
+    props = [p for p in proportions(c).tolist() if p > 0]
     h = -sum(p * math.log(p) for p in props)
     return float(h / math.log(base))
 
@@ -350,32 +322,34 @@ def bland_altman_cr(pairs: Sequence[tuple[float, float]]) -> float:
     return float(1.96 * diffs.std(ddof=1))
 
 
-def repeatability_cv(rm: RepeatedMeasures) -> float:
-    """Within-subject sd (root mean of per-subject variances) over grand mean."""
+def _all_values(groups: Mapping[Any, Sequence[float]]) -> np.ndarray:
+    return np.concatenate([np.asarray(g, dtype=float) for g in groups.values()])
+
+
+def repeatability_cv(subjects: Mapping[Any, Sequence[float]]) -> float:
+    """Within-subject sd (root mean of per-subject variances) over grand
+    mean, from each subject's repeated measurements."""
+    if not subjects:
+        raise MetricInputError("repeatability_cv needs at least one subject")
     variances = []
-    for subject, vals in rm.subjects:
+    for subject, vals in subjects.items():
         if len(vals) < 2:
             raise MetricInputError(f"subject {subject!r} has fewer than 2 repeats")
         variances.append(np.var(vals, ddof=1))
-    grand = float(np.mean(rm.all_values()))
+    grand = float(np.mean(_all_values(subjects)))
     if grand <= 0:
         raise MetricInputError("repeatability_cv requires a positive grand mean")
     return float(math.sqrt(float(np.mean(variances))) / grand)
 
 
-def reproducibility_variance(rm: RepeatedMeasures) -> dict[str, float]:
-    """One-way ANOVA variance components across conditions.
+def reproducibility_variance(groups: Mapping[Any, Sequence[float]]) -> dict[str, float]:
+    """One-way ANOVA variance components across conditions, from the
+    measurements under each condition.
 
     Returns repeatability s_r^2, between-condition s_L^2 (clipped at 0) and
     reproducibility s_R^2 = s_r^2 + s_L^2. Unbalanced designs fall back to
     the standard average-group-size approximation and are flagged.
     """
-    if rm.conditions is None:
-        raise MetricInputError("reproducibility_variance needs condition labels")
-    groups: dict[Any, list[float]] = {}
-    for (_, vals), conds in zip(rm.subjects, rm.conditions):
-        for v, c in zip(vals, conds):
-            groups.setdefault(c, []).append(v)
     if len(groups) < 2:
         raise MetricInputError("reproducibility_variance requires >= 2 conditions")
     sizes = [len(g) for g in groups.values()]
@@ -383,7 +357,7 @@ def reproducibility_variance(rm: RepeatedMeasures) -> dict[str, float]:
         raise MetricInputError("each condition needs >= 2 repeats")
     total = float(sum(sizes))
     k = len(groups)
-    grand = float(np.mean([v for g in groups.values() for v in g]))
+    grand = float(np.mean(_all_values(groups)))
     ssw = sum(float(np.sum((np.asarray(g) - np.mean(g)) ** 2)) for g in groups.values())
     ssb = sum(len(g) * (float(np.mean(g)) - grand) ** 2 for g in groups.values())
     ms_within = ssw / (total - k)

@@ -25,7 +25,6 @@ from . import measurement as _meas
 from . import structure as _struct
 from .cards import Applicability, MetricCard, RegistryError  # noqa: F401  (re-exported)
 from .datamodel import (
-    CategoricalCounts,
     Codes,
     DataModelError,
     Dataset,
@@ -371,7 +370,7 @@ def _raters(
 # readers and kernel helpers for the table rows
 
 
-def _counts(ds: Dataset, col: str) -> CategoricalCounts:
+def _counts(ds: Dataset, col: str) -> np.ndarray:
     counts = ds.codes(col).counts()
     _require(len(counts) >= 1, f"no categories present in column {col!r}")
     return counts
@@ -459,18 +458,24 @@ def _two_numeric_samples(
 
 def _counts_pair(
     ds: Dataset, params: dict, ds_b: Dataset | None, metric: str
-) -> tuple[CategoricalCounts, CategoricalCounts, str, dict]:
-    """Two categorical/binned distributions for divergences and chi-squared."""
+) -> tuple[np.ndarray, np.ndarray, str, dict]:
+    """Two categorical/binned distributions for divergences and chi-squared,
+    as float64 counts over one category tuple: the first side's categories
+    in order of first appearance, then the second side's new ones."""
     col = params.get("column")
     if col is not None and ds.spec(col).vtype in _LABELS:
         if ds_b is not None:
-            ca, cb = ds.codes(col).counts(), ds_b.codes(col).counts()
-            return ca, cb, f"pair:{ds.dataset_id},{ds_b.dataset_id}", {"column": col}
-        if params.get("group_column"):
+            a, b = ds.codes(col), ds_b.codes(col)
+            stacked = np.concatenate([a.codes, np.where(b.codes >= 0, b.codes + len(a.categories), -1)])
+            both, n_a = Codes(stacked.astype(np.int32), a.categories + b.categories).by_value(), len(a)
+            scope, used = f"pair:{ds.dataset_id},{ds_b.dataset_id}", {"column": col}
+        elif params.get("group_column"):
             (a, b), scope, used = _split(ds, col, params["group_column"])
-            labels = ds.codes(col)
-            return labels.take(a).counts(), labels.take(b).counts(), scope, used
-        raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
+            both, n_a = ds.codes(col).take(np.concatenate([a, b])), len(a)
+        else:
+            raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
+        ca, cb = (Codes(part, both.categories).counts() for part in np.split(both.codes, [n_a]))
+        return ca, cb, scope, used
     bins = _arg(params, "bins", integer, 10)
     samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
     ca, cb = pooled_counts(samples[0], samples[1], bins)
@@ -552,28 +557,23 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
 
 
 def _repeated(by: str, kernel: Callable[[Any], float]) -> Evaluator:
-    """Repeated measures of value_column, by subject_column or condition_column."""
+    """Repeated measures of value_column grouped by subject_column (subjects
+    in str order) or condition_column (conditions in order of first
+    appearance), each group's values in record order."""
 
     def ev(metric, ds, params, ds_b, seed):
         v_col = _param_column(ds, params, "value_column")
         _require_vtype(ds, v_col, ("numerical",), metric)
         b_col = _param_column(ds, params, by)
         values, labels = coded(ds, v_col), ds.codes(b_col)
-        both = ~np.isnan(values) & (labels.codes >= 0)
-        rows = list(zip(values[both].tolist(), map(labels.categories.__getitem__, labels.codes[both].tolist())))
-        _require(bool(rows), f"{metric}: no complete (value, {by.split('_')[0]}) rows")
-        if by == "condition_column":
-            rm = _meas.RepeatedMeasures(
-                subjects=(("all", tuple(v for v, _ in rows)),),
-                conditions=(tuple(c for _, c in rows),),
-            )
-        else:
-            groups: dict[Any, list[float]] = {}
-            for v, s in rows:
-                groups.setdefault(s, []).append(v)
-            by_name = sorted(groups.items(), key=lambda kv: str(kv[0]))
-            rm = _meas.RepeatedMeasures(subjects=tuple((s, tuple(g)) for s, g in by_name))
-        return kernel(rm), "global", {"value_column": v_col, by: b_col}
+        rows = np.flatnonzero(~np.isnan(values) & (labels.codes >= 0))
+        _require(rows.size > 0, f"{metric}: no complete (value, {by.split('_')[0]}) rows")
+        codes = labels.codes[rows]
+        parts = np.split(rows[np.argsort(codes, kind="stable")], np.cumsum(np.bincount(codes))[:-1])
+        groups = [(labels.categories[i], part) for i, part in enumerate(parts) if part.size]
+        key = (lambda g: (str(g[0]), g[1][0])) if by == "subject_column" else (lambda g: g[1][0])
+        value = kernel({name: values[part] for name, part in sorted(groups, key=key)})
+        return value, "global", {"value_column": v_col, by: b_col}
 
     return ev
 
@@ -844,9 +844,9 @@ _EVALUATORS: dict[str, Evaluator] = {
         ("numerical",),
         notes={"factor": 1.96},
     ),
-    "repeatability_cv": _repeated("subject_column", lambda rm: _meas.repeatability_cv(rm)),
+    "repeatability_cv": _repeated("subject_column", lambda groups: _meas.repeatability_cv(groups)),
     "reproducibility_variance": _repeated(
-        "condition_column", lambda rm: _meas.reproducibility_variance(rm)
+        "condition_column", lambda groups: _meas.reproducibility_variance(groups)
     ),
     "cohens_kappa": _raters(
         lambda m, weights: _meas.cohens_kappa(m, weights=weights),

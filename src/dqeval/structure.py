@@ -9,7 +9,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datamodel import CategoricalCounts, Codes, Dataset, Sample, coded
+from .datamodel import Codes, Dataset, Sample, coded, proportions
 from .distribution import MetricInputError, _values, _warn, distinct_rows
 
 
@@ -215,15 +215,16 @@ def label_granularity(hierarchy: Mapping[Any, Sequence[Any]] | Iterable[Any]) ->
     return max(depth(r, set()) for r in roots)
 
 
-def imbalance_ratio(c: CategoricalCounts) -> float:
-    """Majority class count over minority class count."""
-    counts = [cnt for _, cnt in c.counts]
-    if not counts:
+def imbalance_ratio(c: Sequence[float] | np.ndarray) -> float:
+    """Majority class count over minority class count, from a count vector."""
+    counts = np.asarray(c, dtype=float)
+    if not counts.size:
         raise MetricInputError("imbalance_ratio requires at least one class")
-    if min(counts) == 0:
+    proportions(counts)  # nonnegative with a positive total
+    if counts.min() == 0:
         _warn("a declared class has zero count; ratio is infinite")
         return float("inf")
-    return float(max(counts) / min(counts))
+    return float(counts.max() / counts.min())
 
 
 _ID_DISTANCES = ("total_variation", "hellinger", "euclidean")
@@ -239,13 +240,13 @@ def _dist(p: np.ndarray, q: np.ndarray, kind: str) -> float:
     raise MetricInputError(f"unknown distance {kind!r}; expected one of {_ID_DISTANCES}")
 
 
-def imbalance_degree(c: CategoricalCounts, distance: str = "total_variation") -> float:
-    """Distance to uniform, normalized by the worst case with the same
-    number of minority classes: d(p, u)/d(iota_m, u) + (m - 1)."""
+def imbalance_degree(c: Sequence[float] | np.ndarray, distance: str = "total_variation") -> float:
+    """Distance to uniform of a count vector, normalized by the worst case
+    with the same number of minority classes: d(p, u)/d(iota_m, u) + (m - 1)."""
     k = len(c)
     if k < 2:
         raise MetricInputError("imbalance_degree requires >= 2 classes")
-    p = np.array([v for v in c.proportions().values()])
+    p = proportions(c)
     u = np.full(k, 1.0 / k)
     m = int(np.sum(p < 1.0 / k))
     if m == 0:
@@ -257,15 +258,15 @@ def imbalance_degree(c: CategoricalCounts, distance: str = "total_variation") ->
     return float(_dist(p, u, distance) / _dist(iota, u, distance) + (m - 1))
 
 
-def lrid(c: CategoricalCounts) -> float:
-    """Likelihood-ratio statistic of the multinomial uniformity test."""
-    counts = np.array([cnt for _, cnt in c.counts])
+def lrid(c: Sequence[float] | np.ndarray) -> float:
+    """Likelihood-ratio statistic of the multinomial uniformity test on a
+    count vector."""
+    counts = np.asarray(c, dtype=float)
     k = len(counts)
     if k < 2:
         raise MetricInputError("lrid requires >= 2 classes")
+    proportions(counts)  # nonnegative with a positive total
     n = counts.sum()
-    if n <= 0:
-        raise MetricInputError("lrid requires a positive total count")
     nz = counts[counts > 0]
     return float(2.0 * np.sum(nz * np.log(nz * k / n)))
 
@@ -280,8 +281,8 @@ def currency(ts: Sequence[float] | np.ndarray, p: CurrencyParams) -> np.ndarray:
     """Timeliness of each record timestamp under the selected decay model.
 
     Errors come in the order a loop over single timestamps meets them: the
-    first timestamp in the future, then a missing model parameter, then a
-    later timestamp in the future. exp and ** are Python's, mapped over the
+    first timestamp in the future, then a missing or out-of-range model
+    parameter, then a later timestamp in the future. exp and ** are Python's, mapped over the
     ages, so each value has the digits of the formula on one timestamp.
     """
     ages = p.now - np.asarray(ts, dtype=float)
@@ -292,6 +293,8 @@ def currency(ts: Sequence[float] | np.ndarray, p: CurrencyParams) -> np.ndarray:
     rate, bound = getattr(p, name), ">= 0" if p.variant == "heinrich" else "> 0"
     if rate is None or rate < 0 or (rate == 0 and bound == "> 0"):
         raise MetricInputError(f"{p.variant} variant needs {name} {bound}")
+    if p.variant == "ballou" and p.s <= 0:
+        raise MetricInputError("ballou variant needs s > 0")
     if future.any():
         raise MetricInputError("currency: timestamp lies in the future")
     if p.variant == "hinrichs":

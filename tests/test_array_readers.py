@@ -2,8 +2,9 @@
 
 The references compute over Python cells, one at a time: the rater kernels
 over a tuple grid of cells (None missing), syntactic accuracy over a list of
-cells and the recipe label matching over one string per record. The array
-versions must give the same floats, index lists, warnings and error messages.
+cells, the recipe label matching over one string per record and the
+two-sample label counts over one dict per side. The array versions must give
+the same floats, index lists, warnings and error messages.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from dqeval import correlation, harness, measurement
 from dqeval.datamodel import MISSING, ColumnSpec, DataModelError, Dataset
 from dqeval.distribution import MetricInputError, _warn
-from dqeval.registry import EvaluationError, _ratings, evaluate
+from dqeval.registry import EvaluationError, _counts_pair, _ratings, evaluate
 from tests.conftest import cells_of
 
 # --- references: the kernels over a tuple grid, None for missing -------------
@@ -299,3 +300,75 @@ RECIPES = st.one_of(
 def test_recipe_label_matching_matches_the_per_record_reference(table, recipe):
     ds, _ = table
     assert _outcome(lambda: harness.apply_recipe(ds, recipe)) == _outcome(lambda: _ref_apply_recipe(ds, recipe))
+
+
+def _ref_counts_pair(cells_a, cells_b):
+    """Each side's present cells counted in a dict, then both sides aligned
+    on the union of their keys, the first side's first."""
+
+    def count(cells):
+        acc = {}
+        for v in cells:
+            if v is not MISSING:
+                acc[v] = acc.get(v, 0.0) + 1.0
+        return acc
+
+    pa, pb = count(cells_a), count(cells_b)
+    keys = list(dict.fromkeys(list(pa) + list(pb)))
+    return [pa.get(k, 0.0) for k in keys], [pb.get(k, 0.0) for k in keys]
+
+
+def _label_table(**cells):
+    return Dataset(columns=tuple(ColumnSpec(name, vtype="categorical") for name in cells), cells=cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(LABEL_CELLS, st.sampled_from(["g0", "g1"])), max_size=12))
+def test_two_sample_label_counts_match_the_dict_union_alignment(rows):
+    cells_a = [v for v, g in rows if g == "g0"]
+    cells_b = [v for v, g in rows if g == "g1"]
+    want = repr(_ref_counts_pair(cells_a, cells_b))
+    ca, cb, *_ = _counts_pair(_label_table(c0=cells_a), {"column": "c0"}, _label_table(c0=cells_b), "chi_squared")
+    assert repr((ca.tolist(), cb.tolist())) == want
+    if cells_a and cells_b:  # the group route needs both groups
+        ds = _label_table(c0=[v for v, _ in rows], g=[g for _, g in rows])
+        ca, cb, *_ = _counts_pair(ds, {"column": "c0", "group_column": "g"}, None, "chi_squared")
+        assert repr((ca.tolist(), cb.tolist())) == want
+
+
+def _ref_groups(values, labels, by_subject):
+    """The complete (value, label) rows grouped in a dict in record order,
+    each label named as its first equal cell in the column; subjects then
+    sorted by str."""
+    first = {}
+    for s in labels:
+        first.setdefault(s, s)
+    groups = {}
+    for v, s in zip(values, labels):
+        if v is not MISSING and s is not MISSING:
+            groups.setdefault(first[s], []).append(float(v))
+    return dict(sorted(groups.items(), key=lambda kv: str(kv[0]))) if by_subject else groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NUMBER_CELLS, LABEL_CELLS), max_size=12))
+def test_repeated_measures_groups_match_the_dict_loop(rows):
+    values, labels = [v for v, _ in rows], [s for _, s in rows]
+    ds = Dataset(
+        columns=(ColumnSpec("v", vtype="numerical"), ColumnSpec("s", vtype="categorical")),
+        cells={"v": values, "s": labels},
+    )
+    for metric, by, kernel in (
+        ("repeatability_cv", "subject_column", measurement.repeatability_cv),
+        ("reproducibility_variance", "condition_column", measurement.reproducibility_variance),
+    ):
+        groups = _ref_groups(values, labels, by == "subject_column")
+        if not groups:
+            continue
+        want = _outcome(lambda: kernel(groups))
+        try:
+            res = evaluate(metric, ds, {"value_column": "v", by: "s"})
+        except EvaluationError as exc:
+            assert want == ((MetricInputError, str(exc)), []), metric
+        else:
+            assert want == (repr(res.value), list(res.warnings)), metric

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dqeval.datamodel import (
     MISSING,
-    CategoricalCounts,
     ColumnSpec,
     DataModelError,
     Dataset,
@@ -22,11 +21,14 @@ from dqeval.datamodel import (
     group_by,
     parse_timestamp,
     pooled_counts,
+    proportions,
     take_records,
 )
+from dqeval.distribution import MetricInputError, divergence, hill_number
 from dqeval.harness import load_ptbxl
+from dqeval.measurement import shannon_entropy
 from dqeval.report import load_dataset, parse_descriptor
-from dqeval.structure import prevalence_of_duplicates
+from dqeval.structure import imbalance_degree, imbalance_ratio, lrid, prevalence_of_duplicates
 from tests.conftest import cells_of, make_dataset
 
 
@@ -45,20 +47,32 @@ def test_sample_rejects_non_finite():
 
 
 def _label_counts(values):
-    return Dataset(columns=(ColumnSpec("x", vtype="categorical"),), cells={"x": values}).codes("x").counts()
+    """(category, count) pairs of a categorical column of the given cells."""
+    codes = Dataset(columns=(ColumnSpec("x", vtype="categorical"),), cells={"x": values}).codes("x")
+    return tuple(zip(codes.categories, codes.counts().tolist()))
 
 
 def test_label_counts_skip_missing():
     c = _label_counts(["a", "b", MISSING, "a"])
-    assert c.as_dict() == {"a": 2.0, "b": 1.0}
-    assert c.total == 3.0
-    props = c.proportions()
-    assert props["a"] == pytest.approx(2 / 3)
+    assert dict(c) == {"a": 2.0, "b": 1.0}
+    counts = [n for _, n in c]
+    assert sum(counts) == 3.0
+    assert proportions(counts)[0] == pytest.approx(2 / 3)
 
 
-def test_categorical_counts_rejects_negative():
-    with pytest.raises(DataModelError):
-        CategoricalCounts((("a", -1.0),))
+def test_count_kernels_reject_negative_counts():
+    for kernel in (
+        lambda c: hill_number(c, 2.0),
+        shannon_entropy,
+        imbalance_ratio,
+        imbalance_degree,
+        lrid,
+        lambda c: divergence("js", c, [1.0, 1.0]),
+    ):
+        with pytest.raises((DataModelError, MetricInputError), match="nonnegative"):
+            kernel([-1.0, 2.0])
+        with pytest.raises((DataModelError, MetricInputError), match="total"):
+            kernel([0.0, 0.0])
 
 
 def test_dataset_rejects_duplicate_columns():
@@ -161,20 +175,20 @@ def test_signals_must_match_record_count():
 def test_histogram_equal_width_counts_sum_to_n():
     s = Sample((0.0, 1.0, 2.0, 3.0, 4.0))
     ca, cb = pooled_counts(s, s, 2)
-    assert ca.as_dict() == cb.as_dict() == {"bin0": 2.0, "bin1": 3.0}
+    assert ca.tolist() == cb.tolist() == [2.0, 3.0]
 
 
 def test_pooled_counts_constant_sample_is_one_bin():
     ca, cb = pooled_counts(Sample((2.0, 2.0, 2.0)), Sample((2.0,)), 4)
-    assert ca.as_dict() == {"bin0": 3.0}
-    assert cb.as_dict() == {"bin0": 1.0}
+    assert ca.tolist() == [3.0]
+    assert cb.tolist() == [1.0]
 
 
 def test_pooled_counts_share_the_pooled_range():
     # edges 0, 2, ..., 10: each sample fills only the bins its own range meets
     ca, cb = pooled_counts(Sample((0.0, 1.0)), Sample((9.0, 10.0)), 5)
-    assert ca.as_dict() == {"bin0": 2.0, "bin1": 0.0, "bin2": 0.0, "bin3": 0.0, "bin4": 0.0}
-    assert cb.as_dict() == {"bin0": 0.0, "bin1": 0.0, "bin2": 0.0, "bin3": 0.0, "bin4": 2.0}
+    assert ca.tolist() == [2.0, 0.0, 0.0, 0.0, 0.0]
+    assert cb.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
 
 
 def test_pooled_counts_reject_no_bins_and_empty_sides():
@@ -209,7 +223,7 @@ def test_take_records_bounds_checked():
 )
 def test_histogram_counts_always_sum_to_sample_size(a, b):
     ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), 7)
-    assert (ca.total, cb.total) == (float(len(a)), float(len(b)))
+    assert (sum(ca.tolist()), sum(cb.tolist())) == (float(len(a)), float(len(b)))
 
 
 def _counts_by_dict_loop(values):
@@ -218,7 +232,7 @@ def _counts_by_dict_loop(values):
         if v is MISSING:
             continue
         acc[v] = acc.get(v, 0.0) + 1.0
-    return CategoricalCounts.from_mapping(acc)
+    return tuple(acc.items())
 
 
 # 1, 1.0 and True are one dict key, kept as whichever came first
@@ -229,19 +243,19 @@ cells = st.one_of(
 
 @given(st.lists(cells, max_size=40))
 def test_label_counts_equal_the_dict_loop(values):
-    got, ref = _label_counts(values).counts, _counts_by_dict_loop(values).counts
+    got, ref = _label_counts(values), _counts_by_dict_loop(values)
     assert got == ref
     assert [(type(k), type(c)) for k, c in got] == [(type(k), type(c)) for k, c in ref]
 
 
 def _histogram_by_dict_loop(values, edges):
-    acc = {f"bin{i}": 0.0 for i in range(len(edges) - 1)}
+    acc = [0.0] * (len(edges) - 1)
     for v in values:
         i = 0
         while i < len(edges) - 2 and v >= edges[i + 1]:
             i += 1
-        acc[f"bin{i}"] += 1.0
-    return CategoricalCounts.from_mapping(acc)
+        acc[i] += 1.0
+    return acc
 
 
 values_st = st.lists(st.integers(-20, 20) | st.floats(-1e3, 1e3), min_size=1, max_size=60)
@@ -253,8 +267,8 @@ def test_histogram_counts_equal_the_dict_loop(a, b, bins):
     lo, hi = min(a + b), max(a + b)
     ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), bins)
     edges = np.linspace(lo, hi, bins + 1).tolist() if lo < hi else [lo, hi]
-    assert ca.counts == _histogram_by_dict_loop(a, edges).counts
-    assert cb.counts == _histogram_by_dict_loop(b, edges).counts
+    assert ca.tolist() == _histogram_by_dict_loop(a, edges)
+    assert cb.tolist() == _histogram_by_dict_loop(b, edges)
 
 
 @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)))

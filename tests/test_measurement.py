@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from dqeval.datamodel import MISSING, CategoricalCounts, ColumnSpec, Dataset
+from dqeval.datamodel import MISSING, ColumnSpec, Dataset
 from dqeval.distribution import MetricInputError, MetricWarning
 import dqeval.measurement as measurement
 from dqeval.measurement import (
-    RepeatedMeasures,
     SampleEntropyParams,
     _rank_intervals,
     _template_matches,
@@ -41,10 +40,10 @@ from tests.conftest import ratings
 
 
 def test_shannon_frozen_values():
-    c = CategoricalCounts.from_mapping({"a": 80, "b": 20})
+    c = [80, 20]
     assert shannon_entropy(c) == pytest.approx(0.5004, abs=5e-5)
     assert shannon_entropy(c, base=2) == pytest.approx(0.7219, abs=5e-5)
-    uniform = CategoricalCounts.from_mapping({k: 1 for k in "abcde"})
+    uniform = [1, 1, 1, 1, 1]
     assert shannon_entropy(uniform) == pytest.approx(math.log(5))
 
 
@@ -411,28 +410,19 @@ def test_bland_altman_frozen():
 
 
 def test_repeatability_cv_frozen():
-    rm = RepeatedMeasures((("s1", (9.0, 11.0)),))
-    assert repeatability_cv(rm) == pytest.approx(math.sqrt(2) / 10)
+    assert repeatability_cv({"s1": (9.0, 11.0)}) == pytest.approx(math.sqrt(2) / 10)
 
 
 def test_reproducibility_balanced_frozen():
-    rm = RepeatedMeasures(
-        (("s1", (10.0, 12.0, 20.0, 22.0)),),
-        conditions=((("A"), ("A"), ("B"), ("B")),),
-    )
-    out = reproducibility_variance(rm)
+    out = reproducibility_variance({"A": (10.0, 12.0), "B": (20.0, 22.0)})
     assert out["s_r2"] == pytest.approx(2.0)
     assert out["s_L2"] == pytest.approx(49.0)
     assert out["s_R2"] == pytest.approx(51.0)
 
 
 def test_reproducibility_unbalanced_warns_and_uses_n0():
-    rm = RepeatedMeasures(
-        (("s1", (10.0, 12.0, 11.0, 20.0, 22.0)),),
-        conditions=(("A", "A", "A", "B", "B"),),
-    )
     with pytest.warns(MetricWarning, match="unbalanced"):
-        out = reproducibility_variance(rm)
+        out = reproducibility_variance({"A": (10.0, 12.0, 11.0), "B": (20.0, 22.0)})
     # n0 = (N - sum(n_i^2)/N) / (k - 1) with sizes 3 and 2
     n0 = (5 - (9 + 4) / 5) / 1
     ms_within = (np.var([10, 12, 11], ddof=1) * 2 + np.var([20, 22], ddof=1) * 1) / 3

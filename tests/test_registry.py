@@ -713,6 +713,21 @@ def test_binned_comparisons_of_missing_columns_are_error_rows(metric_id, params)
     assert "cannot bin an empty sample" in row["error"]
 
 
+def _labels(**cells) -> Dataset:
+    return Dataset(columns=tuple(ColumnSpec(name, "categorical") for name in cells), cells=cells)
+
+
+def test_chi_squared_against_a_dataset_with_no_present_label_is_an_error():
+    with pytest.raises(EvaluationError, match="positive total on each side"):
+        evaluate("chi_squared", _labels(x=("a", "b")), {"column": "x"}, ds_b=_labels(x=(None, None)))
+
+
+def test_chi_squared_of_a_group_with_no_present_label_is_an_error():
+    ds = _labels(x=("a", "b", None, None), g=("1", "1", "2", "2"))
+    with pytest.raises(EvaluationError, match="positive total on each side"):
+        evaluate("chi_squared", ds, {"column": "x", "group_column": "g"})
+
+
 def test_infinite_weight_is_an_ess_error_naming_it():
     ds = Dataset(columns=(ColumnSpec("w", "numerical"),), cells={"w": (1.0, float("inf"), 2.0)})
     with pytest.raises(EvaluationError, match="weights must be finite, got inf"):

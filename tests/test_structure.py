@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from dqeval.datamodel import (
     MISSING,
-    CategoricalCounts,
     ColumnSpec,
     Dataset,
     SignalBlock,
 )
 from dqeval.distribution import MetricInputError, MetricWarning
-from dqeval.registry import evaluate
+from dqeval.registry import EvaluationError, evaluate
 from dqeval.structure import (
     CurrencyParams,
     PageHinkleyParams,
@@ -160,32 +159,28 @@ def test_label_granularity_flat_and_tree():
 
 
 def test_imbalance_ratio_frozen():
-    assert imbalance_ratio(CategoricalCounts.from_mapping({"x": 30, "y": 10})) == 3.0
-    assert imbalance_ratio(
-        CategoricalCounts.from_mapping({"norm": 250, "other": 4750})
-    ) == pytest.approx(19.0)
+    assert imbalance_ratio([30, 10]) == 3.0
+    assert imbalance_ratio(np.array([250.0, 4750.0])) == pytest.approx(19.0)
 
 
 def test_imbalance_degree_frozen_and_balanced():
-    c = CategoricalCounts.from_mapping({"a": 90, "b": 10})
-    assert imbalance_degree(c) == pytest.approx(0.8)
-    balanced = CategoricalCounts.from_mapping({"a": 50, "b": 50})
+    assert imbalance_degree([90, 10]) == pytest.approx(0.8)
+    balanced = [50, 50]
     assert imbalance_degree(balanced) == 0.0
 
 
 def test_imbalance_degree_counts_minority_classes():
     # two of three classes below uniform puts the value in [1, 2)
-    c = CategoricalCounts.from_mapping({"a": 90, "b": 5, "c": 5})
-    v = imbalance_degree(c)
+    v = imbalance_degree([90, 5, 5])
     assert 1.0 <= v < 2.0
 
 
 def test_lrid_matches_loglikelihood_oracle():
-    c = CategoricalCounts.from_mapping({"a": 30, "b": 10})
+    c = [30, 10]
     expected = 2 * (30 * math.log(30 / 20) + 10 * math.log(10 / 20))
     assert lrid(c) == pytest.approx(expected)
     assert lrid(c) == pytest.approx(10.4647, abs=5e-4)
-    uniform = CategoricalCounts.from_mapping({"a": 20, "b": 20})
+    uniform = [20, 20]
     assert lrid(uniform) == pytest.approx(0.0)
 
 
@@ -207,6 +202,12 @@ def test_currency_li_linear_decay_clamped():
 def test_currency_ballou_exponent():
     p = CurrencyParams("ballou", now=100.0, volatility=100.0, s=2.0)
     assert currency([50.0], p)[0] == pytest.approx(0.25)
+
+
+def test_currency_ballou_with_s_not_above_zero_is_an_error():
+    ds = Dataset(columns=(ColumnSpec("t", "datetime", role="timestamp"),), cells={"t": (0.0, 50.0, 100.0)})
+    with pytest.raises(EvaluationError, match="ballou variant needs s > 0"):
+        evaluate("currency_ballou", ds, {"volatility": 50.0, "s": -1.0, "now": 100.0})
 
 
 def test_currency_hinrichs_rational_decay():
@@ -248,6 +249,8 @@ def _currency_one(ts, p):
     if p.variant == "ballou":
         if p.volatility is None or p.volatility <= 0:
             raise MetricInputError("ballou variant needs volatility > 0")
+        if p.s <= 0:
+            raise MetricInputError("ballou variant needs s > 0")
         return max(0.0, 1.0 - age / p.volatility) ** p.s
     if p.variant == "hinrichs":
         if p.update_rate is None or p.update_rate <= 0:
@@ -258,15 +261,14 @@ def _currency_one(ts, p):
     return math.exp(-p.decline * age)
 
 
-# None, zero and negative rates are bad parameters for some variants. s stays
-# positive: a zero base to a negative s raises ZeroDivisionError, which the
-# array form raises only once no timestamp lies in the future.
+# None, zero and negative rates, and a ballou s of zero or below, are bad
+# parameters for some variants.
 @given(
     st.sampled_from(["li", "ballou", "hinrichs", "heinrich"]),
     st.lists(st.floats(-0.1, 10.0), min_size=1, max_size=20),
     st.floats(0.0, 1e9),
     st.one_of(st.floats(0.01, 10.0), st.sampled_from([None, 0.0, -1.0])),
-    st.floats(0.1, 5.0),
+    st.one_of(st.floats(0.1, 5.0), st.sampled_from([0.0, -1.0])),
 )
 @settings(max_examples=300, deadline=None)
 def test_currency_of_an_array_equals_the_loop_over_single_timestamps(variant, ages, now, rate, s):
