@@ -846,14 +846,30 @@ def _probe_params() -> list[dict]:
     return out
 
 
-def test_only_evaluation_errors_escape_evaluate():
-    escapes = {}
+PROBE_DIGESTS = os.path.join(os.path.dirname(__file__), "data", "probe_digests.json")
+
+
+def _probe_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Per metric: the sha256 of its probe rows' report_json text, and the
+    first exception other than an EvaluationError that left evaluate."""
+    digests, escapes = {}, {}
     for c in all_cards():
+        h = hashlib.sha256()
         for params in _probe_params():
-            try:
-                evaluate(c.id, PROBE_TABLE, params)
-            except EvaluationError:
-                pass
+            try:  # evaluate_row turns an EvaluationError into an error row
+                row = evaluate_row(PROBE_TABLE, c.id, c.dimensions[0], params)
             except Exception as exc:  # noqa: BLE001  (any other escape is the finding)
                 escapes.setdefault(c.id, f"{params}: {exc!r}")
+                continue
+            h.update(report_json(row).encode("utf-8"))
+        digests[c.id] = h.hexdigest()
+    return digests, escapes
+
+
+def test_only_evaluation_errors_escape_evaluate():
+    digests, escapes = _probe_digests()
     assert escapes == {}
+    with open(PROBE_DIGESTS, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert {k: v for k, v in digests.items() if v != expected.get(k)} == {}
+    assert list(digests) == list(expected)
