@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 
 import click
 import numpy as np
@@ -327,11 +326,11 @@ def ptbxl_harness_cmd(ctx, root_dir, now, out_dir, entropy_records, entropy_samp
             entropy_max_records=entropy_records,
             entropy_max_samples=entropy_samples,
         )
-    except DataLoadError as exc:
+    except _harness.PtbxlNotFound as exc:
         click.echo(f"skipped: {exc}")
         return
     except _harness.HarnessError as exc:
-        raise click.ClickException(f"reproduction check failed: {exc}")
+        raise click.ClickException(str(exc))
     click.echo(out["markdown"], nl=False)
     for c in out["checks"]:
         click.echo(f"check {'ok' if c['passed'] else 'FAILED'}: {c['check']}", err=True)

@@ -98,7 +98,6 @@ class TestOutcome:
     method: str
     n_a: int
     n_b: int
-    warnings: tuple[str, ...] = ()
 
 
 # --- single-distribution descriptors ---------------------------------------
@@ -532,7 +531,6 @@ def two_sample_test(
     """
     from scipy import stats
 
-    warns: list[str] = []
     if kind == "chi_squared":
         obs = np.array([a, b], dtype=float)
         if obs.ndim != 2 or (obs < 0).any() or not (obs.sum(axis=1) > 0).all():
@@ -562,36 +560,31 @@ def two_sample_test(
 
     if kind == "epps_singleton":
         if va.size < 25 or vb.size < 25:
-            warns.append("epps_singleton asymptotic p-value unreliable below 25 points per sample")
+            _warn("epps_singleton asymptotic p-value unreliable below 25 points per sample")
+        failure = None
         with _pywarnings.catch_warnings():
             _pywarnings.simplefilter("ignore")
             try:
                 res = stats.epps_singleton_2samp(va, vb)
                 stat, p = float(res.statistic), float(res.pvalue)
             except (ValueError, np.linalg.LinAlgError) as exc:
-                warns.append(f"epps_singleton inapplicable: {exc}")
-                stat, p = float("nan"), None
+                failure, stat, p = exc, float("nan"), None
+        if failure is not None:
+            _warn(f"epps_singleton inapplicable: {failure}")
         if p is not None and math.isnan(p):
-            warns.append("epps_singleton p-value unavailable for this input")
+            _warn("epps_singleton p-value unavailable for this input")
             p = None
-        return TestOutcome(stat, p, "epps_singleton", va.size, vb.size, tuple(warns))
+        return TestOutcome(stat, p, "epps_singleton", va.size, vb.size)
 
     if kind == "anderson_darling_k":
         samples = [va, vb] + [_values(o) for o in others]
         with _pywarnings.catch_warnings(record=True) as caught:
             _pywarnings.simplefilter("always")
             res = stats.anderson_ksamp(samples)
-        for w in caught:
-            if "p-value" in str(w.message):
-                warns.append("anderson_darling_k p-value clamped to its tabulated range [0.001, 0.25]")
-                break
+        if any("p-value" in str(w.message) for w in caught):
+            _warn("anderson_darling_k p-value clamped to its tabulated range [0.001, 0.25]")
         return TestOutcome(
-            float(res.statistic),
-            float(res.pvalue),
-            f"anderson_darling_k(k={len(samples)})",
-            va.size,
-            vb.size,
-            tuple(warns),
+            float(res.statistic), float(res.pvalue), f"anderson_darling_k(k={len(samples)})", va.size, vb.size
         )
 
     raise MetricInputError(f"unknown test kind {kind!r}")

@@ -95,6 +95,10 @@ class HarnessError(ValueError):
     """Recipe violations or failed reproduction checks."""
 
 
+class PtbxlNotFound(DataLoadError):
+    """The root holds no PTB-XL table or no scp_statements.csv."""
+
+
 @dataclass(frozen=True)
 class PtbxlBundle:
     """A loaded PTB-XL-shaped dataset plus its diagnostic superclass sets."""
@@ -117,11 +121,17 @@ class PtbxlBundle:
 
 def _read_superclass_map(root: str) -> dict[str, str]:
     path = os.path.join(root, "scp_statements.csv")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataLoadError(f"{path}: not a UTF-8 CSV file: {exc}") from None
     if not rows:
         raise DataLoadError(f"{path}: empty file")
     header = rows[0]
+    for name in ("diagnostic", "diagnostic_class"):
+        if name not in header:
+            raise DataLoadError(f"{path}: no {name!r} column in the header")
     code_idx = 0
     diag_idx = header.index("diagnostic")
     class_idx = header.index("diagnostic_class")
@@ -137,7 +147,7 @@ def _read_superclass_map(root: str) -> dict[str, str]:
 def _parse_scp_codes(text: Any) -> dict[str, float]:
     try:
         parsed = ast.literal_eval(str(text))
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError):  # TypeError: an unhashable key, as in {[1]: 2}
         return {}
     return parsed if isinstance(parsed, dict) else {}
 
@@ -151,9 +161,9 @@ def load_ptbxl(root: str) -> PtbxlBundle:
     """
     table = os.path.join(root, "ptbxl_database.csv")
     if not os.path.isfile(table):
-        raise DataLoadError(f"PTB-XL data not found: {table} does not exist")
+        raise PtbxlNotFound(f"PTB-XL data not found: {table} does not exist")
     if not os.path.isfile(os.path.join(root, "scp_statements.csv")):
-        raise DataLoadError(f"PTB-XL data not found: scp_statements.csv missing in {root}")
+        raise PtbxlNotFound(f"PTB-XL data not found: scp_statements.csv missing in {root}")
     doc: dict[str, Any] = {
         "dataset_id": "ptbxl",
         "table": {"path": "ptbxl_database.csv", "delimiter": ","},

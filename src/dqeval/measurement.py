@@ -571,35 +571,23 @@ def krippendorff_alpha(m: Codes, level: str = "nominal") -> float:
 # --- overlap -----------------------------------------------------------------
 
 
-def _as_mask_set(mask: Any) -> tuple[set[Any], int | None]:
-    if isinstance(mask, (set, frozenset)):
-        return set(mask), None
-    arr = np.asarray(mask)
-    flat = arr.reshape(-1)
-    positions = {i for i, v in enumerate(flat) if bool(v)}
-    return positions, flat.size
-
-
 def overlap(mask_a: Any, mask_b: Any, kind: str = "dice") -> float:
-    """Dice or IoU overlap of two binary masks over the same domain.
+    """Dice or IoU overlap of two boolean (or 0/1) masks of the same shape.
 
-    Masks may be boolean/0-1 arrays of identical shape or sets of positions.
     Two empty masks agree perfectly by convention (flagged).
     """
-    set_a, dom_a = _as_mask_set(mask_a)
-    set_b, dom_b = _as_mask_set(mask_b)
-    if (dom_a is None) != (dom_b is None):
-        raise MetricInputError("overlap masks must both be arrays or both be sets")
-    if dom_a is not None and dom_a != dom_b:
+    a, b = np.asarray(mask_a, dtype=bool), np.asarray(mask_b, dtype=bool)
+    if a.shape != b.shape:
         raise MetricInputError("overlap masks must share their domain")
-    inter = len(set_a & set_b)
-    if not set_a and not set_b:
+    n_a, n_b = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    inter = int(np.count_nonzero(a & b))
+    if not n_a and not n_b:
         _warn("overlap: both masks empty, score 1 by convention")
         return 1.0
     if kind == "dice":
-        return float(2.0 * inter / (len(set_a) + len(set_b)))
+        return float(2.0 * inter / (n_a + n_b))
     if kind == "iou":
-        return float(inter / len(set_a | set_b))
+        return float(inter / (n_a + n_b - inter))
     raise MetricInputError(f"unknown overlap kind {kind!r}")
 
 

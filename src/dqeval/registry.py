@@ -280,77 +280,72 @@ def _ratings(ds: Dataset, cols: Sequence[str]) -> Codes:
     return Codes(np.column_stack(codes).astype(np.int32), sum((p.categories for p in parts), ()))
 
 
-# Runners, one per input shape. Each resolves and type-checks its columns,
-# reads the declared params, calls the kernel and echoes columns, params and
-# fixed notes in that order. Kernels are lambdas that look the kernel module's
-# function up at call time, so a patched module attribute (perfbench's tracer
-# wraps them) takes effect.
+# One runner, _row, serves every table row. Its resolver,
+# (metric, ds, params, ds_b) -> (kernel inputs, scope, columns used), finds and
+# type-checks the columns and reads them; _row then casts the declared params,
+# calls kernel(*inputs, **params) and echoes columns, params and fixed notes
+# in that order. So every row fails in one order: resolve and read the inputs,
+# cast the params, call the kernel. Kernels are lambdas that look the kernel
+# module's function up at call time, so a patched module attribute
+# (perfbench's tracer wraps them) takes effect.
+Resolver = Callable[[str, Dataset, dict, Dataset | None], tuple[Sequence[Any], str, dict]]
 
 
-def _column(
+def _row(
+    inputs: Resolver,
     kernel: Callable[..., Any],
-    vtypes: tuple[str, ...],
     *params: Param,
-    read: Callable[[Dataset, str], Any] = column_sample,
-    role: str | None = None,
     notes: Mapping[str, Any] | None = None,
 ) -> Evaluator:
-    """One column: kernel(read(ds, column), **params)."""
-
     def ev(metric, ds, given, ds_b, seed):
-        col = _param_column(ds, given, "column", role)
-        _require_vtype(ds, col, vtypes, metric)
+        data, scope, used = inputs(metric, ds, given, ds_b)
         args = _args(given, params)
-        value = kernel(read(ds, col), **args)
-        return value, f"column:{col}", {"column": col, **args, **(notes or {})}
+        return kernel(*data, **args), scope, {**used, **args, **(notes or {})}
 
     return ev
 
 
+def _whole(scope: str) -> Resolver:
+    """The dataset itself."""
+    return lambda metric, ds, given, ds_b: ([ds], scope, {})
+
+
+def _column(
+    vtypes: tuple[str, ...],
+    read: Callable[[Dataset, str], Any] = column_sample,
+    role: str | None = None,
+) -> Resolver:
+    """One column, read(ds, column)."""
+
+    def inputs(metric, ds, given, ds_b):
+        col = _param_column(ds, given, "column", role)
+        _require_vtype(ds, col, vtypes, metric)
+        return [read(ds, col)], f"column:{col}", {"column": col}
+
+    return inputs
+
+
 def _pair(
-    kernel: Callable[..., Any],
     vtypes: tuple[str, ...] | None,
-    *params: Param,
     keys: tuple[str, str] = ("column_a", "column_b"),
     read: Callable[[Dataset, str], Any] = coded,
-    notes: Mapping[str, Any] | None = None,
-) -> Evaluator:
-    """Two columns of one dataset: kernel(read(ds, a), read(ds, b), **params)."""
+) -> Resolver:
+    """Two columns of one dataset, read(ds, a) and read(ds, b)."""
 
-    def ev(metric, ds, given, ds_b, seed):
+    def inputs(metric, ds, given, ds_b):
         cols = [_param_column(ds, given, key) for key in keys]
         if vtypes:
             for col in cols:
                 _require_vtype(ds, col, vtypes, metric)
-        args = _args(given, params)
-        value = kernel(*(read(ds, col) for col in cols), **args)
-        used = {**dict(zip(keys, cols)), **args, **(notes or {})}
-        return value, f"pair:{cols[0]},{cols[1]}", used
+        return [read(ds, col) for col in cols], f"pair:{cols[0]},{cols[1]}", dict(zip(keys, cols))
 
-    return ev
+    return inputs
 
 
-def _samples(kernel: Callable[..., Any], *params: Param) -> Evaluator:
-    """Two numeric samples (see _two_numeric_samples): kernel(a, b, **params)."""
+def _raters(pair: bool = False, vtypes: tuple[str, ...] | None = None) -> Resolver:
+    """Rater columns (exactly 2 when pair, else >= 2) as one ratings matrix."""
 
-    def ev(metric, ds, given, ds_b, seed):
-        samples, scope, used = _two_numeric_samples(ds, given, ds_b, metric)
-        args = _args(given, params)
-        return kernel(*samples, **args), scope, {**used, **args}
-
-    return ev
-
-
-def _raters(
-    kernel: Callable[..., Any],
-    *params: Param,
-    pair: bool = False,
-    vtypes: tuple[str, ...] | None = None,
-    notes: Mapping[str, Any] | None = None,
-) -> Evaluator:
-    """Rater columns (exactly 2 when pair, else >= 2): kernel(ratings, **params)."""
-
-    def ev(metric, ds, given, ds_b, seed):
+    def inputs(metric, ds, given, ds_b):
         cols = _annotation_columns(ds, given)
         if pair:
             _require(len(cols) == 2, f"{metric} needs exactly 2 rater columns, found {len(cols)}")
@@ -359,15 +354,13 @@ def _raters(
         if vtypes:
             for col in cols:
                 _require_vtype(ds, col, vtypes, metric)
-        args = _args(given, params)
-        value = kernel(_ratings(ds, cols), **args)
         scope = f"{'pair' if pair else 'columns'}:{','.join(cols)}"
-        return value, scope, {"rater_columns": cols, **args, **(notes or {})}
+        return [_ratings(ds, cols)], scope, {"rater_columns": cols}
 
-    return ev
+    return inputs
 
 
-# readers and kernel helpers for the table rows
+# resolvers, readers and kernel helpers for the table rows
 
 
 def _counts(ds: Dataset, col: str) -> np.ndarray:
@@ -407,7 +400,7 @@ def _mean_std(s: Sample) -> dict[str, float]:
 
 
 def _correlation(kind: str, vtypes: tuple[str, ...]) -> Evaluator:
-    return _pair(lambda a, b: _corr.correlation(kind, a, b), vtypes)
+    return _row(_pair(vtypes), lambda a, b: _corr.correlation(kind, a, b))
 
 
 def _split(
@@ -426,7 +419,7 @@ def _split(
 
 
 def _two_numeric_samples(
-    ds: Dataset, params: dict, ds_b: Dataset | None, metric: str, allow_k: bool = False
+    metric: str, ds: Dataset, params: dict, ds_b: Dataset | None, allow_k: bool = False
 ) -> tuple[list[Sample], str, dict]:
     """Resolve two (or k) numeric samples to compare.
 
@@ -457,8 +450,8 @@ def _two_numeric_samples(
 
 
 def _counts_pair(
-    ds: Dataset, params: dict, ds_b: Dataset | None, metric: str
-) -> tuple[np.ndarray, np.ndarray, str, dict]:
+    metric: str, ds: Dataset, params: dict, ds_b: Dataset | None
+) -> tuple[list[np.ndarray], str, dict]:
     """Two categorical/binned distributions for divergences and chi-squared,
     as float64 counts over one category tuple: the first side's categories
     in order of first appearance, then the second side's new ones."""
@@ -474,14 +467,50 @@ def _counts_pair(
             both, n_a = ds.codes(col).take(np.concatenate([a, b])), len(a)
         else:
             raise PrerequisiteError("categorical comparison needs ds_b or a group_column")
-        ca, cb = (Codes(part, both.categories).counts() for part in np.split(both.codes, [n_a]))
-        return ca, cb, scope, used
+        parts = np.split(both.codes, [n_a])
+        return [Codes(part, both.categories).counts() for part in parts], scope, used
     bins = _arg(params, "bins", integer, 10)
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
-    ca, cb = pooled_counts(samples[0], samples[1], bins)
-    used["bins"] = bins
-    used["binning"] = "equal_width"
-    return ca, cb, scope, used
+    samples, scope, used = _two_numeric_samples(metric, ds, params, ds_b)
+    used.update(bins=bins, binning="equal_width")
+    return pooled_counts(samples[0], samples[1], bins), scope, used
+
+
+def _repeated(by: str) -> Resolver:
+    """Repeated measures of value_column grouped by subject_column (subjects
+    in str order) or condition_column (conditions in order of first
+    appearance), each group's values in record order."""
+
+    def inputs(metric, ds, params, ds_b):
+        v_col = _param_column(ds, params, "value_column")
+        _require_vtype(ds, v_col, ("numerical",), metric)
+        b_col = _param_column(ds, params, by)
+        values, labels = coded(ds, v_col), ds.codes(b_col)
+        rows = np.flatnonzero(~np.isnan(values) & (labels.codes >= 0))
+        _require(rows.size > 0, f"{metric}: no complete (value, {by.split('_')[0]}) rows")
+        codes = labels.codes[rows]
+        parts = np.split(rows[np.argsort(codes, kind="stable")], np.cumsum(np.bincount(codes))[:-1])
+        groups = [(labels.categories[i], part) for i, part in enumerate(parts) if part.size]
+        key = (lambda g: (str(g[0]), g[1][0])) if by == "subject_column" else (lambda g: g[1][0])
+        by_name = {name: values[part] for name, part in sorted(groups, key=key)}
+        return [by_name], "global", {"value_column": v_col, by: b_col}
+
+    return inputs
+
+
+def _mcar_columns(metric, ds, params, ds_b):
+    """The numerical columns (all of them by default) as one float matrix."""
+    cols = _arg(params, "columns", column_list, None)
+    if cols is None:
+        cols = [c.name for c in ds.columns if c.vtype == "numerical"]
+    _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
+    for c in cols:
+        _require_vtype(ds, c, ("numerical",), metric)
+    return [_struct.float_columns(ds, cols)], f"columns:{','.join(cols)}", {"columns": list(cols)}
+
+
+def _mcar(x: np.ndarray, **args: Any) -> dict[str, Any]:
+    res = _struct.littles_mcar_test(x, **args)
+    return {"statistic": res.statistic, "df": res.df, "p_value": res.p_value}
 
 
 # bespoke evaluators: (metric, ds, params, ds_b, seed) -> (value, scope, params_used)
@@ -556,28 +585,6 @@ def _ev_entropy(metric, ds, params, ds_b, seed):
     return float(np.mean(per_record)), "global", used
 
 
-def _repeated(by: str, kernel: Callable[[Any], float]) -> Evaluator:
-    """Repeated measures of value_column grouped by subject_column (subjects
-    in str order) or condition_column (conditions in order of first
-    appearance), each group's values in record order."""
-
-    def ev(metric, ds, params, ds_b, seed):
-        v_col = _param_column(ds, params, "value_column")
-        _require_vtype(ds, v_col, ("numerical",), metric)
-        b_col = _param_column(ds, params, by)
-        values, labels = coded(ds, v_col), ds.codes(b_col)
-        rows = np.flatnonzero(~np.isnan(values) & (labels.codes >= 0))
-        _require(rows.size > 0, f"{metric}: no complete (value, {by.split('_')[0]}) rows")
-        codes = labels.codes[rows]
-        parts = np.split(rows[np.argsort(codes, kind="stable")], np.cumsum(np.bincount(codes))[:-1])
-        groups = [(labels.categories[i], part) for i, part in enumerate(parts) if part.size]
-        key = (lambda g: (str(g[0]), g[1][0])) if by == "subject_column" else (lambda g: g[1][0])
-        value = kernel({name: values[part] for name, part in sorted(groups, key=key)})
-        return value, "global", {"value_column": v_col, by: b_col}
-
-    return ev
-
-
 def _ev_completeness(metric, ds, params, ds_b, seed):
     label = params.get("scope_label")
     if params.get("target") == "signals":
@@ -603,12 +610,6 @@ def _ev_patient_completeness(metric, ds, params, ds_b, seed):
     return value, scope, used
 
 
-def _ev_record_completeness(metric, ds, params, ds_b, seed):
-    required = _arg(params, "required", column_list, [])
-    value = _meas.record_completeness(ds, required)
-    return value, "global", {"required": required}
-
-
 def _ev_syntactic(metric, ds, params, ds_b, seed):
     col = _param_column(ds, params, "column")
     words = _arg(params, "dictionary", column_list, None)
@@ -620,13 +621,6 @@ def _ev_syntactic(metric, ds, params, ds_b, seed):
     _require(words is not None, f"syntactic_accuracy needs a dictionary for column {col!r}")
     value = _struct.syntactic_accuracy(Codes.of(ds.array(col)), words)
     return value, f"column:{col}", {"column": col, "dictionary_size": len(set(map(str, words)))}
-
-
-def _ev_sampling_frequency(metric, ds, params, ds_b, seed):
-    value = _struct.sampling_frequency(ds)
-    if isinstance(value, tuple):
-        value = list(value)
-    return value, "signals", {}
 
 
 def _ev_label_granularity(metric, ds, params, ds_b, seed):
@@ -695,21 +689,6 @@ def _ev_ess(metric, ds, params, ds_b, seed):
     return value, f"column:{w_col}", {"form": "weighted", "weight_column": w_col}
 
 
-def _ev_littles(metric, ds, params, ds_b, seed):
-    cols = _arg(params, "columns", column_list, None)
-    if cols is None:
-        cols = [c.name for c in ds.columns if c.vtype == "numerical"]
-    _require(len(cols) >= 2, "littles_test needs >= 2 numerical columns")
-    for c in cols:
-        _require_vtype(ds, c, ("numerical",), metric)
-    args = _args(params, (("tol", real, 1e-6), ("max_iter", integer, 200)))
-    res = _struct.littles_mcar_test(_struct.float_columns(ds, cols), **args)
-    for w in res.warnings:
-        _pywarnings.warn(w, MetricWarning, stacklevel=2)
-    value = {"statistic": res.statistic, "df": res.df, "p_value": res.p_value}
-    return value, f"columns:{','.join(cols)}", {"columns": list(cols), **args}
-
-
 def _subsample(params: dict, used: dict, seed: int | None) -> int | None:
     """The subsample size, echoed with the seed that draws it."""
     size = _arg(params, "subsample", integer, None)
@@ -719,7 +698,7 @@ def _subsample(params: dict, used: dict, seed: int | None) -> int | None:
 
 
 def _ev_mmd(metric, ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
+    samples, scope, used = _two_numeric_samples(metric, ds, params, ds_b)
     kernel = used["kernel"] = params.get("kernel", "rbf")
     subsample = _subsample(params, used, seed)
     rng = np.random.default_rng(seed)
@@ -739,35 +718,28 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
 
 
 def _ev_energy(metric, ds, params, ds_b, seed):
-    samples, scope, used = _two_numeric_samples(ds, params, ds_b, metric)
+    samples, scope, used = _two_numeric_samples(metric, ds, params, ds_b)
     subsample = _subsample(params, used, seed)
     value = _dist.energy_distance(samples[0], samples[1], subsample=subsample, seed=seed)
     return value, scope, used
 
 
 def _divergence(kind: str) -> Evaluator:
-    def ev(metric, ds, params, ds_b, seed):
-        ca, cb, scope, used = _counts_pair(ds, params, ds_b, metric)
-        smoothing = _arg(params, "smoothing", str, "default")
-        value = _dist.divergence(kind, ca, cb, smoothing=smoothing)
-        used.update({"smoothing": smoothing, "eps": _dist.SMOOTH_EPS})
-        return value, scope, used
-
-    return ev
+    return _row(
+        _counts_pair,
+        lambda ca, cb, smoothing: _dist.divergence(kind, ca, cb, smoothing=smoothing),
+        ("smoothing", str, "default"),
+        notes={"eps": _dist.SMOOTH_EPS},
+    )
 
 
 def _test(kind: str) -> Evaluator:
     def ev(metric, ds, params, ds_b, seed):
         if kind == "chi_squared":
-            ca, cb, scope, used = _counts_pair(ds, params, ds_b, metric)
-            outcome = _dist.two_sample_test("chi_squared", ca, cb)
+            data, scope, used = _counts_pair(metric, ds, params, ds_b)
         else:
-            samples, scope, used = _two_numeric_samples(
-                ds, params, ds_b, metric, allow_k=(kind == "anderson_darling_k")
-            )
-            outcome = _dist.two_sample_test(kind, samples[0], samples[1], others=samples[2:])
-        for w in outcome.warnings:
-            _pywarnings.warn(w, MetricWarning, stacklevel=2)
+            data, scope, used = _two_numeric_samples(metric, ds, params, ds_b, kind == "anderson_darling_k")
+        outcome = _dist.two_sample_test(kind, data[0], data[1], others=data[2:])
         used.update({"method": outcome.method, "n_a": outcome.n_a, "n_b": outcome.n_b})
         value = {
             "statistic": outcome.statistic,
@@ -778,13 +750,13 @@ def _test(kind: str) -> Evaluator:
     return ev
 
 
-def _embeddings_pair(ds, params, ds_b, metric):
+def _embeddings_pair(metric, ds, params, ds_b):
     if params.get("embeddings_a") and params.get("embeddings_b"):
         ea = _dist.load_embeddings(str(params["embeddings_a"]))
         eb = _dist.load_embeddings(str(params["embeddings_b"]))
         scope = f"pair:{params['embeddings_a']},{params['embeddings_b']}"
         used = {"embeddings_a": params["embeddings_a"], "embeddings_b": params["embeddings_b"]}
-        return ea, eb, scope, used
+        return [ea, eb], scope, used
     cols = _arg(params, "columns", column_list, None)
     if cols and ds_b is not None:
         for c in cols:
@@ -798,118 +770,107 @@ def _embeddings_pair(ds, params, ds_b, metric):
             return _dist.EmbeddingSet(rows)
 
         used = {"columns": list(cols)}
-        return matrix(ds), matrix(ds_b), f"pair:{ds.dataset_id},{ds_b.dataset_id}", used
+        return [matrix(ds), matrix(ds_b)], f"pair:{ds.dataset_id},{ds_b.dataset_id}", used
     raise PrerequisiteError(
         f"{metric} needs embeddings_a/embeddings_b files, or columns plus a second dataset"
     )
 
 
-def _ev_frechet(metric, ds, params, ds_b, seed):
-    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
-    return _dist.frechet_gaussian(ea, eb), scope, used
-
-
 def _ev_kid(metric, ds, params, ds_b, seed):
-    ea, eb, scope, used = _embeddings_pair(ds, params, ds_b, metric)
+    (ea, eb), scope, used = _embeddings_pair(metric, ds, params, ds_b)
     args = _args(params, (("degree", integer, 3), ("coef", real, 1.0)))
     used.update(args)
     subsample = _subsample(params, used, seed)
     return _dist.kid(ea, eb, **args, subsample=subsample, seed=seed), scope, used
 
 
+_INSTRUMENT = _pair(("numerical",), keys=("measured_column", "reference_column"))
+_MASKS = _pair(None, read=Dataset.codes)
+_TARGET_COUNTS = _column(_LABELS, read=_counts, role="target")
+
 _EVALUATORS: dict[str, Evaluator] = {
     "entropy": _ev_entropy,
-    "limit_of_detection": _column(
+    "limit_of_detection": _row(
+        _column(("numerical",)),
         lambda s, multiplier: _meas.lod_loq(s, lod_multiplier=multiplier)["lod"],
-        ("numerical",),
         ("multiplier", real, 3.3),
     ),
-    "limit_of_quantification": _column(
+    "limit_of_quantification": _row(
+        _column(("numerical",)),
         lambda s, multiplier: _meas.lod_loq(s, loq_multiplier=multiplier)["loq"],
-        ("numerical",),
         ("multiplier", real, 10.0),
     ),
-    "systematic_error": _pair(
-        lambda m, r: _instrument(m, r)["systematic"],
-        ("numerical",),
-        keys=("measured_column", "reference_column"),
-    ),
-    "random_error": _pair(
-        lambda m, r: _instrument(m, r)["random"],
-        ("numerical",),
-        keys=("measured_column", "reference_column"),
-    ),
-    "bland_altman_cr": _pair(
+    "systematic_error": _row(_INSTRUMENT, lambda m, r: _instrument(m, r)["systematic"]),
+    "random_error": _row(_INSTRUMENT, lambda m, r: _instrument(m, r)["random"]),
+    "bland_altman_cr": _row(
+        _pair(("numerical",)),
         lambda a, b: _meas.bland_altman_cr(np.column_stack(_complete(a, b))),
-        ("numerical",),
         notes={"factor": 1.96},
     ),
-    "repeatability_cv": _repeated("subject_column", lambda groups: _meas.repeatability_cv(groups)),
-    "reproducibility_variance": _repeated(
-        "condition_column", lambda groups: _meas.reproducibility_variance(groups)
+    "repeatability_cv": _row(_repeated("subject_column"), lambda g: _meas.repeatability_cv(g)),
+    "reproducibility_variance": _row(
+        _repeated("condition_column"), lambda g: _meas.reproducibility_variance(g)
     ),
-    "cohens_kappa": _raters(
+    "cohens_kappa": _row(
+        _raters(pair=True),
         lambda m, weights: _meas.cohens_kappa(m, weights=weights),
         ("weights", str, "none"),
-        pair=True,
     ),
-    "fleiss_kappa": _raters(lambda m: _meas.fleiss_kappa(m)),
-    "kendalls_w": _raters(lambda m: _meas.kendalls_w(m), vtypes=_NUMERIC),
-    "krippendorff_alpha": _raters(
-        lambda m, level: _meas.krippendorff_alpha(m, level=level), ("level", str, "nominal")
+    "fleiss_kappa": _row(_raters(), lambda m: _meas.fleiss_kappa(m)),
+    "kendalls_w": _row(_raters(vtypes=_NUMERIC), lambda m: _meas.kendalls_w(m)),
+    "krippendorff_alpha": _row(
+        _raters(), lambda m, level: _meas.krippendorff_alpha(m, level=level), ("level", str, "nominal")
     ),
-    "dice_score": _pair(lambda a, b: _meas.overlap(_mask(a), _mask(b), "dice"), None, read=Dataset.codes),
-    "intersection_over_union": _pair(
-        lambda a, b: _meas.overlap(_mask(a), _mask(b), "iou"), None, read=Dataset.codes
-    ),
+    "dice_score": _row(_MASKS, lambda a, b: _meas.overlap(_mask(a), _mask(b), "dice")),
+    "intersection_over_union": _row(_MASKS, lambda a, b: _meas.overlap(_mask(a), _mask(b), "iou")),
     "completeness": _ev_completeness,
     "patient_level_completeness": _ev_patient_completeness,
-    "record_completeness": _ev_record_completeness,
+    "record_completeness": _row(
+        _whole("global"),
+        lambda ds, required: _meas.record_completeness(ds, required),
+        ("required", column_list, ()),
+    ),
     "syntactic_accuracy": _ev_syntactic,
-    "page_hinkley": _column(
+    "page_hinkley": _row(
+        _column(("numerical", "datetime")),
         lambda s, **p: _struct.page_hinkley(s, _struct.PageHinkleyParams(**p)),
-        ("numerical", "datetime"),
         ("delta", real, 0.005),
         ("lam", real, 50.0),
         ("direction", str, "increase"),
         ("alpha", real, 0.99),
     ),
-    "dataset_size": lambda metric, ds, *_: (_struct.dataset_size(ds), "global", {}),
-    "granularity": lambda metric, ds, *_: (_struct.granularity(ds), "global", {"role": "feature"}),
-    "sampling_frequency": _ev_sampling_frequency,
-    "resolution": _pair(_resolution, ("numerical",), keys=("width_column", "height_column")),
+    "dataset_size": _row(_whole("global"), lambda ds: _struct.dataset_size(ds)),
+    "granularity": _row(_whole("global"), lambda ds: _struct.granularity(ds), notes={"role": "feature"}),
+    "sampling_frequency": _row(_whole("signals"), lambda ds: _struct.sampling_frequency(ds)),
+    "resolution": _row(_pair(("numerical",), keys=("width_column", "height_column")), _resolution),
     "label_granularity": _ev_label_granularity,
-    "generalized_imbalance_ratio": _column(
-        lambda c: _struct.imbalance_ratio(c), _LABELS, read=_counts, role="target"
-    ),
-    "imbalance_degree": _column(
+    "generalized_imbalance_ratio": _row(_TARGET_COUNTS, lambda c: _struct.imbalance_ratio(c)),
+    "imbalance_degree": _row(
+        _TARGET_COUNTS,
         lambda c, distance: _struct.imbalance_degree(c, distance),
-        _LABELS,
         ("distance", str, "total_variation"),
-        read=_counts,
-        role="target",
     ),
-    "lr_imbalance_degree": _column(lambda c: _struct.lrid(c), _LABELS, read=_counts, role="target"),
+    "lr_imbalance_degree": _row(_TARGET_COUNTS, lambda c: _struct.lrid(c)),
     "currency_ballou": _currency("ballou", ("volatility", real, None), ("s", real, 1.0)),
     "currency_li": _currency("li", ("shelf_life", real, None)),
     "currency_hinrichs": _currency("hinrichs", ("update_rate", real, None)),
     "currency_heinrich": _currency("heinrich", ("decline", real, 1e-9)),
     "prevalence_of_duplicates": _ev_duplicates,
     "effective_sample_size": _ev_ess,
-    "littles_test": _ev_littles,
+    "littles_test": _row(_mcar_columns, _mcar, ("tol", real, 1e-6), ("max_iter", integer, 200)),
     # informative_dropout intentionally has no evaluator
-    "range": _column(lambda s: _dist.summary_stats(s)["range"], _NUMERIC),
-    "interquartile_range": _column(
+    "range": _row(_column(_NUMERIC), lambda s: _dist.summary_stats(s)["range"]),
+    "interquartile_range": _row(
+        _column(_NUMERIC),
         lambda s: _dist.summary_stats(s)["iqr"],
-        _NUMERIC,
         notes={"quantile_rule": "linear interpolation"},
     ),
-    "mean_std": _column(_mean_std, _NUMERIC, notes={"std_ddof": 1}),
-    "hill_numbers": _column(
-        lambda c, q: _dist.hill_number(c, q), _LABELS, ("q", real, 2.0), read=_counts
+    "mean_std": _row(_column(_NUMERIC), _mean_std, notes={"std_ddof": 1}),
+    "hill_numbers": _row(
+        _column(_LABELS, read=_counts), lambda c, q: _dist.hill_number(c, q), ("q", real, 2.0)
     ),
     "maximum_mean_discrepancy": _ev_mmd,
-    "cohens_d": _samples(lambda a, b: _dist.cohens_d(a, b)),
+    "cohens_d": _row(_two_numeric_samples, lambda a, b: _dist.cohens_d(a, b)),
     "energy_distance": _ev_energy,
     "kl_divergence": _divergence("kl"),
     "population_stability_index": _divergence("psi"),
@@ -918,31 +879,30 @@ _EVALUATORS: dict[str, Evaluator] = {
     "epps_singleton": _test("epps_singleton"),
     "anderson_darling_k": _test("anderson_darling_k"),
     "chi_squared": _test("chi_squared"),
-    "frechet_inception_distance": _ev_frechet,
+    "frechet_inception_distance": _row(_embeddings_pair, lambda a, b: _dist.frechet_gaussian(a, b)),
     "kernel_inception_distance": _ev_kid,
     "mann_whitney_u": _test("mann_whitney_u"),
-    "wasserstein_distance": _samples(
-        lambda a, b, order: _dist.wasserstein_1d(a, b, order=order), ("order", real, 1.0)
+    "wasserstein_distance": _row(
+        _two_numeric_samples,
+        lambda a, b, order: _dist.wasserstein_1d(a, b, order=order),
+        ("order", real, 1.0),
     ),
     "pearson": _correlation("pearson", ("numerical", "datetime")),
-    "concordance_cc": _pair(
-        lambda a, b: _corr.concordance_cc(a, b),
-        _NUMERIC,
-        notes={"moments": "population (1/n)"},
+    "concordance_cc": _row(
+        _pair(_NUMERIC), lambda a, b: _corr.concordance_cc(a, b), notes={"moments": "population (1/n)"}
     ),
     "goodman_kruskal_gamma": _correlation("goodman_kruskal_gamma", _NUMERIC),
     "kendall_tau": _correlation("kendall_tau", _NUMERIC),
     "spearman": _correlation("spearman", _NUMERIC),
-    "icc": _raters(
+    "icc": _row(
+        _raters(vtypes=("numerical", "ordinal")),
         lambda m: _corr.icc(m),
-        vtypes=("numerical", "ordinal"),
         notes={"form": "two_way_random_single"},
     ),
-    "cramers_v": _pair(
+    "cramers_v": _row(
+        _pair(_LABELS, read=Dataset.codes),
         lambda a, b, bias_correction: _corr.cramers_v(a, b, bias_correction=bias_correction),
-        _LABELS,
         ("bias_correction", boolean, False),
-        read=Dataset.codes,
     ),
 }
 

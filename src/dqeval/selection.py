@@ -110,23 +110,7 @@ class SelectionResult:
         raise KeyError(dimension)
 
     def metrics(self) -> tuple[str, ...]:
-        return _dedup(m for s in self.selections for m in s.metrics)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "profile": dict(self.profile),
-            "selections": [s.as_dict() for s in self.selections],
-        }
-
-
-def _dedup(items) -> tuple[str, ...]:
-    seen = set()
-    out = []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return tuple(out)
+        return tuple(dict.fromkeys(m for s in self.selections for m in s.metrics))
 
 
 def _norm(text: str) -> str:
@@ -220,7 +204,7 @@ def _collect_below(tree: DecisionTree, node: Node) -> tuple[str, ...]:
                 walk(tree.node(child))
 
     walk(node)
-    return _dedup(found)
+    return tuple(dict.fromkeys(found))
 
 
 # (dimension, question) -> an answer label, a list of them, or None to skip
@@ -312,11 +296,11 @@ def traverse(
     walk(tree.root)
     return DimensionSelection(
         dimension=dim,
-        metrics=_dedup(metrics),
+        metrics=tuple(dict.fromkeys(metrics)),
         trace=tuple(trace),
         expansions=tuple(expansions),
-        unanswered=_dedup(unanswered),
-        recommended=_dedup(recommended),
+        unanswered=tuple(dict.fromkeys(unanswered)),
+        recommended=tuple(dict.fromkeys(recommended)),
         reasons=tuple(reasons),
     )
 

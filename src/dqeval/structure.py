@@ -137,8 +137,8 @@ def granularity(ds: Dataset) -> int:
     return n
 
 
-def sampling_frequency(ds: Dataset) -> float | tuple[float, ...]:
-    """Declared signal rate, or the sorted set of rates when heterogeneous."""
+def sampling_frequency(ds: Dataset) -> float | list[float]:
+    """Declared signal rate, or the sorted list of rates when heterogeneous."""
     if ds.signals is None:
         raise MetricInputError("dataset carries no signals")
     rates = sorted({blk.sampling_hz for blk in ds.signals if blk is not None})
@@ -146,7 +146,7 @@ def sampling_frequency(ds: Dataset) -> float | tuple[float, ...]:
         raise MetricInputError("dataset carries no signals")
     if len(rates) > 1:
         _warn(f"heterogeneous sampling rates: {rates}")
-        return tuple(rates)
+        return rates
     return rates[0]
 
 
@@ -359,7 +359,6 @@ class McarTestResult:
     p_value: float
     n_patterns: int
     converged: bool
-    warnings: tuple[str, ...] = ()
 
 
 class _Pattern(NamedTuple):
@@ -474,9 +473,9 @@ def littles_mcar_test(
             f"littles_mcar_test needs finite values; row {row}, column {col} holds {x[row, col]}"
         )
     keep = ~np.all(np.isnan(x), axis=1)
-    warns: list[str] = ["assumes multivariate normality of the observed data"]
+    _warn("assumes multivariate normality of the observed data")
     if not keep.all():
-        warns.append(f"{int((~keep).sum())} fully missing rows dropped")
+        _warn(f"{int((~keep).sum())} fully missing rows dropped")
         x = x[keep]
     n, p = x.shape
     patterns = _patterns(x)
@@ -490,15 +489,15 @@ def littles_mcar_test(
     sparse = np.argwhere(np.triu(together < 2, 1))
     if sparse.size:
         i, j = sparse[0]
-        warns.append(
+        _warn(
             f"covariance not identified: columns {i} and {j} are observed together in "
             f"{int(together[i, j])} rows, so the statistic depends on where EM stops"
         )
     mu, sigma, converged, ridged = _em_normal(x, patterns, tol, max_iter)
     if not converged:
-        warns.append(f"EM did not converge within {max_iter} iterations")
+        _warn(f"EM did not converge within {max_iter} iterations")
     if ridged:
-        warns.append("singular observed covariance ridged by 1e-8")
+        _warn("singular observed covariance ridged by 1e-8")
     d2 = 0.0
     df = -p
     for pat in reversed(patterns):
@@ -509,8 +508,9 @@ def littles_mcar_test(
             sol = np.linalg.solve(soo, diff)
         except np.linalg.LinAlgError:
             sol = np.linalg.solve(soo + 1e-8 * np.eye(len(o)), diff)
-            if "singular observed covariance ridged by 1e-8" not in warns:
-                warns.append("singular observed covariance ridged by 1e-8")
+            if not ridged:
+                ridged = True
+                _warn("singular observed covariance ridged by 1e-8")
         d2 += pat.k * float(diff @ sol)
         df += len(o)
     if df <= 0:
@@ -523,5 +523,4 @@ def littles_mcar_test(
         p_value=float(chi2.sf(d2, df)),
         n_patterns=len(patterns),
         converged=converged,
-        warnings=tuple(warns),
     )

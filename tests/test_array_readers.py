@@ -328,11 +328,11 @@ def test_two_sample_label_counts_match_the_dict_union_alignment(rows):
     cells_a = [v for v, g in rows if g == "g0"]
     cells_b = [v for v, g in rows if g == "g1"]
     want = repr(_ref_counts_pair(cells_a, cells_b))
-    ca, cb, *_ = _counts_pair(_label_table(c0=cells_a), {"column": "c0"}, _label_table(c0=cells_b), "chi_squared")
+    (ca, cb), *_ = _counts_pair("chi_squared", _label_table(c0=cells_a), {"column": "c0"}, _label_table(c0=cells_b))
     assert repr((ca.tolist(), cb.tolist())) == want
     if cells_a and cells_b:  # the group route needs both groups
         ds = _label_table(c0=[v for v, _ in rows], g=[g for _, g in rows])
-        ca, cb, *_ = _counts_pair(ds, {"column": "c0", "group_column": "g"}, None, "chi_squared")
+        (ca, cb), *_ = _counts_pair("chi_squared", ds, {"column": "c0", "group_column": "g"}, None)
         assert repr((ca.tolist(), cb.tolist())) == want
 
 

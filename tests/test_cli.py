@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from dqeval.cli import cli, main
-from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl
+from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl, write_demo_root
 from dqeval.registry import render_card
 from dqeval.report import load_dataset, read_descriptor
 from tests.conftest import cells_of
@@ -408,6 +409,60 @@ def test_harness_without_data_skips(tmp_path, capsys):
     code = main(["ptbxl-harness", "--root", str(tmp_path / "nothing")])
     assert code == 0
     assert "skipped: PTB-XL data not found" in capsys.readouterr().out
+
+
+def _rewrite_csv(path, edit) -> None:
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+HARNESS_CAPS = ["--entropy-records", "5", "--entropy-samples", "60"]
+
+
+def test_harness_on_statements_without_a_diagnostic_column_is_a_load_error(tmp_path, capsys):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 200)
+
+    def drop_diagnostic(rows):
+        for row in rows:
+            del row[2]
+
+    _rewrite_csv(root / "scp_statements.csv", drop_diagnostic)
+    assert main(["ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"data load error: {root / 'scp_statements.csv'}: no 'diagnostic' column in the header" in err
+
+
+def test_harness_on_statements_that_are_not_utf8_is_a_load_error(tmp_path, capsys):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 200)
+    (root / "scp_statements.csv").write_bytes(b"\xff\xfe,diagnostic,diagnostic_class\n")
+    assert main(["ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 2
+    assert "not a UTF-8 CSV file" in capsys.readouterr().err.partition("data load error: ")[2]
+
+
+def test_harness_reads_an_scp_codes_cell_with_an_unhashable_key_as_no_superclass(tmp_path, capsys):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 200)
+
+    def corrupt(rows):
+        rows[1][rows[0].index("scp_codes")] = "{[1]: 2}"
+
+    _rewrite_csv(root / "ptbxl_database.csv", corrupt)
+    assert main(["ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 0
+    assert load_ptbxl(str(root)).superclasses[0] == frozenset()
+
+
+def test_harness_check_failure_names_the_check_once(tmp_path, capsys):
+    root = tmp_path / "root"
+    write_demo_root(str(root), n_records=80, seed=3)  # its class-imbalance subset does not raise the ratio
+    assert main(["--seed", "2", "ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 1
+    err = capsys.readouterr().err
+    assert err == "Error: reproduction check failed: imbalance ratio increases in the class-imbalance subset\n"
 
 
 @pytest.mark.parametrize(

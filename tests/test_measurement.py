@@ -615,14 +615,21 @@ def test_krippendorff_skips_singleton_units():
 # --- overlap -----------------------------------------------------------------
 
 
+def _mask(positions, size=31):
+    out = np.zeros(size, dtype=bool)
+    out[list(positions)] = True
+    return out
+
+
 def test_dice_iou_frozen():
-    assert overlap({1, 2}, {2, 3}, kind="dice") == pytest.approx(0.5)
-    assert overlap({1, 2}, {2, 3}, kind="iou") == pytest.approx(1 / 3)
+    assert overlap(_mask({1, 2}), _mask({2, 3}), kind="dice") == pytest.approx(0.5)
+    assert overlap(_mask({1, 2}), _mask({2, 3}), kind="iou") == pytest.approx(1 / 3)
 
 
 def test_overlap_both_empty_is_one():
-    assert overlap(set(), set(), kind="dice") == 1.0
-    assert overlap(set(), set(), kind="iou") == 1.0
+    with pytest.warns(MetricWarning, match="both masks empty"):
+        assert overlap(_mask(()), _mask(()), kind="dice") == 1.0
+        assert overlap(_mask(()), _mask(()), kind="iou") == 1.0
 
 
 def test_overlap_accepts_boolean_grids():
@@ -631,11 +638,18 @@ def test_overlap_accepts_boolean_grids():
     assert overlap(a, b, kind="iou") == pytest.approx(1 / 3)
 
 
+def test_overlap_masks_must_share_their_shape():
+    with pytest.raises(MetricInputError, match="share their domain"):
+        overlap(_mask({1}, 4), _mask({1}, 5))
+
+
 @given(
-    st.sets(st.integers(min_value=0, max_value=30), max_size=20),
-    st.sets(st.integers(min_value=0, max_value=30), max_size=20),
+    st.lists(st.booleans(), min_size=1, max_size=30).flatmap(
+        lambda a: st.tuples(st.just(a), st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    )
 )
-def test_iou_dice_functional_relation(a, b):
+def test_iou_dice_functional_relation(masks):
+    a, b = masks
     dice = overlap(a, b, kind="dice")
     iou = overlap(a, b, kind="iou")
     assert iou == pytest.approx(dice / (2 - dice))
