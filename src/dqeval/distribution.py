@@ -584,7 +584,11 @@ def two_sample_test(
         if any("p-value" in str(w.message) for w in caught):
             _warn("anderson_darling_k p-value clamped to its tabulated range [0.001, 0.25]")
         return TestOutcome(
-            float(res.statistic), float(res.pvalue), f"anderson_darling_k(k={len(samples)})", va.size, vb.size
+            float(res.statistic),
+            float(res.pvalue),
+            f"anderson_darling_k(k={len(samples)})",
+            va.size,
+            vb.size,
         )
 
     raise MetricInputError(f"unknown test kind {kind!r}")
