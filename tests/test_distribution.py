@@ -307,6 +307,47 @@ def test_mmd_kernel_mean_memory_stays_blocked():
         assert peak < 8e6, kernel
 
 
+@st.composite
+def _rbf_inputs(draw):
+    """Two univariate samples (ties, a shared +-1e9 offset, 1e6 outliers or
+    Cauchy tails) and a bandwidth factor on the median heuristic."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    na, nb = draw(st.integers(2, 60)), draw(st.integers(2, 60))
+    tails = draw(st.sampled_from(["normal", "outliers", "cauchy"]))
+    if tails == "cauchy":
+        a, b = rng.standard_cauchy(na), rng.standard_cauchy(nb) + 0.5
+    else:
+        a, b = rng.normal(0.0, 1.0, na), rng.normal(0.4, 1.5, nb)
+    if tails == "outliers":
+        a[0], b[-1] = 1e6, -1e6
+    if draw(st.booleans()):
+        a, b = np.round(a * 2) / 2, np.round(b * 2) / 2
+    offset = draw(st.sampled_from([0.0, 1e9, -1e9]))
+    return a + offset, b + offset, draw(st.sampled_from([1e-4, 1e-2, 1.0, 1e2]))
+
+
+@given(_rbf_inputs())
+@settings(max_examples=200, deadline=None)
+def test_univariate_rbf_taylor_sums_match_the_pairwise_pass(drawn):
+    a, b, factor = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetricWarning)
+        bw = factor * median_heuristic_bandwidth(a, b)
+    ma, mb = a.reshape(-1, 1), b.reshape(-1, 1)
+
+    def k(x, y):
+        sq = x - y.T
+        return np.exp(-sq * sq / (2.0 * bw * bw))
+
+    got = dist_mod._rbf_sums_1d(ma, mb, bw)
+    want, _ = dist_mod._pooled_kernel_sums(k, ma, mb)
+    # pairs beyond the cut-off are dropped: each kernel there is below e^-42
+    pairs = np.outer([a.size, b.size], [a.size, b.size])
+    assert np.all(np.abs(got - want) <= 1e-12 * want + math.exp(-42.0) * pairs)
+    assert mmd(a, b, bandwidth=bw) == mmd(b, a, bandwidth=bw)
+    assert mmd(a, a, bandwidth=bw) == 0.0
+
+
 finite_rows = st.lists(
     st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.sampled_from([-1.0, 0.0, 3.0])),
     min_size=1, max_size=40,
