@@ -424,6 +424,8 @@ def _rbf_sums_1d(ma: np.ndarray, mb: np.ndarray, bandwidth: float) -> np.ndarray
         acc *= np.exp(-x * x)
         for j in (0, 1):
             g[j] += np.bincount(target, acc[j], len(z))
+    # every entry summed in the same order (a matmul need not), so swapping
+    # the samples permutes the entries without changing a bit
     t = (w[:, None, :] * g[None, :, :]).sum(axis=2)
     return (t + t.T) / 2.0
 
