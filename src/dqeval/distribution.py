@@ -458,6 +458,8 @@ def mmd(
         raise MetricInputError("mmd requires at least two points per sample")
     if ma.shape[1] != mb.shape[1]:
         raise MetricInputError("mmd inputs must share their dimension")
+    if not (np.isfinite(ma).all() and np.isfinite(mb).all()):
+        raise MetricInputError("mmd requires finite points")
     if kernel == "rbf":
         if bandwidth is None:
             bandwidth = median_heuristic_bandwidth(ma, mb)
@@ -470,7 +472,10 @@ def mmd(
 
             def k(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 sq = cdist(x, y, "sqeuclidean")
-                np.divide(sq, -2.0 * bandwidth * bandwidth, out=sq)
+                # bandwidth^2 may underflow to 0; a distance overflowing to inf has kernel 0
+                with np.errstate(over="ignore"):
+                    np.divide(sq, bandwidth, out=sq)
+                    np.divide(sq, -2.0 * bandwidth, out=sq)
                 return np.exp(sq, out=sq)
 
             t, _ = _pooled_kernel_sums(k, ma, mb)

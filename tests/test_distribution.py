@@ -122,6 +122,28 @@ def test_mmd_matches_direct_kernel_sums():
     assert mmd(list(a), list(b), bandwidth=bw) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("kernel", ["rbf", "polynomial"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mmd_rejects_a_nonfinite_point_with_an_explicit_bandwidth(kernel, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricInputError, match="finite"):
+            mmd([1.0, bad], [2.0, 3.0], kernel=kernel, bandwidth=1.0)
+        with pytest.raises(MetricInputError, match="finite"):
+            mmd([[0.0, 1.0], [1.0, 0.0]], [[2.0, bad], [3.0, 0.0]], kernel=kernel, bandwidth=1.0)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-162, 1e-200, 5e-324])
+def test_vector_rbf_mmd_keeps_kernel_one_at_zero_distance_for_a_tiny_bandwidth(bandwidth):
+    a = EmbeddingSet([[0.0, 1.0], [1.0, 0.0]])
+    b = EmbeddingSet([[2.0, 1.0], [3.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # both within-sample kernel matrices are the identity, the cross one
+        # is zero: MMD^2 = 1/2 + 1/2
+        assert mmd(a, b, bandwidth=bandwidth) == 1.0
+
+
 def test_mmd_median_heuristic_used_when_bandwidth_absent():
     a, b = [0.0, 1.0, 2.0], [5.0, 6.0, 7.0]
     bw = median_heuristic_bandwidth(a, b)
