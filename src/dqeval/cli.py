@@ -53,6 +53,22 @@ def _read_json(path: str, what: str) -> dict:
     return doc
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path, creating no directory; failing is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 def _params_map(doc: dict) -> dict:
     """A metric id -> params object map; any other value is a usage error."""
     for mid, params in doc.items():
@@ -102,18 +118,10 @@ def cards_show(metric_id: str, fmt: str) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def cards_export(fmt: str, out_dir: str) -> None:
     """Write every card to its own file."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise click.UsageError(f"cannot create {out_dir}: {exc}")
+    _make_dir(out_dir)
     render_fmt = "markdown" if fmt == "md" else "json"
     for c in _registry.all_cards():
-        path = os.path.join(out_dir, f"{c.id}.{fmt}")
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_registry.render_card(c.id, format=render_fmt))
-        except OSError as exc:
-            raise click.UsageError(f"cannot write {path}: {exc}")
+        _write(os.path.join(out_dir, f"{c.id}.{fmt}"), _registry.render_card(c.id, format=render_fmt))
     click.echo(f"wrote {len(_registry.all_cards())} cards to {out_dir}")
 
 
@@ -149,9 +157,7 @@ def select_cmd(ctx, profile_path, interactive, mode, out_path) -> None:
     except _selection.SelectionError as exc:
         raise click.UsageError(str(exc))
     doc = _selection.rationale_document(sel, params={"mode": mode, "seed": ctx.obj["seed"]})
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    _write(out_path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
     metrics = sel.metrics()
     click.echo(f"selected {len(metrics)} metrics across {len(sel.selections)} dimensions -> {out_path}")
     for s in sel.selections:
@@ -205,11 +211,9 @@ def evaluate_cmd(ctx, data_path, selection_path, params_path, out_path, md_path)
         results.append(evaluate_row(ds, mid, dim, params=row.get("params", {}), seed=seed))
         _note(ctx, f"evaluated {mid} for {dim}")
     report = build_report(ds.dataset_id, profile, sel_doc, results, seed=seed)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(report))
+    _write(out_path, report_json(report))
     if md_path:
-        with open(md_path, "w", encoding="utf-8") as fh:
-            fh.write(render_report_markdown(report))
+        _write(md_path, render_report_markdown(report))
     failures = sum(1 for r in results if "error" in r)
     click.echo(f"wrote {out_path}: {len(results)} results, {failures} recorded failures")
 
@@ -240,10 +244,8 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     except _harness.HarnessError as exc:
         raise click.UsageError(str(exc))
 
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "indices.json"), "w", encoding="utf-8") as fh:
-        json.dump(indices, fh)
-        fh.write("\n")
+    _make_dir(out_dir)
+    _write(os.path.join(out_dir, "indices.json"), json.dumps(indices) + "\n")
     doc = _read_json(data_path, "descriptor")
     base = os.path.dirname(os.path.abspath(data_path))
     doc["table"]["path"] = os.path.join(base, doc["table"]["path"])
@@ -256,9 +258,7 @@ def subset_cmd(ctx, data_path, recipe_src, out_dir) -> None:
     doc["row_index"] = "indices.json"
     doc["dataset_id"] = f"{doc.get('dataset_id', 'dataset')}[{recipe['kind']}]"
     out_desc = os.path.join(out_dir, "descriptor.json")
-    with open(out_desc, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write(out_desc, json.dumps(doc, indent=2) + "\n")
     click.echo(f"subset: {len(indices)} records -> {out_desc}")
 
 
@@ -298,9 +298,7 @@ def compare_cmd(ctx, data_paths, metrics_csv, params_path, out_path) -> None:
     md = render_comparison_markdown(pairs, ds_a.dataset_id, ds_b.dataset_id)
     click.echo(md, nl=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump({"a": rows_a, "b": rows_b, "pairs": pairs}, fh, indent=2)
-            fh.write("\n")
+        _write(out_path, json.dumps({"a": rows_a, "b": rows_b, "pairs": pairs}, indent=2) + "\n")
 
 
 @cli.command("ptbxl-harness")
@@ -329,19 +327,20 @@ def ptbxl_harness_cmd(ctx, root_dir, now, out_dir, entropy_records, entropy_samp
     except _harness.PtbxlNotFound as exc:
         click.echo(f"skipped: {exc}")
         return
-    except _harness.HarnessError as exc:
+    except _harness.HarnessError as exc:  # a recipe the root cannot meet
         raise click.ClickException(str(exc))
     click.echo(out["markdown"], nl=False)
     for c in out["checks"]:
         click.echo(f"check {'ok' if c['passed'] else 'FAILED'}: {c['check']}", err=True)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dir(out_dir)
         for rep in out["reports"]:
-            with open(os.path.join(out_dir, f"{rep['dataset_id']}.json"), "w", encoding="utf-8") as fh:
-                fh.write(report_json(rep))
-        with open(os.path.join(out_dir, "table.md"), "w", encoding="utf-8") as fh:
-            fh.write(out["markdown"])
+            _write(os.path.join(out_dir, f"{rep['dataset_id']}.json"), report_json(rep))
+        _write(os.path.join(out_dir, "table.md"), out["markdown"])
         click.echo(f"wrote {len(out['reports'])} reports to {out_dir}", err=True)
+    failed = sum(not c["passed"] for c in out["checks"])
+    if out["real_data"] and failed:  # a synthetic root's checks are printed, not enforced
+        raise click.ClickException(f"{failed} of {len(out['checks'])} reproduction checks failed on the real table")
 
 
 def _keep_freed_memory() -> None:

@@ -5,7 +5,7 @@ ptbxl_database.csv and scp_statements.csv, optionally with converted
 signals under signals_f32/<ecg_id>.f32. A miniature synthetic stand-in
 with the same layout can be generated for demos and tests; on synthetic
 data only the directional subset checks apply, never the published
-values.
+values, and a failed one is reported without failing the run.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -92,7 +93,7 @@ _REAL_SIZE = 21837
 
 
 class HarnessError(ValueError):
-    """Recipe violations or failed reproduction checks."""
+    """A malformed subset recipe; the reproduction checks never raise."""
 
 
 class PtbxlNotFound(DataLoadError):
@@ -367,17 +368,49 @@ def harness_rows(
     return rows
 
 
-def _row_value(rows: list[dict], metric_id: str, scope_part: str) -> Any:
+def _row_value(rows: Sequence[Mapping], metric_id: str, scope_part: str) -> Any:
     for r in rows:
         if r["metric_id"] == metric_id and scope_part in r["scope"] and "error" not in r:
             return r["value"]
     return None
 
 
-def _check(ok: bool, message: str, checks: list[dict], strict: bool) -> None:
-    checks.append({"check": message, "passed": bool(ok)})
-    if strict and not ok:
-        raise HarnessError(f"reproduction check failed: {message}")
+def harness_checks(report_rows: Sequence[Sequence[Mapping]], real: bool) -> list[dict[str, Any]]:
+    """The case-study reproduction checks, as {"check", "passed"} in table order.
+
+    report_rows holds the rows of the original and of the sex-imbalance,
+    device-filter and class-imbalance subsets. On the real table (real=True)
+    the structurally forced published values are checked exactly and sample
+    entropy must rise in the device subset; the three subset directions are
+    checked on any table, each skipped when one of its rows is missing or an
+    error row.
+    """
+    orig, sex, device, classes = (partial(_row_value, rows) for rows in report_rows)
+    checks: list[tuple[str, bool]] = []
+    if real:
+        dup = orig("prevalence_of_duplicates", "global")
+        hill_dev = orig("hill_numbers", "column:device")
+        checks += [
+            (f"dataset size == {_REAL_SIZE}", orig("dataset_size", "global") == _REAL_SIZE),
+            ("granularity == 26 metadata columns", orig("granularity", "global") == 26),
+            ("sampling frequency == 500 Hz", orig("sampling_frequency", "signals") in (500, 500.0)),
+            ("duplicates == 0", bool(dup) and dup.get("count") == 0),
+            ("measurement completeness == 100%", orig("completeness", "measurements") == 1.0),
+            ("Hill(device) == 5.59 +/- 0.01", hill_dev is not None and abs(hill_dev - 5.59) <= 0.01),
+        ]
+        ent = orig("entropy", "global"), device("entropy", "global")
+        if None not in ent:
+            checks.append(("entropy rises in the device subset", ent[1] > ent[0]))
+    hill_sex = orig("hill_numbers", "column:sex"), sex("hill_numbers", "column:sex")
+    if None not in hill_sex:
+        checks.append(("Hill(sex) decreases in the sex-imbalance subset", hill_sex[1] < hill_sex[0]))
+    hill_dev_subset = device("hill_numbers", "column:device")
+    if hill_dev_subset is not None:
+        checks.append(("Hill(device) == 1.00 in the device subset", abs(hill_dev_subset - 1.0) < 1e-9))
+    gir = [report("generalized_imbalance_ratio", "column:scp_codes") for report in (orig, classes)]
+    if None not in gir:
+        checks.append(("imbalance ratio increases in the class-imbalance subset", gir[1] > gir[0]))
+    return [{"check": message, "passed": bool(ok)} for message, ok in checks]
 
 
 def run_harness(
@@ -386,13 +419,11 @@ def run_harness(
     now: float | None = None,
     entropy_max_records: int = 100,
     entropy_max_samples: int = 500,
-    strict_checks: bool = True,
 ) -> dict[str, Any]:
     """Evaluate the case-study table on the original data and 3 subsets.
 
-    On the real dataset (21837 records) the structurally forced values
-    are asserted exactly; seed-dependent subset values are checked
-    directionally only, matching what the published table pins down.
+    "checks" lists every check of harness_checks, none of which raises;
+    "real_data" tells whether the root is the real table (21837 records).
     """
     original = load_ptbxl(root)
     recipes = default_recipes(original, seed)
@@ -420,45 +451,9 @@ def run_harness(
         reports.append(build_report(name, PTBXL_PROFILE, rationale, rows, seed=seed))
 
     is_real = original.dataset.n_records == _REAL_SIZE
-    checks: list[dict[str, Any]] = []
-    orig = all_rows[0]
-    if is_real:
-        _check(_row_value(orig, "dataset_size", "global") == _REAL_SIZE,
-               f"dataset size == {_REAL_SIZE}", checks, strict_checks)
-        _check(_row_value(orig, "granularity", "global") == 26,
-               "granularity == 26 metadata columns", checks, strict_checks)
-        _check(_row_value(orig, "sampling_frequency", "signals") in (500, 500.0),
-               "sampling frequency == 500 Hz", checks, strict_checks)
-        dup = _row_value(orig, "prevalence_of_duplicates", "global")
-        _check(bool(dup) and dup.get("count") == 0, "duplicates == 0", checks, strict_checks)
-        comp = _row_value(orig, "completeness", "measurements")
-        _check(comp == 1.0, "measurement completeness == 100%", checks, strict_checks)
-        hill_dev_orig = _row_value(orig, "hill_numbers", "column:device")
-        _check(hill_dev_orig is not None and abs(hill_dev_orig - 5.59) <= 0.01,
-               "Hill(device) == 5.59 +/- 0.01", checks, strict_checks)
-        ent_orig = _row_value(orig, "entropy", "global")
-        ent_s2 = _row_value(all_rows[2], "entropy", "global")
-        if ent_orig is not None and ent_s2 is not None:
-            _check(ent_s2 > ent_orig, "entropy rises in the device subset",
-                   checks, strict_checks)
-    hill_sex_orig = _row_value(orig, "hill_numbers", "column:sex")
-    hill_sex_s1 = _row_value(all_rows[1], "hill_numbers", "column:sex")
-    if hill_sex_orig is not None and hill_sex_s1 is not None:
-        _check(hill_sex_s1 < hill_sex_orig, "Hill(sex) decreases in the sex-imbalance subset",
-               checks, strict_checks)
-    hill_dev_s2 = _row_value(all_rows[2], "hill_numbers", "column:device")
-    if hill_dev_s2 is not None:
-        _check(abs(hill_dev_s2 - 1.0) < 1e-9, "Hill(device) == 1.00 in the device subset",
-               checks, strict_checks)
-    gir_orig = _row_value(orig, "generalized_imbalance_ratio", "column:scp_codes")
-    gir_s3 = _row_value(all_rows[3], "generalized_imbalance_ratio", "column:scp_codes")
-    if gir_orig is not None and gir_s3 is not None:
-        _check(gir_s3 > gir_orig, "imbalance ratio increases in the class-imbalance subset",
-               checks, strict_checks)
-
     return {
         "reports": reports,
-        "checks": checks,
+        "checks": harness_checks(all_rows, is_real),
         "subset_indices": subset_indices,
         "markdown": render_harness_markdown(reports),
         "real_data": is_real,

@@ -19,6 +19,7 @@ from dqeval.harness import (
     PtbxlBundle,
     apply_recipe,
     default_recipes,
+    harness_checks,
     harness_rows,
     load_ptbxl,
     render_harness_markdown,
@@ -178,6 +179,107 @@ def test_run_harness_produces_four_reports_and_passing_checks(demo_root):
     assert len(out["subset_indices"]) == 3
 
 
+# --- the reproduction checks on fixed rows ------------------------------------------
+
+# rows of the four reports of a real-table run that passes every check
+REAL_ROWS = (
+    {
+        ("dataset_size", "global"): 21837,
+        ("granularity", "global"): 26,
+        ("sampling_frequency", "signals"): 500.0,
+        ("prevalence_of_duplicates", "global"): {"count": 0, "share": 0.0},
+        ("completeness", "columns:measurements"): 1.0,
+        ("hill_numbers", "column:device"): 5.59,
+        ("hill_numbers", "column:sex"): 1.99,
+        ("entropy", "global"): 1.10,
+        ("generalized_imbalance_ratio", "column:scp_codes"): 3.59,
+    },
+    {("hill_numbers", "column:sex"): 1.47},
+    {("hill_numbers", "column:device"): 1.0, ("entropy", "global"): 1.25},
+    {("generalized_imbalance_ratio", "column:scp_codes"): 7.92},
+)
+ALL_CHECKS = [
+    "dataset size == 21837",
+    "granularity == 26 metadata columns",
+    "sampling frequency == 500 Hz",
+    "duplicates == 0",
+    "measurement completeness == 100%",
+    "Hill(device) == 5.59 +/- 0.01",
+    "entropy rises in the device subset",
+    "Hill(sex) decreases in the sex-imbalance subset",
+    "Hill(device) == 1.00 in the device subset",
+    "imbalance ratio increases in the class-imbalance subset",
+]
+# per check: the report and row it reads, a value that passes it and one that fails it
+CHECK_CASES = {
+    "dataset size == 21837": (0, ("dataset_size", "global"), 21837, 21836),
+    "granularity == 26 metadata columns": (0, ("granularity", "global"), 26, 28),
+    "sampling frequency == 500 Hz": (0, ("sampling_frequency", "signals"), 500, 100.0),
+    "duplicates == 0": (0, ("prevalence_of_duplicates", "global"), {"count": 0}, {"count": 2, "share": 1e-4}),
+    "measurement completeness == 100%": (0, ("completeness", "columns:measurements"), 1.0, 0.9995),
+    "Hill(device) == 5.59 +/- 0.01": (0, ("hill_numbers", "column:device"), 5.598, 5.61),
+    "entropy rises in the device subset": (2, ("entropy", "global"), 1.11, 1.10),
+    "Hill(sex) decreases in the sex-imbalance subset": (1, ("hill_numbers", "column:sex"), 1.98, 1.99),
+    "Hill(device) == 1.00 in the device subset": (2, ("hill_numbers", "column:device"), 1.0, 1.001),
+    "imbalance ratio increases in the class-imbalance subset": (
+        3, ("generalized_imbalance_ratio", "column:scp_codes"), 3.6, 3.59),
+}
+
+
+def _rows(report: int | None = None, key: tuple[str, str] | None = None, row: dict | None = None) -> list:
+    """REAL_ROWS as report rows, the row `key` of `report` replaced by `row`
+    (a dropped row when `row` is None)."""
+    reports = []
+    for i, values in enumerate(REAL_ROWS):
+        rows = []
+        for (metric_id, scope), value in values.items():
+            if (i, (metric_id, scope)) != (report, key):
+                rows.append({"metric_id": metric_id, "scope": scope, "value": value})
+            elif row is not None:
+                rows.append({"metric_id": metric_id, "scope": scope, **row})
+        reports.append(rows)
+    return reports
+
+
+def _outcomes(checks: list[dict]) -> dict[str, bool]:
+    return {c["check"]: c["passed"] for c in checks}
+
+
+def test_every_check_passes_on_the_real_table_rows_in_table_order():
+    checks = harness_checks(_rows(), real=True)
+    assert [c["check"] for c in checks] == ALL_CHECKS
+    assert all(c["passed"] for c in checks)
+
+
+def test_a_synthetic_table_gets_only_the_three_subset_directions():
+    assert _outcomes(harness_checks(_rows(), real=False)) == dict.fromkeys(ALL_CHECKS[7:], True)
+
+
+@pytest.mark.parametrize("message", ALL_CHECKS)
+def test_each_check_passes_on_a_passing_value(message):
+    report, key, passing, _ = CHECK_CASES[message]
+    outcomes = _outcomes(harness_checks(_rows(report, key, {"value": passing}), real=True))
+    assert outcomes == dict.fromkeys(ALL_CHECKS, True)
+
+
+@pytest.mark.parametrize("message", ALL_CHECKS)
+def test_each_check_fails_alone_on_a_failing_value(message):
+    report, key, _, failing = CHECK_CASES[message]
+    outcomes = _outcomes(harness_checks(_rows(report, key, {"value": failing}), real=True))
+    assert outcomes == {m: m != message for m in ALL_CHECKS}
+
+
+@pytest.mark.parametrize("message", ALL_CHECKS)
+@pytest.mark.parametrize("row", [None, {"value": None, "error": "failed"}], ids=["missing", "error"])
+def test_a_missing_row_fails_a_published_value_and_skips_a_direction(message, row):
+    report, key, _, _ = CHECK_CASES[message]
+    outcomes = _outcomes(harness_checks(_rows(report, key, row), real=True))
+    if message in ALL_CHECKS[:6]:
+        assert outcomes == {m: m != message for m in ALL_CHECKS}
+    else:
+        assert outcomes == {m: True for m in ALL_CHECKS if m != message}
+
+
 def test_run_harness_is_seed_deterministic(demo_root):
     kwargs = dict(seed=5, now=2e9, entropy_max_records=5, entropy_max_samples=60)
     a = run_harness(demo_root, **kwargs)
@@ -289,14 +391,14 @@ def _reports_holding(out: dict, record: int) -> list[bool]:
 
 def test_sample_entropy_runs_once_per_record_and_lead(memo_root, monkeypatch):
     calls = _count_sample_entropy(monkeypatch)
-    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    out = run_harness(memo_root, seed=2, now=2e9, **MEMO_CAPS)
     sizes = [_row(r, "dataset_size")["value"] for r in out["reports"]]
     assert len(calls) == len(set(calls)) == 2 * sizes[0]
     assert sum(sizes) * 2 > len(calls)  # the subsets reused the original's leads
 
 
 def test_shared_entropy_rows_equal_a_direct_computation(memo_root):
-    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    out = run_harness(memo_root, seed=2, now=2e9, **MEMO_CAPS)
     fresh = load_ptbxl(memo_root)
     subsets = [range(fresh.dataset.n_records)] + out["subset_indices"]
     for report, idx in zip(out["reports"], subsets):
@@ -317,7 +419,7 @@ def test_shared_entropy_rows_equal_a_direct_computation(memo_root):
 def test_constant_lead_of_a_shared_record_warns_in_every_report(memo_root):
     record = _shared_record(memo_root, seed=2)
     _overwrite_lead(memo_root, record, lead=1, value=0.5)
-    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    out = run_harness(memo_root, seed=2, now=2e9, **MEMO_CAPS)
     holding = _reports_holding(out, record)
     assert sum(holding) >= 2
     for report, holds in zip(out["reports"], holding):
@@ -328,7 +430,7 @@ def test_nan_lead_of_a_shared_record_is_an_error_in_every_report(memo_root, monk
     record = _shared_record(memo_root, seed=2)
     _overwrite_lead(memo_root, record, lead=0, value=float("nan"))
     calls = _count_sample_entropy(monkeypatch)
-    out = run_harness(memo_root, seed=2, now=2e9, strict_checks=False, **MEMO_CAPS)
+    out = run_harness(memo_root, seed=2, now=2e9, **MEMO_CAPS)
     holding = _reports_holding(out, record)
     assert sum(holding) >= 2
     for report, holds in zip(out["reports"], holding):
