@@ -9,7 +9,6 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from dqeval import harness as _harness
 from dqeval.cli import cli, main
 from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl, write_demo_root
 from dqeval.registry import render_card
@@ -460,7 +459,7 @@ def test_harness_reads_an_scp_codes_cell_with_an_unhashable_key_as_no_superclass
 
 def test_harness_check_failure_names_the_check_once(tmp_path, demo_root, capsys, monkeypatch):
     # taken for the real table, the demo root misses the published Hill(device)
-    monkeypatch.setattr(_harness, "_REAL_SIZE", load_ptbxl(demo_root).dataset.n_records)
+    monkeypatch.setattr("dqeval.harness._REAL_SIZE", load_ptbxl(demo_root).dataset.n_records)
     out_dir = tmp_path / "harness"
     argv = ["--seed", "1", "ptbxl-harness", "--root", demo_root, "--now", "2e9", *HARNESS_CAPS, "--out", str(out_dir)]
     assert main(argv) == 1
