@@ -661,7 +661,7 @@ def two_sample_test(
         samples = [va, vb] + [_values(o) for o in others]
         with _pywarnings.catch_warnings(record=True) as caught:
             _pywarnings.simplefilter("always")
-            res = stats.anderson_ksamp(samples)
+            res = stats.anderson_ksamp(samples, variant="midrank")
         if any("p-value" in str(w.message) for w in caught):
             _warn("anderson_darling_k p-value clamped to its tabulated range [0.001, 0.25]")
         return TestOutcome(

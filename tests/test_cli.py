@@ -649,6 +649,10 @@ MALFORMED_INPUTS = {
     "signals-pattern-names-another-field": (
         "evaluate", {"descriptor.json": {"signals": {**F32, "pattern": "{rid}.f32"}}},
         2, "signals pattern may name no field but {value}: '{rid}.f32'"),
+    **{f"table-delimiter-{case}": (
+        "evaluate", {"descriptor.json": {"table": {"path": "table.csv", "delimiter": value}}},
+        2, f"table delimiter must be one character, not {value!r}")
+       for case, value in (("two-characters", ";;"), ("empty", ""), ("a-number", 5))},
     "dictionary-file-not-utf8": (
         "evaluate", {"descriptor.json": {"dictionaries": {"sex": "words.txt"}}, "words.txt": b"m\n\xff\xfe\n"},
         2, "word list is not UTF-8 text"),

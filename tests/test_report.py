@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dqeval
+import dqeval.report as report_module
 from dqeval.datamodel import MISSING, ColumnSpec, DataModelError, Dataset, _normalize_cell
 from dqeval.harness import load_ptbxl, write_demo_root
 from dqeval.report import (
@@ -312,6 +315,71 @@ def test_streamed_load_matches_the_all_rows_reference(tmp_path, table):
         # repr tells -0.0 from 0.0
         assert list(map(repr, cells_of(ds, name))) == list(map(repr, cells))
         assert ds.missing_count(name) == sum(v is MISSING for v in cells)
+
+
+# table bytes -> the cells of each declared column (all categorical); each
+# case holds whichever reader load_dataset picks for the table's size
+DIALECT = {
+    "blank-line-is-an-all-missing-row": (b"a,b\n1,x\n\n2,y\n", {"a": ("1", MISSING, "2"), "b": ("x", MISSING, "y")}),
+    "short-row-misses-its-trailing-cells": (b"a,b,c\n1\n2,y,z\n", {"a": ("1", "2"), "c": (MISSING, "z")}),
+    "cr-line-ends": (b"a,b\r1,x\r2,y\r", {"a": ("1", "2"), "b": ("x", "y")}),
+    "crlf-line-ends": (b"a,b\r\n1,x\r\n\r\n2,y\r\n", {"a": ("1", MISSING, "2"), "b": ("x", MISSING, "y")}),
+    "quoted-delimiter-line-end-and-quote": (
+        b'a,b\n"1,2","x\r\ny"\n"say ""hi""",""\n', {"a": ("1,2", 'say "hi"'), "b": ("x\r\ny", MISSING)}),
+    "bom-kept-in-first-header-name": (b"\xef\xbb\xbfa,b\n1,x\n", {"\ufeffa": ("1",), "b": ("x",)}),
+    "quote-inside-unquoted-field-is-literal": (b'a,b\nab"c,x\n', {"a": ('ab"c',), "b": ("x",)}),
+    "last-row-without-line-end": (b"a,b\n1,x\n2,y", {"a": ("1", "2"), "b": ("x", "y")}),
+}
+
+
+@pytest.mark.parametrize("threshold", [0, 1 << 62], ids=["byte-reader", "csv"])
+@pytest.mark.parametrize("table, want", DIALECT.values(), ids=DIALECT)
+def test_load_dataset_reads_the_table_dialect(tmp_path, monkeypatch, threshold, table, want):
+    monkeypatch.setattr(report_module, "_BYTE_TABLE_MIN", threshold, raising=False)
+    (tmp_path / "table.csv").write_bytes(table)
+    doc = {"table": {"path": "table.csv"}, "columns": [{"name": name, "vtype": "categorical"} for name in want]}
+    ds = load_dataset(parse_descriptor(doc, base_dir=str(tmp_path)))
+    assert {name: cells_of(ds, name) for name in want} == want
+    if "\ufeffa" in want:
+        doc["columns"][0]["name"] = "a"
+        with pytest.raises(DataLoadError, match="column 'a' not found in table header"):
+            load_dataset(parse_descriptor(doc, base_dir=str(tmp_path)))
+
+
+@st.composite
+def _parity_tables(draw):
+    """A table as text, either drawn freely or written by csv.writer, its
+    delimiter, and a block size that makes records straddle blocks."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    if draw(st.booleans()):
+        text = draw(st.text(alphabet=f'ab"\r\né{delimiter}', max_size=40))
+    else:
+        rows = draw(st.lists(st.lists(st.text(alphabet=f'ab "\r\né{delimiter}', max_size=5), max_size=4),
+                             min_size=1, max_size=8))
+        out = io.StringIO()
+        csv.writer(out, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(rows)
+        text = out.getvalue()
+    return text, delimiter, draw(st.integers(1, 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_parity_tables())
+def test_byte_reader_gives_the_csv_readers_columns_or_declines(table):
+    text, delimiter, block = table
+    header = next(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter), None)
+    names = list(dict.fromkeys(header or ()))
+    with mock.patch.object(report_module, "_BLOCK_BYTES", block):
+        got = report_module._read_columns_bytes(io.BytesIO(text.encode()), delimiter, names)
+    if got is None:
+        return
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    next(reader)
+    cells, n_rows = report_module._read_columns(reader, {name: header.index(name) for name in names})
+    assert got[1] == n_rows
+    for name in names:
+        assert got[0][name].categories == cells[name].categories
+        assert got[0][name].codes.dtype == cells[name].codes.dtype
+        assert got[0][name].codes.tolist() == cells[name].codes.tolist()
 
 
 def _write_f32(path, matrix, sampling_hz=100.0, names=("x", "y"), n_samples=None):
