@@ -267,7 +267,7 @@ def _read_columns_bytes(fh: BinaryIO, delimiter: str, names: Sequence[str]) -> t
             spans = zip(lo[:widths[0]].tolist(), hi[:widths[0]].tolist())
             header = [buf[i:j].decode().replace('""', '"') for i, j in spans]
             if header == [""] and not quoted[0] or not set(names) <= set(header):
-                return None  # csv reads a blank header line as no field
+                return None  # csv reads a blank header line as no field, and names a missing column
             positions = {name: header.index(name) for name in names}
             keys = {name: [] for name in positions}
             names_at, column = list(positions), np.array(list(positions.values()), np.intp)

@@ -346,6 +346,17 @@ def test_load_dataset_reads_the_table_dialect(tmp_path, monkeypatch, threshold, 
             load_dataset(parse_descriptor(doc, base_dir=str(tmp_path)))
 
 
+def test_tables_from_the_size_threshold_up_bypass_csv(table_dir, monkeypatch):
+    size = os.path.getsize(table_dir / "table.csv")
+    monkeypatch.setattr(report_module, "_read_columns", mock.Mock(side_effect=AssertionError("csv read the table")))
+    desc = read_descriptor(_write_descriptor(table_dir, _basic_doc()))
+    monkeypatch.setattr(report_module, "_BYTE_TABLE_MIN", size)
+    assert cells_of(load_dataset(desc), "rid") == ("r1", "r2", "r3")
+    monkeypatch.setattr(report_module, "_BYTE_TABLE_MIN", size + 1)
+    with pytest.raises(AssertionError, match="csv read the table"):
+        load_dataset(desc)
+
+
 @st.composite
 def _parity_tables(draw):
     """A table as text, either drawn freely or written by csv.writer, its
