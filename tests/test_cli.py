@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 
@@ -760,3 +761,43 @@ def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
         drawn = json.loads((out / "indices.json").read_text(encoding="utf-8"))
         assert drawn == apply_recipe(bundle.dataset, recipe)
         assert drawn  # a draw that finds nothing would pass vacuously
+
+
+# --- a report on a PTB-XL-sized table, pinned by digest --------------------------
+
+REALISTIC_ROWS = [
+    ("prevalence_of_duplicates", "uniqueness", {}),
+    ("prevalence_of_duplicates", "uniqueness", {"keys": ["sex", "nurse", "site", "device", "heart_axis"]}),
+    ("kendall_tau", "feature_importance", {"column_a": "height", "column_b": "weight"}),
+    ("goodman_kruskal_gamma", "feature_importance", {"column_a": "height", "column_b": "weight"}),
+    ("page_hinkley", "distribution_drift", {"column": "age", "direction": "both"}),
+    ("page_hinkley", "distribution_drift", {"column": "age", "direction": "both", "lam": 5.0, "alpha": 1.0}),
+    ("currency_heinrich", "currency", {"timestamp_column": "recording_date", "now": 1.0e9}),
+]
+# sha256 of report.json for REALISTIC_ROWS on a 2000-record demo table
+REALISTIC_REPORT_SHA256 = "71890cf109032aae87b380488ad35b782f562687663c3ea36eca1ead6449d4f7"
+
+
+def test_evaluate_on_a_demo_ptbxl_table_matches_the_pinned_digest(tmp_path):
+    # pins the datetime decode, duplicate count, concordance counts and
+    # drift detector end to end on a table read by the byte reader
+    from dqeval.harness import _PTBXL_COLUMNS
+
+    root = tmp_path / "root"
+    write_demo_root(str(root), n_records=2000, seed=0)
+    doc = {
+        "dataset_id": "ptbxl-demo",
+        "table": {"path": "ptbxl_database.csv"},
+        "columns": [{"name": n, "vtype": v, "role": r} for n, v, r in _PTBXL_COLUMNS],
+    }
+    (root / "descriptor.json").write_text(json.dumps(doc), encoding="utf-8")
+    rows = [{"metric_id": m, "dimension": d, "params": p} for m, d, p in REALISTIC_ROWS]
+    (tmp_path / "rows.json").write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["--seed", "1", "evaluate", "--data", str(root / "descriptor.json"),
+            "--selection", _selection_doc(tmp_path, []), "--params", str(tmp_path / "rows.json"),
+            "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [r.get("error") for r in report["results"]] == [None] * len(REALISTIC_ROWS)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REALISTIC_REPORT_SHA256
