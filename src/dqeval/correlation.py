@@ -34,56 +34,48 @@ def _pearson(vx: np.ndarray, vy: np.ndarray) -> float:
     return min(1.0, max(-1.0, cov / (sx * sy)))
 
 
-def _merge_count(ys: list[float]) -> int:
-    """Number of inversions in ys, counted by merge sort."""
-    n = len(ys)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = ys[:mid], ys[mid:]
-    inv = _merge_count(left) + _merge_count(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            inv += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    ys[:] = merged
-    return inv
+def _pairs_within(sizes: np.ndarray) -> float:
+    """Pairs inside groups of the given sizes, summed exactly."""
+    return float((sizes * (sizes - 1) // 2).sum())
 
 
-def _tie_count(values: np.ndarray) -> float:
-    _, counts = np.unique(values, return_counts=True)
-    return float(sum(c * (c - 1) / 2 for c in counts))
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for nonnegative int ranks.
+
+    Bit by bit from the top, seq is in the stable order of the higher bits.
+    Within each run of equal higher bits, a pair first told apart at this
+    bit is inverted when its 1 comes before its 0. A stable sort by the bits
+    so far then orders seq for the next bit.
+    """
+    top = int(ranks.max())
+    seq = ranks.astype(np.min_scalar_type(top))  # 8- and 16-bit keys sort by radix
+    total = 0
+    for b in reversed(range(top.bit_length())):
+        high = seq >> (b + 1)
+        bit = ((seq >> b) & 1).astype(np.intp)
+        starts = np.flatnonzero(np.r_[True, high[1:] != high[:-1]])
+        ones_before = np.cumsum(bit) - bit
+        ones_before -= np.repeat(ones_before[starts], np.diff(np.r_[starts, len(seq)]))
+        total += int(ones_before[bit == 0].sum())
+        seq = seq[np.argsort(seq >> b, kind="stable")]
+    return total
 
 
 def _concordance_counts(
     vx: np.ndarray, vy: np.ndarray
 ) -> tuple[float, float, float, float, float]:
-    """(C - D, ties_x, ties_y, ties_both, n0) via Knight's sort-and-merge counting."""
+    """(C - D, ties_x, ties_y, ties_both, n0) by Knight's counting (JASA
+    1966): in (x, y) order, the discordant pairs are the inversions of y."""
     n = len(vx)
     n0 = n * (n - 1) / 2
     order = np.lexsort((vy, vx))
     sx, sy = vx[order], vy[order]
-    ties_x = _tie_count(vx)
-    ties_y = _tie_count(vy)
-    # pairs tied on both coordinates
-    both = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and sx[j] == sx[i] and sy[j] == sy[i]:
-            j += 1
-        run = j - i
-        both += run * (run - 1) / 2
-        i = j
-    swaps = _merge_count(list(sy))
+    ties_x = _pairs_within(np.unique(vx, return_counts=True)[1])
+    _, y_rank, y_counts = np.unique(vy, return_inverse=True, return_counts=True)
+    ties_y = _pairs_within(y_counts)
+    run_starts = np.flatnonzero(np.r_[True, (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])])
+    both = _pairs_within(np.diff(np.r_[run_starts, n]))
+    swaps = _inversions(y_rank.reshape(-1)[order])
     c_minus_d = n0 - ties_x - ties_y + both - 2.0 * swaps
     return c_minus_d, ties_x, ties_y, both, n0
 

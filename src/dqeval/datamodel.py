@@ -213,6 +213,70 @@ def _iso_seconds(value: Any, text: str) -> float:
     return dt.timestamp()
 
 
+_LAYOUT_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])  # of "YYYY-MM-DD HH:MM:SS"
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _layout_seconds(categories: Sequence[Any], spec: ColumnSpec) -> np.ndarray | None:
+    """parse_timestamp of every category at once, NaN for a missing token,
+    when each other category is a valid `YYYY-MM-DD HH:MM:SS` (` ` or `T`
+    between date and time) in ASCII; None when any is not, so that the
+    per-category loop decodes the column or names its first bad cell.
+
+    The categories' ASCII bytes are read as one buffer, 19 to a row; then
+    days from the civil date (Hinnant's days_from_civil) and whole seconds in
+    int64. Those are the same doubles as fromisoformat's naive datetime minus
+    the epoch, which are whole seconds too.
+    """
+    try:
+        lengths = np.fromiter(map(len, categories), np.intp, len(categories))
+    except TypeError:  # a number or None
+        return None
+    sized = categories
+    if not (lengths == 19).all():
+        sized = list(categories)
+        for k in np.flatnonzero(lengths != 19).tolist():
+            sized[k] = " " * 19  # out of the layout, so kept below only as a missing token
+    try:
+        chars = np.frombuffer("".join(sized).encode("ascii"), np.uint8).reshape(-1, 19)
+    except (TypeError, UnicodeEncodeError):  # a category that is not str, or not ASCII
+        return None
+    digits = chars[:, _LAYOUT_DIGITS].astype(np.int64) - ord("0")
+    laid_out = (
+        ((digits >= 0) & (digits <= 9)).all(axis=1)
+        & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
+        & ((chars[:, 10] == ord(" ")) | (chars[:, 10] == ord("T")))
+        & (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":"))
+    )
+    tokens = spec.missing_tokens
+    if any(len(token) == 19 for token in tokens):  # a cell in the layout is its own strip()
+        missing = np.fromiter(map(tokens.__contains__, sized), bool, len(sized))
+    else:
+        missing = np.zeros(len(sized), bool)
+    for k in np.flatnonzero(~laid_out).tolist():
+        cell = categories[k]
+        if not isinstance(cell, str) or cell.strip() not in tokens:
+            return None
+        missing[k] = True
+    century, year, month, day, hour, minute, second = (digits[:, 0::2] * 10 + digits[:, 1::2]).T
+    year += century * 100
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    valid = (
+        (year >= 1) & (month >= 1) & (month <= 12)
+        & (day >= 1) & (day <= _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2)))
+        & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    if not (valid | missing).all():
+        return None
+    y = year - (month <= 2)  # years from March, so a leap day ends its year
+    of_era = y % 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = y // 400 * 146097 + of_era * 365 + of_era // 4 - of_era // 100 + day_of_year - 719468
+    seconds = (days * 86400 + hour * 3600 + minute * 60 + second).astype(float)
+    seconds[missing] = np.nan
+    return seconds
+
+
 def reject_json_constant(token: str) -> NoReturn:
     """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
     raise ValueError(f"{token} is not a JSON value")
@@ -339,7 +403,9 @@ def _label_codes(raw: Codes, spec: ColumnSpec) -> Codes:
 def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
     """A column as stored: float64 values, NaN for missing, for numerical and
     datetime columns; Codes for the others. Each distinct cell is decoded
-    once, in order of first appearance, so an error names the first bad cell.
+    once, in order of first appearance, so an error names the first bad cell;
+    a datetime column whose cells are all in the `YYYY-MM-DD HH:MM:SS` layout
+    is decoded in one pass to the same doubles (_layout_seconds).
 
     A float array given for a numerical or datetime column is taken as
     decoded values.
@@ -353,8 +419,10 @@ def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
         raw = cells if isinstance(cells, Codes) else Codes.factorize(cells)
         if not numeric:
             return _label_codes(raw, spec)
-        decoded = [_normalize_cell(v, spec) for v in raw.categories]
-        values = np.array([*decoded, MISSING], dtype=float)[raw.codes]
+        decoded = _layout_seconds(raw.categories, spec) if spec.vtype == "datetime" else None
+        if decoded is None:
+            decoded = np.array([_normalize_cell(v, spec) for v in raw.categories], dtype=float)
+        values = np.append(decoded, np.nan)[raw.codes]
     values.flags.writeable = False
     return values
 

@@ -75,6 +75,7 @@ def syntactic_accuracy(col: Codes, dictionary: Iterable[str]) -> float:
 
 
 def _ph_one_direction(x: np.ndarray, p: PageHinkleyParams, sign: float) -> tuple[list[int], float]:
+    alpha, delta, lam = p.alpha, p.delta, p.lam
     alarms: list[int] = []
     ph = 0.0
     ph_min = 0.0
@@ -84,11 +85,13 @@ def _ph_one_direction(x: np.ndarray, p: PageHinkleyParams, sign: float) -> tuple
     for t, xt in enumerate(x.tolist()):
         count += 1
         mean += (xt - mean) / count
-        ph = p.alpha * ph + sign * (xt - mean) - p.delta
-        ph_min = min(ph_min, ph)
+        ph = alpha * ph + sign * (xt - mean) - delta
+        if ph < ph_min:  # min() and max() keep their first operand on a tie, as these do
+            ph_min = ph
         stat = ph - ph_min
-        max_stat = max(max_stat, stat)
-        if stat >= p.lam:
+        if stat > max_stat:
+            max_stat = stat
+        if stat >= lam:
             alarms.append(t)
             ph = 0.0
             ph_min = 0.0
@@ -318,13 +321,25 @@ def prevalence_of_duplicates(
     duplicates.
     """
     cols = list(keys) if keys is not None else list(ds.column_names)
-    codes = [ds.codes(col).codes for col in cols]
-    if ds.n_records == 0 or not cols:
+    coded_cols = [ds.codes(col) for col in cols]
+    n = ds.n_records
+    if n == 0 or not cols:
         return {"count": 0, "ratio": 0.0}
-    # each row of codes as one opaque value: one sort, not a lexsort per column
-    rows = np.column_stack(codes)
-    dup = ds.n_records - len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * len(cols))))))
-    return {"count": dup, "ratio": dup / ds.n_records}
+    # each row's codes as one int64 key in mixed radix, numbered again by
+    # np.unique before it could pass 2**62
+    key = np.zeros(n, np.int64)
+    size = 1
+    for col in coded_cols:
+        radix = len(col.categories) + 1  # -1 for missing, then each category
+        if size * radix > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            key, size = key.reshape(-1), len(distinct)
+            if size == n:  # every row is its own group already
+                break
+        key = key * radix + (col.codes + 1)
+        size *= radix
+    dup = n - len(np.unique(key))
+    return {"count": dup, "ratio": dup / n}
 
 
 def effective_sample_size(

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqeval.correlation import concordance_cc, correlation, cramers_v, icc
+from dqeval.correlation import _concordance_counts, _inversions, concordance_cc, correlation, cramers_v, icc
 from dqeval.datamodel import MISSING, Codes
 from dqeval.distribution import MetricInputError
 from tests.conftest import ratings
@@ -52,6 +52,48 @@ def _kendall_tau_b_oracle(x, y):
     tx = sum(1 for i in range(n) for j in range(i + 1, n) if x[i] == x[j])
     ty = sum(1 for i in range(n) for j in range(i + 1, n) if y[i] == y[j])
     return (concordant - discordant) / math.sqrt((n0 - tx) * (n0 - ty))
+
+
+def _pair_counts(x, y):
+    """(C - D, ties_x, ties_y, ties_both, n0) by walking every pair."""
+    n = len(x)
+    c_minus_d = tie_x = tie_y = tie_both = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            tie_x += x[i] == x[j]
+            tie_y += y[i] == y[j]
+            tie_both += x[i] == x[j] and y[i] == y[j]
+            if x[i] != x[j] and y[i] != y[j]:
+                c_minus_d += 1 if (x[i] < x[j]) == (y[i] < y[j]) else -1
+    return c_minus_d, tie_x, tie_y, tie_both, n * (n - 1) // 2
+
+
+# few distinct values, so most pairs tie on one side or both; 0.0 and -0.0 are equal
+_tied = st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=3, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_concordance_counts_equal_the_pair_walk(data):
+    x = data.draw(_tied)
+    y = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, 7.5]) | st.floats(-1e3, 1e3),
+                           min_size=len(x), max_size=len(x)))
+    got = _concordance_counts(np.array(x), np.array(y))
+    want = _pair_counts(x, y)
+    assert got == tuple(map(float, want))
+    c_minus_d, tx, ty, both, n0 = want
+    if (n0 - tx) * (n0 - ty):
+        assert correlation("kendall_tau", x, y) == c_minus_d / math.sqrt((n0 - tx) * (n0 - ty))
+    if n0 - tx - ty + both:
+        assert correlation("goodman_kruskal_gamma", x, y) == c_minus_d / (n0 - tx - ty + both)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 300_000), min_size=1, max_size=80))
+def test_inversions_equal_the_pair_walk(ranks):
+    # ranks past 2**16 take the sort that is not by radix
+    want = sum(ranks[i] > ranks[j] for i in range(len(ranks)) for j in range(i + 1, len(ranks)))
+    assert _inversions(np.array(ranks)) == want
 
 
 @pytest.mark.parametrize("seed", range(5))

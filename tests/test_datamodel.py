@@ -6,17 +6,20 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqeval.datamodel import (
     MISSING,
+    Codes,
     ColumnSpec,
     DataModelError,
     Dataset,
     Sample,
     SignalBlock,
+    _layout_seconds,
     _normalize_cell,
+    _typed,
     column_sample,
     group_by,
     parse_timestamp,
@@ -443,3 +446,86 @@ def test_typed_columns_match_the_per_cell_reference(table):
     _assert_matches_reference(ds, want)
     sub = take_records(ds, picks)
     _assert_matches_reference(sub, {name: [col[i] for i in picks] for name, col in want.items()})
+
+
+# --- datetime columns in the YYYY-MM-DD HH:MM:SS layout ------------------------
+
+
+def _typed_by_category(cells, spec):
+    """A datetime column decoded one category at a time: the reference."""
+    raw = Codes.factorize(cells)
+    return np.array([*(_normalize_cell(v, spec) for v in raw.categories), MISSING], dtype=float)[raw.codes]
+
+
+_valid_cell = st.builds(
+    lambda dt, sep: dt.isoformat(sep, "seconds"),
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    st.sampled_from(" T"),
+)
+_near_cell = st.builds(  # one character of a valid cell replaced
+    lambda cell, i, ch: cell[:i] + ch + cell[i + 1 :],
+    _valid_cell,
+    st.integers(0, 18),
+    st.sampled_from(["0", "9", "-", ":", " ", "T", "x", "\u00e9", "\u0663", "\x00"]),
+)
+_field_cell = st.builds(
+    "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}".format,
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.sampled_from(" T"),
+    st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+)
+_EDGE_CELLS = [
+    "2000-02-29 12:00:00", "0001-01-01 00:00:00", "9999-12-31T23:59:59", "1970-01-01 00:00:00",
+    "1900-02-29 00:00:00", "2001-13-01 00:00:00", "2001-01-01 24:00:00", "2001-01-01 00:00:60",
+    "", "NA", " nan ", "None", "0000-00-00 00:00:00",
+    "2001-01-01 00:00:00Z", "2001-01-01 00:00:00+01:00", "2001-01-01 00:00:00.5",
+    " 2001-01-01 00:00:00 ", "2001-01-01x00:00:00", "2001-01-01\u00e900:00:00",
+    "2001-01-01\x0000:00:00", "2001-01-01 00:00:00\x00", "\uff12001-01-01 00:00:00",
+    "2001-01-01 0\u0660:00:00", "2001-01-01", "12:30", "20010101 00:00:00",
+    "2001/01-01 00:00:00", "2001-01/01 00:00:00", "2001-01-01 00x00:00", "2001-01-01 00:00x00",
+    "2001-01-01 00-00:00", "0000-01-01 00:00:00", "2001-01-00 00:00:00", "2001-01-01 00:60:00",
+]
+_SPECS = [
+    ColumnSpec("d", vtype="datetime"),
+    ColumnSpec("d", vtype="datetime", missing_tokens={"", "0000-00-00 00:00:00", "1970-01-01 00:00:00"}),
+]
+
+
+def _decoded(f, cells, spec):
+    try:
+        return f(cells, spec).view(np.int64).tolist()
+    except DataModelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.tuples(
+        st.lists(_valid_cell, max_size=10),
+        st.lists(_near_cell | _field_cell | st.sampled_from(_EDGE_CELLS), max_size=2),
+    )
+    .flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    .filter(len),
+    st.sampled_from(_SPECS),
+)
+def test_datetime_columns_decode_as_the_per_category_loop(cells, spec):
+    assert _decoded(_typed, cells, spec) == _decoded(_typed_by_category, cells, spec)
+
+
+@pytest.mark.parametrize("odd", _EDGE_CELLS)
+def test_an_edge_cell_among_valid_ones_decodes_as_the_per_category_loop(odd):
+    cells = ["2000-02-29 12:00:00", odd, "1989-06-12T08:30:00", "2000-02-29 12:00:00"]
+    for spec in _SPECS:
+        assert _decoded(_typed, cells, spec) == _decoded(_typed_by_category, cells, spec)
+
+
+def test_datetime_columns_in_the_layout_skip_the_loop():
+    spec = ColumnSpec("d", vtype="datetime")
+    cells = ["2000-02-29 12:00:00", "0001-01-01T00:00:00", "9999-12-31 23:59:59", "", " NA "]
+    got = _layout_seconds(Codes.factorize(cells).categories, spec)
+    assert got is not None
+    assert got.view(np.int64).tolist() == _typed_by_category(cells, spec)[:5].view(np.int64).tolist()
+    for odd in ("2000-02-30 12:00:00", "2000-02-29 12:00:00Z", " 2000-02-29 12:00:00", 1.5e9, MISSING):
+        assert _layout_seconds([*cells, odd], spec) is None
+    zero_date = ColumnSpec("d", vtype="datetime", missing_tokens={"1970-01-01 00:00:00"})
+    got = _layout_seconds(["1970-01-01 00:00:00", "1970-01-01 00:00:01"], zero_date)
+    assert np.isnan(got).tolist() == [True, False]

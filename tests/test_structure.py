@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dqeval.datamodel import (
     MISSING,
+    Codes,
     ColumnSpec,
     Dataset,
     SignalBlock,
@@ -35,7 +36,7 @@ from dqeval.structure import (
     sampling_frequency,
     syntactic_accuracy,
 )
-from dqeval.structure import _em_normal, _patterns
+from dqeval.structure import _em_normal, _patterns, _ph_one_direction
 from tests.conftest import make_dataset
 
 
@@ -115,6 +116,52 @@ def test_page_hinkley_rejects_bad_params():
         PageHinkleyParams(direction="sideways")
     with pytest.raises(MetricInputError):
         page_hinkley([1.0])
+
+
+def _ph_one_direction_loop(x, p, sign):
+    """The detector's loop with min() and max(), as first written: the reference."""
+    alarms: list[int] = []
+    ph = 0.0
+    ph_min = 0.0
+    mean = 0.0
+    count = 0
+    max_stat = 0.0
+    for t, xt in enumerate(x.tolist()):
+        count += 1
+        mean += (xt - mean) / count
+        ph = p.alpha * ph + sign * (xt - mean) - p.delta
+        ph_min = min(ph_min, ph)
+        stat = ph - ph_min
+        max_stat = max(max_stat, stat)
+        if stat >= p.lam:
+            alarms.append(t)
+            ph = 0.0
+            ph_min = 0.0
+            mean = 0.0
+            count = 0
+    return alarms, max_stat
+
+
+_ph_points = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_ph_points, min_size=2, max_size=80),
+    st.floats(1e-3, 1.0) | st.just(1.0),
+    st.floats(-1.0, 1.0) | st.just(0.0),
+    st.floats(1e-3, 200.0),  # small lambdas alarm and reset often
+)
+def test_page_hinkley_equals_the_min_max_loop(series, alpha, delta, lam):
+    p = PageHinkleyParams(delta=delta, lam=lam, direction="both", alpha=alpha)
+    x = np.array(series)
+    up, down = (_ph_one_direction_loop(x, p, sign) for sign in (1.0, -1.0))
+    out = page_hinkley(series, p)
+    assert out["alarm_indices"] == sorted(set(up[0]) | set(down[0]))
+    assert repr(out["max_statistic"]) == repr(max(up[1], down[1]))
+    for sign, (alarms, max_stat) in ((1.0, up), (-1.0, down)):
+        got = _ph_one_direction(x, p, sign)
+        assert (got[0], repr(got[1])) == (alarms, repr(max_stat))
 
 
 # --- representativeness ------------------------------------------------------
@@ -334,6 +381,44 @@ def test_ess_rejects_bad_inputs():
 @given(st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=40))
 def test_ess_never_exceeds_n(weights):
     assert effective_sample_size(weights=weights) <= len(weights) + 1e-9
+
+
+_WIDE = tuple(f"c{i}" for i in range(2047))  # with missing 2**11 codes: six such columns pass 2**62
+
+
+def _void_row_duplicates(ds, keys):
+    """Duplicates by one np.unique over each row's codes as a void scalar: the reference."""
+    rows = np.column_stack([ds.codes(col).codes for col in keys])
+    return ds.n_records - len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * len(keys))))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_duplicate_count_equals_the_void_row_unique(data):
+    n = data.draw(st.integers(1, 40))
+    cells = {}
+    if data.draw(st.booleans()):  # first, so the key is all distinct when it is numbered again
+        cells["distinct"] = Codes(np.arange(n, dtype=np.int32), _WIDE[:n])
+    widths = data.draw(st.lists(st.sampled_from([1, 3, len(_WIDE)]), min_size=1, max_size=12))
+    for j, width in enumerate(widths):
+        used = sorted({-1, 0, width // 2, width - 1})
+        codes = data.draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+        cells[f"k{j}"] = Codes(np.array(codes, np.int32), _WIDE[:width])
+    ds = Dataset(columns=tuple(ColumnSpec(name, vtype="categorical") for name in cells), cells=cells)
+    keys = list(cells)
+    assert prevalence_of_duplicates(ds, keys)["count"] == _void_row_duplicates(ds, keys)
+    assert prevalence_of_duplicates(ds, keys[::-1])["count"] == _void_row_duplicates(ds, keys)
+
+
+def test_duplicate_keys_are_numbered_again_before_they_pass_2_62():
+    wide = tuple(map(str, range(2**16 - 1)))  # 2**16 codes with missing: four columns make 2**64
+    first = Codes(np.array([0, 1, 0], np.int32), wide)  # rows 0 and 2 differ only after the wide ones
+    same = Codes(np.array([0, 0, 0], np.int32), wide)
+    last = Codes(np.array([0, 0, 1], np.int32), ("a", "b"))
+    cells = {"first": first, **{f"w{j}": same for j in range(4)}, "last": last}
+    ds = Dataset(columns=tuple(ColumnSpec(name, vtype="categorical") for name in cells), cells=cells)
+    assert prevalence_of_duplicates(ds)["count"] == 0
+    assert prevalence_of_duplicates(ds, list(cells)[:-1])["count"] == 1
 
 
 # --- informativeness ---------------------------------------------------------
