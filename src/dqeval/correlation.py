@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
 
 import numpy as np
 
-from .datamodel import Codes, Sample
+from .datamodel import Codes
 from .distribution import MetricInputError
 from .measurement import _floats
 
 
-def _pairwise_complete(
-    x: Sample | Sequence[Any], y: Sample | Sequence[Any]
-) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_complete(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs where neither value is missing (None or NaN)."""
-    vx, vy = (np.array(v.values if isinstance(v, Sample) else v, dtype=float) for v in (x, y))
+    vx, vy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if len(vx) != len(vy):
         raise MetricInputError("correlation inputs must have equal length")
     both = ~(np.isnan(vx) | np.isnan(vy))
@@ -80,9 +77,7 @@ def _concordance_counts(
     return c_minus_d, ties_x, ties_y, both, n0
 
 
-def correlation(
-    kind: str, x: Sample | Sequence[Any], y: Sample | Sequence[Any]
-) -> float:
+def correlation(kind: str, x: np.ndarray, y: np.ndarray) -> float:
     """Pearson, Spearman, Kendall tau-b or Goodman-Kruskal gamma.
 
     Incomplete pairs are deleted first; at least three complete pairs are
@@ -113,7 +108,7 @@ def correlation(
     raise MetricInputError(f"unknown correlation kind {kind!r}")
 
 
-def concordance_cc(x: Sample | Sequence[float], y: Sample | Sequence[float]) -> float:
+def concordance_cc(x: np.ndarray, y: np.ndarray) -> float:
     """Concordance correlation: 2 cov / (var_x + var_y + (mean gap)^2).
 
     Population (1/n) moments throughout; 1 only when y equals x elementwise.

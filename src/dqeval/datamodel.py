@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import compress, count
-from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -144,28 +144,6 @@ class SignalBlock:
     def samples(self) -> np.ndarray:
         src = self.source
         return src.read() if isinstance(src, F32Record) else src
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Ordered finite values as a read-only float64 vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise DataModelError("Sample values must be one-dimensional")
-        if not np.isfinite(vals).all():
-            raise DataModelError("Sample accepts finite values only")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
 
 
 def proportions(counts: Any) -> np.ndarray:
@@ -547,12 +525,15 @@ def coded(ds: Dataset, col: str) -> np.ndarray:
     return np.array([*map(rank.__getitem__, labels.categories), math.nan])[labels.codes]
 
 
-def present_sample(values: np.ndarray) -> Sample:
-    """The values that are not NaN."""
-    return Sample(values[~np.isnan(values)])
+def present_sample(values: np.ndarray) -> np.ndarray:
+    """The values that are not NaN, all of which must be finite."""
+    present = values[~np.isnan(values)]
+    if not np.isfinite(present).all():
+        raise DataModelError("Sample accepts finite values only")
+    return present
 
 
-def column_sample(ds: Dataset, col: str) -> Sample:
+def column_sample(ds: Dataset, col: str) -> np.ndarray:
     """Numeric values of a column in record order, missing dropped.
 
     Ordinal columns are encoded by their position in ordinal_order.
@@ -577,7 +558,7 @@ def group_by(ds: Dataset, col: str) -> tuple[dict[Any, np.ndarray], np.ndarray]:
     return dict(zip(labels.categories, groups)), missing
 
 
-def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[np.ndarray, np.ndarray]:
+def pooled_counts(a: np.ndarray, b: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Float64 counts of two samples in `bins` equal-width bins over their
     pooled min-max range; a constant pooled sample is one bin.
 
@@ -587,14 +568,14 @@ def pooled_counts(a: Sample, b: Sample, bins: int) -> tuple[np.ndarray, np.ndarr
         raise DataModelError("bin count must be >= 1")
     if len(a) == 0 or len(b) == 0:
         raise DataModelError("cannot bin an empty sample")
-    lo = min(a.values.min(), b.values.min())
-    hi = max(a.values.max(), b.values.max())
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
     if lo == hi:
         return np.array([float(len(a))]), np.array([float(len(b))])
     edges = np.linspace(lo, hi, bins + 1)
 
-    def count(s: Sample) -> np.ndarray:
-        idx = np.clip(np.searchsorted(edges, s.values, side="right") - 1, 0, bins - 1)
+    def count(s: np.ndarray) -> np.ndarray:
+        idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, bins - 1)
         return np.bincount(idx, minlength=bins).astype(float)
 
     return count(a), count(b)

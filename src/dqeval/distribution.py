@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datamodel import Sample, proportions
+from .datamodel import proportions
 
 SMOOTH_EPS = 1e-6
 
@@ -34,8 +34,8 @@ def _warn(msg: str) -> None:
     _pywarnings.warn(msg, MetricWarning, stacklevel=3)
 
 
-def _values(x: Sample | Sequence[float]) -> np.ndarray:
-    return np.asarray(x.values if isinstance(x, Sample) else x, dtype=float)
+def _values(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +103,7 @@ class TestOutcome:
 # --- single-distribution descriptors ---------------------------------------
 
 
-def summary_stats(s: Sample | Sequence[float]) -> dict[str, float]:
+def summary_stats(s: np.ndarray) -> dict[str, float]:
     """Order and moment summary of a sample.
 
     Quantiles interpolate linearly between closest ranks; std uses the n-1
@@ -127,7 +127,7 @@ def summary_stats(s: Sample | Sequence[float]) -> dict[str, float]:
     }
 
 
-def hill_number(c: Sequence[float] | np.ndarray, q: float) -> float:
+def hill_number(c: np.ndarray, q: float) -> float:
     """Effective number of categories of order q, from a count vector.
 
     D_q = (sum p_i^q)^(1/(1-q)); the q=1 limit is exp of the Shannon
@@ -146,7 +146,7 @@ def hill_number(c: Sequence[float] | np.ndarray, q: float) -> float:
 # --- distances ---------------------------------------------------------------
 
 
-def cohens_d(a: Sample | Sequence[float], b: Sample | Sequence[float]) -> float:
+def cohens_d(a: np.ndarray, b: np.ndarray) -> float:
     """Standardized mean difference with pooled (n-1)-weighted variance."""
     va, vb = _values(a), _values(b)
     if va.size < 2 or vb.size < 2:
@@ -159,12 +159,10 @@ def cohens_d(a: Sample | Sequence[float], b: Sample | Sequence[float]) -> float:
     return float((va.mean() - vb.mean()) / math.sqrt(pooled_var))
 
 
-def _as_matrix(x: Sample | Sequence[float] | EmbeddingSet | np.ndarray) -> np.ndarray:
-    if isinstance(x, EmbeddingSet):
-        return x.vectors
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return x.astype(float)
-    return _values(x).reshape(-1, 1)
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    """Points as rows: an n x d array as it is, a 1-D sample as one column."""
+    m = _values(x)
+    return m if m.ndim == 2 else m.reshape(-1, 1)
 
 
 def _maybe_subsample(m: np.ndarray, subsample: int | None, rng: np.random.Generator) -> np.ndarray:
@@ -260,10 +258,7 @@ def _gap_median(x: np.ndarray, skip: int) -> float:
     return float(first if m % 2 else np.median([first, second]))
 
 
-def median_heuristic_bandwidth(
-    a: Sample | Sequence[float] | EmbeddingSet,
-    b: Sample | Sequence[float] | EmbeddingSet,
-) -> float:
+def median_heuristic_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     """Median of the nonzero pairwise distances over the pooled inputs.
 
     Univariate inputs select the middle pairwise gaps of the sorted pooled
@@ -431,8 +426,8 @@ def _rbf_sums_1d(ma: np.ndarray, mb: np.ndarray, bandwidth: float) -> np.ndarray
 
 
 def mmd(
-    a: Sample | Sequence[float] | EmbeddingSet,
-    b: Sample | Sequence[float] | EmbeddingSet,
+    a: np.ndarray,
+    b: np.ndarray,
     kernel: str = "rbf",
     bandwidth: float | None = None,
     degree: int = 3,
@@ -489,8 +484,8 @@ def mmd(
 
 
 def energy_distance(
-    a: Sample | Sequence[float] | EmbeddingSet,
-    b: Sample | Sequence[float] | EmbeddingSet,
+    a: np.ndarray,
+    b: np.ndarray,
     subsample: int | None = None,
     seed: int | None = None,
 ) -> float:
@@ -530,7 +525,7 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def divergence(
-    kind: str, p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray, smoothing: str = "default"
+    kind: str, p: np.ndarray, q: np.ndarray, smoothing: str = "default"
 ) -> float:
     """KL, Jensen-Shannon (nats) or population stability index of two count
     vectors over the same categories.
@@ -599,9 +594,9 @@ def _mwu_exact(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
 
 def two_sample_test(
     kind: str,
-    a: Sample | Sequence[float] | np.ndarray,
-    b: Sample | Sequence[float] | np.ndarray,
-    others: Sequence[Sample | Sequence[float]] = (),
+    a: np.ndarray,
+    b: np.ndarray,
+    others: Sequence[np.ndarray] = (),
 ) -> TestOutcome:
     """Two-sample hypothesis test selected by kind.
 
@@ -678,9 +673,7 @@ def two_sample_test(
 # --- transport and embedding distances --------------------------------------
 
 
-def wasserstein_1d(
-    a: Sample | Sequence[float], b: Sample | Sequence[float], order: float = 1.0
-) -> float:
+def wasserstein_1d(a: np.ndarray, b: np.ndarray, order: float = 1.0) -> float:
     """Order-p Wasserstein distance between empirical distributions.
 
     Computed as the L^p norm of the quantile-function difference; for equal

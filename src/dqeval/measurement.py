@@ -13,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Codes, Dataset, Sample, proportions
+from .datamodel import Codes, Dataset, proportions
 from .distribution import MetricInputError, _values, _warn
 
 
@@ -34,7 +34,7 @@ class SampleEntropyParams:
 # --- noise and detection -----------------------------------------------------
 
 
-def shannon_entropy(c: Sequence[float] | np.ndarray, base: float = math.e) -> float:
+def shannon_entropy(c: np.ndarray, base: float = math.e) -> float:
     """Shannon entropy of a count vector of categories or bins."""
     props = [p for p in proportions(c).tolist() if p > 0]
     h = -sum(p * math.log(p) for p in props)
@@ -230,7 +230,7 @@ def _template_matches(u: np.ndarray, m: int, tol: np.ndarray) -> tuple[np.ndarra
 
 
 def sample_entropy(
-    series: Sample | Sequence[float] | np.ndarray, p: SampleEntropyParams = SampleEntropyParams()
+    series: np.ndarray, p: SampleEntropyParams = SampleEntropyParams()
 ) -> float | list[float]:
     """Sample entropy -ln(A/B) of a univariate series, or of each row of a
     (channels, n) block.
@@ -251,7 +251,7 @@ def sample_entropy(
     The rows of a block are counted together, as many at a time as
     _leads_per_group allows.
     """
-    u = np.asarray(series.values if isinstance(series, Sample) else series)
+    u = np.asarray(series)
     if u.ndim not in (1, 2):
         raise MetricInputError("sample_entropy takes a series or a (channels, n) block")
     rows = u if u.ndim == 2 else u[None]
@@ -291,7 +291,7 @@ def sample_entropy(
 
 
 def lod_loq(
-    blanks: Sample | Sequence[float],
+    blanks: np.ndarray,
     lod_multiplier: float = 3.3,
     loq_multiplier: float = 10.0,
 ) -> dict[str, float]:
@@ -371,9 +371,7 @@ def reproducibility_variance(groups: Mapping[Any, Sequence[float]]) -> dict[str,
     return {"s_r2": float(ms_within), "s_L2": float(s_l2), "s_R2": float(ms_within + s_l2)}
 
 
-def instrument_error(
-    measured: Sample | Sequence[float], reference: Sample | Sequence[float]
-) -> dict[str, float]:
+def instrument_error(measured: np.ndarray, reference: np.ndarray) -> dict[str, float]:
     """Mean bias and residual sd of measurements against a gold standard."""
     vm, vr = _values(measured), _values(reference)
     if vm.size != vr.size:

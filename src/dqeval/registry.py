@@ -28,7 +28,6 @@ from .datamodel import (
     Codes,
     DataModelError,
     Dataset,
-    Sample,
     SignalBlock,
     coded,
     column_sample,
@@ -377,7 +376,7 @@ def _complete(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _instrument(measured: np.ndarray, reference: np.ndarray) -> dict[str, float]:
     measured, reference = _complete(measured, reference)
     _require(len(measured) >= 2, "needs >= 2 complete measurement pairs")
-    return _meas.instrument_error(Sample(measured), Sample(reference))
+    return _meas.instrument_error(present_sample(measured), present_sample(reference))
 
 
 def _mask(labels: Codes) -> np.ndarray:
@@ -394,7 +393,7 @@ def _resolution(widths: np.ndarray, heights: np.ndarray) -> dict[str, list]:
     }
 
 
-def _mean_std(s: Sample) -> dict[str, float]:
+def _mean_std(s: np.ndarray) -> dict[str, float]:
     stats = _dist.summary_stats(s)
     return {"mean": stats["mean"], "std": stats["std"]}
 
@@ -420,7 +419,7 @@ def _split(
 
 def _two_numeric_samples(
     metric: str, ds: Dataset, params: dict, ds_b: Dataset | None, allow_k: bool = False
-) -> tuple[list[Sample], str, dict]:
+) -> tuple[list[np.ndarray], str, dict]:
     """Resolve two (or k) numeric samples to compare.
 
     Three routes: a second dataset (same column), a grouping column inside
@@ -702,7 +701,7 @@ def _ev_mmd(metric, ds, params, ds_b, seed):
     kernel = used["kernel"] = params.get("kernel", "rbf")
     subsample = _subsample(params, used, seed)
     rng = np.random.default_rng(seed)
-    mats = [_dist._maybe_subsample(s.values.reshape(-1, 1), subsample, rng) for s in samples]
+    mats = [_dist._maybe_subsample(s.reshape(-1, 1), subsample, rng) for s in samples]
     if kernel == "rbf":
         bandwidth = _arg(params, "bandwidth", real, None)
         if bandwidth is None:

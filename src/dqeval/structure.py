@@ -9,7 +9,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .datamodel import Codes, Dataset, Sample, coded, proportions
+from .datamodel import Codes, Dataset, coded, proportions
 from .distribution import MetricInputError, _values, _warn, distinct_rows
 
 
@@ -100,9 +100,7 @@ def _ph_one_direction(x: np.ndarray, p: PageHinkleyParams, sign: float) -> tuple
     return alarms, max_stat
 
 
-def page_hinkley(
-    series: Sample | Sequence[float], p: PageHinkleyParams = PageHinkleyParams()
-) -> dict[str, Any]:
+def page_hinkley(series: np.ndarray, p: PageHinkleyParams = PageHinkleyParams()) -> dict[str, Any]:
     """Page-Hinkley change detection over a sequential series.
 
     Tracks the faded cumulative deviation from the running mean and raises
@@ -218,7 +216,7 @@ def label_granularity(hierarchy: Mapping[Any, Sequence[Any]] | Iterable[Any]) ->
     return max(depth(r, set()) for r in roots)
 
 
-def imbalance_ratio(c: Sequence[float] | np.ndarray) -> float:
+def imbalance_ratio(c: np.ndarray) -> float:
     """Majority class count over minority class count, from a count vector."""
     counts = np.asarray(c, dtype=float)
     if not counts.size:
@@ -243,7 +241,7 @@ def _dist(p: np.ndarray, q: np.ndarray, kind: str) -> float:
     raise MetricInputError(f"unknown distance {kind!r}; expected one of {_ID_DISTANCES}")
 
 
-def imbalance_degree(c: Sequence[float] | np.ndarray, distance: str = "total_variation") -> float:
+def imbalance_degree(c: np.ndarray, distance: str = "total_variation") -> float:
     """Distance to uniform of a count vector, normalized by the worst case
     with the same number of minority classes: d(p, u)/d(iota_m, u) + (m - 1)."""
     k = len(c)
@@ -261,7 +259,7 @@ def imbalance_degree(c: Sequence[float] | np.ndarray, distance: str = "total_var
     return float(_dist(p, u, distance) / _dist(iota, u, distance) + (m - 1))
 
 
-def lrid(c: Sequence[float] | np.ndarray) -> float:
+def lrid(c: np.ndarray) -> float:
     """Likelihood-ratio statistic of the multinomial uniformity test on a
     count vector."""
     counts = np.asarray(c, dtype=float)
@@ -280,7 +278,7 @@ def lrid(c: Sequence[float] | np.ndarray) -> float:
 _CURRENCY_RATE = {"li": "shelf_life", "ballou": "volatility", "hinrichs": "update_rate", "heinrich": "decline"}
 
 
-def currency(ts: Sequence[float] | np.ndarray, p: CurrencyParams) -> np.ndarray:
+def currency(ts: np.ndarray, p: CurrencyParams) -> np.ndarray:
     """Timeliness of each record timestamp under the selected decay model.
 
     Errors come in the order a loop over single timestamps meets them: the
@@ -343,14 +341,14 @@ def prevalence_of_duplicates(
 
 
 def effective_sample_size(
-    weights: Sequence[float] | None = None,
+    weights: np.ndarray | None = None,
     n: float | None = None,
     cluster_size: float | None = None,
     icc: float | None = None,
 ) -> float:
     """ESS from importance weights, or from a cluster design (n, m, rho)."""
     if weights is not None:
-        w = np.asarray(list(weights), dtype=float)
+        w = np.asarray(weights, dtype=float)
         if not np.isfinite(w).all():
             raise MetricInputError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
         if (w < 0).any():
@@ -465,7 +463,7 @@ def float_columns(ds: Dataset, cols: Sequence[str]) -> np.ndarray:
 
 
 def littles_mcar_test(
-    data: np.ndarray | Sequence[Sequence[float | None]],
+    data: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> McarTestResult:

@@ -15,7 +15,6 @@ from dqeval.datamodel import (
     ColumnSpec,
     DataModelError,
     Dataset,
-    Sample,
     SignalBlock,
     _layout_seconds,
     _normalize_cell,
@@ -24,6 +23,7 @@ from dqeval.datamodel import (
     group_by,
     parse_timestamp,
     pooled_counts,
+    present_sample,
     proportions,
     take_records,
 )
@@ -43,10 +43,11 @@ def test_column_spec_rejects_unknown_vtype_and_role():
 
 
 def test_sample_rejects_non_finite():
-    with pytest.raises(DataModelError):
-        Sample((1.0, math.inf))
-    with pytest.raises(DataModelError):
-        Sample((float("nan"),))
+    with pytest.raises(DataModelError, match="finite values only"):
+        present_sample(np.array([1.0, math.inf]))
+    with pytest.raises(DataModelError, match="finite values only"):
+        present_sample(np.array([math.nan, -math.inf]))
+    assert present_sample(np.array([math.nan, 2.0, math.nan, 1.0])).tolist() == [2.0, 1.0]
 
 
 def _label_counts(values):
@@ -124,8 +125,8 @@ def test_missing_tokens_normalize_to_missing():
 def test_column_sample_drops_missing_and_counts():
     ds = make_dataset()
     s = column_sample(ds, "age")
-    assert s.values.tolist() == [30.0, 40.0, 50.0, 60.0, 70.0]
-    assert s.values.dtype == np.float64
+    assert s.tolist() == [30.0, 40.0, 50.0, 60.0, 70.0]
+    assert s.dtype == np.float64
     assert len(s) == 5
 
 
@@ -160,14 +161,11 @@ def test_signal_block_keeps_a_float_dtype_and_widens_the_rest():
 def test_payload_arrays_are_read_only_copies():
     source = np.array([[1.0, 2.0], [3.0, 4.0]])
     block = SignalBlock(source, sampling_hz=1.0)
-    sample = Sample(source[0])
     source[0, 0] = 99.0
     assert block.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert sample.values.tolist() == [1.0, 2.0]
-    for arr in (block.samples, sample.values):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
+    assert not block.samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block.samples[0] = 0.0
 
 
 def test_signals_must_match_record_count():
@@ -176,28 +174,29 @@ def test_signals_must_match_record_count():
 
 
 def test_histogram_equal_width_counts_sum_to_n():
-    s = Sample((0.0, 1.0, 2.0, 3.0, 4.0))
+    s = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     ca, cb = pooled_counts(s, s, 2)
     assert ca.tolist() == cb.tolist() == [2.0, 3.0]
 
 
 def test_pooled_counts_constant_sample_is_one_bin():
-    ca, cb = pooled_counts(Sample((2.0, 2.0, 2.0)), Sample((2.0,)), 4)
+    ca, cb = pooled_counts(np.array([2.0, 2.0, 2.0]), np.array([2.0]), 4)
     assert ca.tolist() == [3.0]
     assert cb.tolist() == [1.0]
 
 
 def test_pooled_counts_share_the_pooled_range():
     # edges 0, 2, ..., 10: each sample fills only the bins its own range meets
-    ca, cb = pooled_counts(Sample((0.0, 1.0)), Sample((9.0, 10.0)), 5)
+    ca, cb = pooled_counts(np.array([0.0, 1.0]), np.array([9.0, 10.0]), 5)
     assert ca.tolist() == [2.0, 0.0, 0.0, 0.0, 0.0]
     assert cb.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0]
 
 
 def test_pooled_counts_reject_no_bins_and_empty_sides():
     with pytest.raises(DataModelError, match="bin count must be >= 1"):
-        pooled_counts(Sample((1.0,)), Sample((2.0,)), 0)
-    for a, b in ((Sample(()), Sample((1.0,))), (Sample((1.0,)), Sample(())), (Sample(()), Sample(()))):
+        pooled_counts(np.array([1.0]), np.array([2.0]), 0)
+    empty, one = np.array([]), np.array([1.0])
+    for a, b in ((empty, one), (one, empty), (empty, empty)):
         with pytest.raises(DataModelError, match="cannot bin an empty sample"):
             pooled_counts(a, b, 3)
 
@@ -225,7 +224,7 @@ def test_take_records_bounds_checked():
     st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60),
 )
 def test_histogram_counts_always_sum_to_sample_size(a, b):
-    ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), 7)
+    ca, cb = pooled_counts(np.array(a), np.array(b), 7)
     assert (sum(ca.tolist()), sum(cb.tolist())) == (float(len(a)), float(len(b)))
 
 
@@ -268,7 +267,7 @@ values_st = st.lists(st.integers(-20, 20) | st.floats(-1e3, 1e3), min_size=1, ma
 def test_histogram_counts_equal_the_dict_loop(a, b, bins):
     a, b = [float(v) for v in a], [float(v) for v in b]
     lo, hi = min(a + b), max(a + b)
-    ca, cb = pooled_counts(Sample(tuple(a)), Sample(tuple(b)), bins)
+    ca, cb = pooled_counts(np.array(a), np.array(b), bins)
     edges = np.linspace(lo, hi, bins + 1).tolist() if lo < hi else [lo, hi]
     assert ca.tolist() == _histogram_by_dict_loop(a, edges)
     assert cb.tolist() == _histogram_by_dict_loop(b, edges)

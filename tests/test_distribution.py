@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqeval.datamodel import Sample, pooled_counts
+from dqeval.datamodel import pooled_counts
 import dqeval.distribution as dist_mod
 from dqeval.distribution import (
     EmbeddingSet,
@@ -135,8 +135,8 @@ def test_mmd_rejects_a_nonfinite_point_with_an_explicit_bandwidth(kernel, bad):
 
 @pytest.mark.parametrize("bandwidth", [1e-162, 1e-200, 5e-324])
 def test_vector_rbf_mmd_keeps_kernel_one_at_zero_distance_for_a_tiny_bandwidth(bandwidth):
-    a = EmbeddingSet([[0.0, 1.0], [1.0, 0.0]])
-    b = EmbeddingSet([[2.0, 1.0], [3.0, 0.0]])
+    a = EmbeddingSet([[0.0, 1.0], [1.0, 0.0]]).vectors
+    b = EmbeddingSet([[2.0, 1.0], [3.0, 0.0]]).vectors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # both within-sample kernel matrices are the identity, the cross one
@@ -307,9 +307,9 @@ def _mmd_inputs(kind, rng):
 @pytest.mark.parametrize("kind", ["tied", "continuous", "embeddings"])
 @pytest.mark.parametrize("kernel", ["rbf", "polynomial"])
 def test_mmd_over_distinct_rows_matches_the_three_matrix_formula(kernel, kind):
-    a, b = _mmd_inputs(kind, np.random.default_rng(12))
-    mats = [v.vectors if isinstance(v, EmbeddingSet) else v for v in (a, b)]
-    assert mmd(a, b, kernel=kernel) == pytest.approx(_mmd_oracle_for(kernel, *mats), rel=1e-12)
+    inputs = _mmd_inputs(kind, np.random.default_rng(12))
+    a, b = (v.vectors if isinstance(v, EmbeddingSet) else v for v in inputs)
+    assert mmd(a, b, kernel=kernel) == pytest.approx(_mmd_oracle_for(kernel, a, b), rel=1e-12)
     assert mmd(a, a, kernel=kernel) == 0.0
     assert mmd(b, b, kernel=kernel) == 0.0
 
@@ -442,8 +442,8 @@ def test_divergence_of_disjoint_supports():
 
 
 def test_divergence_on_pooled_counts():
-    a = Sample(tuple(np.linspace(0, 1, 50)))
-    b = Sample(tuple(np.linspace(0.5, 1.5, 50)))
+    a = np.linspace(0, 1, 50)
+    b = np.linspace(0.5, 1.5, 50)
     ca, cb = pooled_counts(a, b, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
