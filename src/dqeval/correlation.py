@@ -140,8 +140,9 @@ def icc(m: Codes) -> float:
     col_means = data.mean(axis=0)
     ss_rows = k * float(np.sum((row_means - grand) ** 2))
     ss_cols = n * float(np.sum((col_means - grand) ** 2))
-    ss_total = float(np.sum((data - grand) ** 2))
-    ss_err = ss_total - ss_rows - ss_cols
+    # the residuals' own squares: ss_total - ss_rows - ss_cols cancels, and
+    # can go negative, when the raters agree
+    ss_err = float(np.sum((data - row_means[:, None] - col_means + grand) ** 2))
     msr = ss_rows / (n - 1)
     msc = ss_cols / (k - 1)
     mse = ss_err / ((n - 1) * (k - 1))

@@ -142,9 +142,10 @@ def _ref_icc(rows):
     data = np.asarray(complete, dtype=float)
     n, k = data.shape
     grand = data.mean()
-    ss_rows = k * float(np.sum((data.mean(axis=1) - grand) ** 2))
-    ss_cols = n * float(np.sum((data.mean(axis=0) - grand) ** 2))
-    ss_err = float(np.sum((data - grand) ** 2)) - ss_rows - ss_cols
+    row_means, col_means = data.mean(axis=1), data.mean(axis=0)
+    ss_rows = k * float(np.sum((row_means - grand) ** 2))
+    ss_cols = n * float(np.sum((col_means - grand) ** 2))
+    ss_err = float(np.sum((data - row_means[:, None] - col_means + grand) ** 2))
     msr = ss_rows / (n - 1)
     msc = ss_cols / (k - 1)
     mse = ss_err / ((n - 1) * (k - 1))

@@ -191,6 +191,18 @@ def test_icc_perfect_agreement_is_one():
     assert icc(m) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("offset", [1.0, 1e3, 1e6, 1e9])
+def test_icc_of_identical_raters_stays_at_one_far_from_zero(offset):
+    # a residual sum of squares taken as ss_total - ss_rows - ss_cols
+    # cancelled here; at 1e9 the fourth table read 1.0000000193814451
+    rng = np.random.default_rng(0)
+    for k in (2, 3, 5):
+        for _ in range(4):
+            column = offset + rng.normal(0.0, 1.0, 14)
+            value = icc(ratings([(v,) * k for v in column.tolist()]))
+            assert 1.0 - 1e-9 <= value <= 1.0, (k, value)
+
+
 def _label_pairs(table):
     """Expand a contingency table into two parallel label columns."""
     a, b = [], []
