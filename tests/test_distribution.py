@@ -211,6 +211,20 @@ def test_median_heuristic_selection_rounds_match_the_oracle(monkeypatch, n, kind
     assert counts
 
 
+def test_median_heuristic_on_vectors_selects_past_zero_distances():
+    rng = np.random.default_rng(32)
+    spread = rng.normal(0.0, 1.0, (4, 2))
+    a = np.vstack([np.zeros((6, 2)), spread[:2]])
+    b = np.vstack([np.zeros((5, 2)), spread[2:]])
+    d = cdist(np.vstack([a, b]), np.vstack([a, b]))
+    # 55 of the 105 pairs are copies of the origin, so the plain median is 0
+    assert np.median(d[np.triu_indices_from(d, k=1)]) == 0.0
+    with pytest.warns(MetricWarning, match="degenerate"):
+        assert median_heuristic_bandwidth(a, b) == np.median(d[d > 0])
+    with pytest.warns(MetricWarning, match="degenerate"):
+        assert median_heuristic_bandwidth(np.ones((3, 2)), np.ones((2, 2))) == 1.0
+
+
 def test_median_heuristic_rejects_nonfinite_or_single_points():
     with pytest.raises(MetricInputError):
         median_heuristic_bandwidth([1.0, math.nan], [2.0])
@@ -387,6 +401,18 @@ def test_distinct_rows_count_each_row_once(rows):
     np.testing.assert_array_equal(a[order], np.repeat(distinct, counts, axis=0))
     for group in np.split(order, np.cumsum(counts)[:-1]):
         assert np.all(np.diff(group) > 0)  # stable: original order within a group
+
+
+def test_energy_on_vectors_matches_the_mean_pairwise_distances():
+    rng = np.random.default_rng(31)
+    a, b = rng.normal(0.0, 1.0, (30, 2)), rng.normal(0.7, 1.5, (25, 2))
+
+    def mean_distance(p, q):
+        return np.mean([math.dist(x, y) for x in p for y in q])
+
+    oracle = 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+    assert energy_distance(a, b) == pytest.approx(oracle, rel=1e-12)
+    assert energy_distance(a, a) == 0.0
 
 
 @given(samples, samples)

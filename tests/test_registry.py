@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from dqeval import correlation as corr
+from dqeval import distribution as dist
 from dqeval import measurement as meas
 from dqeval.datamodel import Codes, ColumnSpec, Dataset, SignalBlock
 from dqeval.report import evaluate_row, report_json
@@ -613,6 +614,27 @@ def test_parameter_files_that_do_not_parse_become_error_rows(clinic, tmp_path, m
     row = evaluate_row(clinic, metric_id, "accuracy", params)
     assert row["scope"] == "unresolved"
     assert row["error"]
+
+
+def test_fid_and_kid_read_two_embeddings_files(clinic, tmp_path):
+    rng = np.random.default_rng(21)
+    text, binary = tmp_path / "a.txt", tmp_path / "b.f32"
+    np.savetxt(text, rng.normal(0.0, 1.0, (7, 3)))
+    with binary.open("wb") as fh:
+        fh.write(json.dumps({"n": 9, "d": 3}).encode() + b"\n")
+        fh.write(rng.normal(0.5, 1.5, (9, 3)).astype("<f4").tobytes())
+    params = {"embeddings_a": str(text), "embeddings_b": str(binary)}
+    e_a, e_b = dist.load_embeddings(text), dist.load_embeddings(binary)
+    direct = {
+        "frechet_inception_distance": dist.frechet_gaussian(e_a, e_b),
+        "kernel_inception_distance": dist.kid(e_a, e_b),
+    }
+    for metric_id, value in direct.items():
+        result = evaluate(metric_id, clinic, params)
+        assert result.value == value, metric_id
+        assert result.scope == f"pair:{text},{binary}"
+        assert result.params["embeddings_a"] == str(text)
+        assert result.params["embeddings_b"] == str(binary)
 
 
 def test_non_mapping_hierarchy_is_an_error_row_on_the_shared_fixture(mixed_dataset):

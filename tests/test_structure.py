@@ -212,6 +212,18 @@ def test_imbalance_ratio_frozen():
 
 def test_imbalance_degree_frozen_and_balanced():
     assert imbalance_degree([90, 10]) == pytest.approx(0.8)
+    # Ortigosa-Hernandez et al. 2017, ID = d(p, u) / d(iota_m, u) + (m - 1).
+    # For [5, 3, 2]: p = (1/2, 3/10, 1/5), m = 2 classes below u = 1/3, and
+    # iota_2 = (0, 0, 1). Hellinger d^2 = 1 - sum sqrt(p_i u_i).
+    root_sum = (math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.2)) / math.sqrt(3.0)
+    closed_forms = {
+        "total_variation": 1.0 + (1 / 6) / (2 / 3),
+        "hellinger": 1.0 + math.sqrt((1.0 - root_sum) / (1.0 - 1.0 / math.sqrt(3.0))),
+        "euclidean": 1.0 + (math.sqrt(42.0) / 30) / (math.sqrt(6.0) / 3),
+    }
+    for distance, expected in closed_forms.items():
+        assert imbalance_degree([5, 3, 2], distance) == pytest.approx(expected, rel=1e-12), distance
+        assert imbalance_degree([50, 50], distance) == 0.0
     balanced = [50, 50]
     assert imbalance_degree(balanced) == 0.0
 
