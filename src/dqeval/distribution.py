@@ -2,7 +2,8 @@
 
 Distances, divergences, and hypothesis tests between empirical
 distributions, plus summary statistics and Hill numbers. Inputs are
-univariate samples unless a function documents embedding support.
+float64 arrays of univariate samples, unless a function documents n x d
+vectors.
 """
 
 from __future__ import annotations
@@ -524,9 +525,7 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def divergence(
-    kind: str, p: np.ndarray, q: np.ndarray, smoothing: str = "default"
-) -> float:
+def divergence(kind: str, p: np.ndarray, q: np.ndarray, smoothing: str = "default") -> float:
     """KL, Jensen-Shannon (nats) or population stability index of two count
     vectors over the same categories.
 
