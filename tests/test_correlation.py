@@ -191,6 +191,11 @@ def test_icc_perfect_agreement_is_one():
     assert icc(m) == pytest.approx(1.0)
 
 
+def test_icc_undefined_without_between_item_variance():
+    with pytest.raises(MetricInputError, match="zero between-item variance"):
+        icc(ratings(((2.0, 2.0), (2.0, 2.0), (2.0, 2.0))))
+
+
 @pytest.mark.parametrize("offset", [1.0, 1e3, 1e6, 1e9])
 def test_icc_of_identical_raters_stays_at_one_far_from_zero(offset):
     # a residual sum of squares taken as ss_total - ss_rows - ss_cols
