@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -801,3 +802,52 @@ def test_evaluate_on_a_demo_ptbxl_table_matches_the_pinned_digest(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert [r.get("error") for r in report["results"]] == [None] * len(REALISTIC_ROWS)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REALISTIC_REPORT_SHA256
+
+
+# --- a two-table comparison at 6 000 rows, pinned by digest ------------------------
+
+TWO_SAMPLE_METRICS = (
+    "ks_test", "mann_whitney_u", "anderson_darling_k", "epps_singleton", "wasserstein_distance",
+    "energy_distance", "maximum_mean_discrepancy", "cohens_d", "kl_divergence",
+    "population_stability_index", "jensen_shannon_divergence", "chi_squared",
+)
+# sha256 of the comparison report for TWO_SAMPLE_METRICS on the two tables below
+DRIFT_COMPARE_SHA256 = "1da9669d3623f1183efa0b6f594bb9570969f695401e48830cd8b62c4fd8349d"
+
+
+def _write_drift_table(path, seed, shift):
+    """6 000 records: group "b" offset by `shift` standard deviations, and a
+    few missing or unpadded cells in the numerical column."""
+    rng = np.random.default_rng(seed)
+    group = np.where(np.arange(6000) % 2 == 0, "a", "b")
+    value = [repr(float(v)) for v in rng.normal(0.0, 1.0, 6000) + np.where(group == "b", shift, 0.0)]
+    for i, odd in zip(rng.choice(6000, 6, replace=False), ["", "NA", " nan ", " 2.5 ", "0.2_5", "-0.0"]):
+        value[i] = odd
+    ids = map(str, range(1, 6001))
+    lines = ["record_id,group,value", *map(",".join, zip(ids, group.tolist(), value))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_compare_on_two_drift_tables_matches_the_pinned_digest(tmp_path):
+    # pins the two-sample kernels, the median-heuristic bandwidth and the
+    # numerical decode end to end on tables read by the byte reader
+    for label, shift in (("a", 0.0), ("b", 0.4)):
+        _write_drift_table(tmp_path / f"{label}.csv", [7, ord(label)], shift)
+        doc = {
+            "dataset_id": f"drift-{label}",
+            "table": {"path": f"{label}.csv"},
+            "columns": [{"name": "record_id", "vtype": "identifier"}, {"name": "group", "vtype": "categorical"},
+                        {"name": "value", "vtype": "numerical"}],
+        }
+        (tmp_path / f"{label}.json").write_text(json.dumps(doc), encoding="utf-8")
+    params = {m: {"column": "value", "group_column": "group"} for m in TWO_SAMPLE_METRICS}
+    (tmp_path / "params.json").write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "compare.json"
+    argv = ["--seed", "1", "compare", "--data", str(tmp_path / "a.json"), "--data", str(tmp_path / "b.json"),
+            "--metrics", ",".join(TWO_SAMPLE_METRICS), "--params", str(tmp_path / "params.json"),
+            "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    for label in ("a", "b"):
+        assert [(r["metric_id"], r.get("error")) for r in report[label]] == [(m, None) for m in TWO_SAMPLE_METRICS]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DRIFT_COMPARE_SHA256
