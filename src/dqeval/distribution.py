@@ -187,21 +187,31 @@ def _gap_bound(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: float, strict: 
     """Per row i of a sorted sample, lo[i] plus the number of j in [lo[i], hi[i])
     whose gap to x[i] is < t (strict) or <= t.
 
-    Gaps grow with j along a row, so a vectorised binary search per row tests
-    each computed gap against t, never x[j] against x[i] + t.
+    Gaps grow with j along a row. One searchsorted of x[i] + t guesses every
+    row's bound; a guess stands when the computed gaps on either side of it
+    pass and fail the test against t. Rows where rounding, overflow or
+    underflow of d*d moved the bound take a vectorised binary search that
+    tests each computed gap against t, never x[j] against x[i] + t.
     """
-    pos = lo.copy()
-    step = 1 << int((hi - lo).max()).bit_length() >> 1
-    while step:
-        cand = pos + step
-        g = _gap(x, x[np.minimum(cand, x.size) - 1])
-        pos = np.where((cand <= hi) & ((g < t) if strict else (g <= t)), cand, pos)
-        step >>= 1
+    passes = np.less if strict else np.less_equal
+    pos = np.clip(np.searchsorted(x, x + t, "left" if strict else "right"), lo, hi)
+    n = x.size
+    wrong = (pos > lo) & ~passes(_gap(x, x[pos - 1]), t)
+    wrong |= (pos < hi) & passes(_gap(x, x[np.minimum(pos, n - 1)]), t)
+    rows = np.flatnonzero(wrong)
+    if rows.size:
+        xi, at, end = x[rows], lo[rows], hi[rows]
+        step = 1 << int((end - at).max()).bit_length() >> 1
+        while step:
+            cand = at + step
+            at = np.where((cand <= end) & passes(_gap(xi, x[np.minimum(cand, n) - 1]), t), cand, at)
+            step >>= 1
+        pos[rows] = at
     return pos
 
 
-_PIVOT_SAMPLE = 256
-_PIVOT_OFFSET = 32  # about 4 standard deviations of a sample rank
+_PIVOT_SAMPLE = 2048
+_PIVOT_OFFSET = 96  # about 4 standard deviations of a sample rank
 
 
 def _gap_order_statistics(x: np.ndarray, r_lo: int, r_hi: int) -> tuple[float, float]:
@@ -209,10 +219,12 @@ def _gap_order_statistics(x: np.ndarray, r_lo: int, r_hi: int) -> tuple[float, f
     over the pairs i < j of a sorted sample.
 
     Randomised selection over per-row windows [lo[i], hi[i]) of candidate
-    columns. Each round sorts a random sample of candidates and takes as
-    pivot the one ranked just above the target, or just below it on
-    alternate rounds, so the side kept is small; it counts the gaps below
-    and at the pivot and keeps the side holding both ranks. Once at most 4n
+    columns. Each round sorts a random sample of candidates and takes two
+    pivots from it, ranked just below and just above the target; it counts
+    the gaps at most the lower and below the upper one and, when the two
+    ranks lie between them, keeps only the candidates between. When the
+    bracket misses a rank, the round keeps the side of one pivot that holds
+    both ranks, or finds that pivot is one of them. Once at most 4n
     candidates remain they are materialised and partitioned. O(n) memory;
     the result does not depend on the pivots or their fixed seed.
     """
@@ -220,23 +232,32 @@ def _gap_order_statistics(x: np.ndarray, r_lo: int, r_hi: int) -> tuple[float, f
     n = x.size
     lo, hi = np.arange(1, n + 1), np.full(n, n)
     below = 0  # gaps ranked before every candidate in the windows
-    offset = _PIVOT_OFFSET
     while (total := int((width := hi - lo).sum())) > 4 * n:
         ends = np.cumsum(width)
         picks = rng.integers(total, size=_PIVOT_SAMPLE)
         rows = np.searchsorted(ends, picks, side="right")
         sample = np.sort(_gap(x[rows], x[hi[rows] - ends[rows] + picks]))
-        aim = int((r_lo - below) * _PIVOT_SAMPLE / total) + offset
-        t = sample[min(max(aim, 0), _PIVOT_SAMPLE - 1)]
-        offset = -offset
-        lt = _gap_bound(x, lo, hi, t, strict=True)
+        aim = int((r_lo - below) * _PIVOT_SAMPLE / total)
+        t_lo = sample[min(max(aim - _PIVOT_OFFSET, 0), _PIVOT_SAMPLE - 1)]
+        t_hi = sample[min(max(aim + _PIVOT_OFFSET, 0), _PIVOT_SAMPLE - 1)]
+        le = _gap_bound(x, lo, hi, t_lo, strict=False)
+        n_le = below + int((le - lo).sum())
+        lt = _gap_bound(x, lo, hi, t_hi, strict=True)
         n_lt = below + int((lt - lo).sum())
+        if n_le <= r_lo and r_hi < n_lt:
+            lo, hi, below = le, lt, n_le
+            continue
+        if n_le > r_lo:  # the r_lo-th gap is at most t_lo: one pivot, t_lo
+            t = t_lo
+            lt = _gap_bound(x, lo, le, t, strict=True)
+            n_lt = below + int((lt - lo).sum())
+        else:  # the r_hi-th gap is at least t_hi: one pivot, t_hi
+            t = t_hi
+            le = _gap_bound(x, lt, hi, t, strict=False)
+            n_le = below + int((le - lo).sum())
         if r_hi < n_lt:
             hi = lt
-            continue
-        le = _gap_bound(x, lt, hi, t, strict=False)
-        n_le = below + int((le - lo).sum())
-        if r_lo >= n_le:
+        elif r_lo >= n_le:
             lo, below = le, n_le
         else:  # t is one of the two; the other is t or its neighbour among the gaps
             first = t if r_lo >= n_lt else _gap(x, x[lt - 1])[lt > lo].max()

@@ -144,6 +144,25 @@ def test_vector_rbf_mmd_keeps_kernel_one_at_zero_distance_for_a_tiny_bandwidth(b
         assert mmd(a, b, bandwidth=bandwidth) == 1.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mmd([1.0], [2.0, 3.0]), "mmd requires at least two points per sample"),
+        (lambda: mmd([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]),
+         "mmd inputs must share their dimension"),
+        (lambda: mmd([1.0, 2.0], [2.0, 3.0], bandwidth=0.0), "rbf bandwidth must be > 0"),
+        (lambda: mmd([1.0, 2.0], [2.0, 3.0], bandwidth=-1.0), "rbf bandwidth must be > 0"),
+        (lambda: energy_distance([[0.0, 1.0]], [[0.0, 1.0, 2.0]]), "energy_distance inputs must share their dimension"),
+        (lambda: cohens_d([2.0, 2.0, 2.0], [5.0, 5.0]), "cohens_d is undefined for zero pooled variance"),
+    ],
+    ids=["mmd-one-point", "mmd-dimensions", "rbf-zero-bandwidth", "rbf-negative-bandwidth",
+         "energy-dimensions", "cohens-d-constant"],
+)
+def test_distance_input_checks(call, message):
+    with pytest.raises(MetricInputError, match=message):
+        call()
+
+
 def test_mmd_median_heuristic_used_when_bandwidth_absent():
     a, b = [0.0, 1.0, 2.0], [5.0, 6.0, 7.0]
     bw = median_heuristic_bandwidth(a, b)
@@ -230,6 +249,70 @@ def test_median_heuristic_rejects_nonfinite_or_single_points():
         median_heuristic_bandwidth([1.0, math.nan], [2.0])
     with pytest.raises(MetricInputError):
         median_heuristic_bandwidth([1.0], [])
+
+
+@pytest.mark.parametrize("offset", [0, -dist_mod._PIVOT_SAMPLE // 8])
+def test_median_heuristic_one_pivot_rounds_match_the_oracle(monkeypatch, offset):
+    # with no offset the two pivots are one gap; with a negative one they
+    # straddle the target the wrong way round. The bracket then misses, and
+    # every round takes a one-pivot step on one side or the other
+    monkeypatch.setattr(dist_mod, "_PIVOT_OFFSET", offset)
+    rng = np.random.default_rng(11)
+    for pooled in (rng.normal(3.0, 2.0, 402), np.round(rng.normal(40.0, 15.0, 401)), rng.normal(0.0, 1.0, 400)):
+        _assert_bandwidth_matches_oracle(pooled, 134)
+
+
+def _gap_bound_oracle(x, lo, hi, t, strict):
+    """Per row, lo plus the count of cdist gaps in the window that pass."""
+    points = x.reshape(-1, 1)
+    out = []
+    for i in range(x.size):
+        d = cdist(points[i : i + 1], points[lo[i] : hi[i]])[0]  # the same sqrt(d*d) per pair
+        out.append(int(lo[i] + ((d < t) if strict else (d <= t)).sum()))
+    return out
+
+
+_bound_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # d*d overflows or underflows
+    st.sampled_from([0.0, 1.0, 1.0 + 2**-52, 3.0, -1e200, 1e200, 5e-324]),  # runs of ties
+)
+
+
+@given(st.lists(_bound_values, min_size=1, max_size=40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_gap_bound_counts_the_computed_gaps(values, data):
+    x = np.sort(np.array(values))
+    n = x.size
+    lo = np.array([data.draw(st.integers(i + 1, n)) for i in range(n)])
+    hi = np.array([data.draw(st.integers(lo[i], n)) for i in range(n)])
+    gaps = cdist(x.reshape(-1, 1), x.reshape(-1, 1)).ravel()
+    t = data.draw(st.sampled_from(gaps.tolist()) | st.floats(0.0, allow_nan=False))
+    strict = data.draw(st.booleans())
+    with np.errstate(over="ignore"):
+        got = dist_mod._gap_bound(x, lo, hi, t, strict)
+        assert got.tolist() == _gap_bound_oracle(x, lo, hi, t, strict)
+
+
+@pytest.mark.parametrize(
+    "x, t, bound",
+    [
+        # x[0] + t is 1 - 2**-53, below the run of ties at 1.0, but each gap
+        # 1 + 2**-53 rounds to 1.0 <= t: the whole run counts
+        (np.array([-(2.0**-53)] + [1.0] * 3000), 1.0, 3001),
+        # x[0] + t is far above the run, but d*d overflows, so no gap is <= t
+        (np.concatenate([[0.0], np.linspace(1.4e154, 1.5e154, 3000)]), 1e300, 1),
+    ],
+    ids=["tie-run", "overflow"],
+)
+def test_gap_bound_finds_a_bound_far_from_the_searchsorted_guess(x, t, bound):
+    n = x.size
+    lo, hi = np.arange(1, n + 1), np.full(n, n)
+    guess = np.searchsorted(x, x[0] + t, "right")
+    assert abs(guess - bound) == 3000
+    with np.errstate(over="ignore"):
+        got = dist_mod._gap_bound(x, lo, hi, t, strict=False)
+        assert got[0] == bound
+        assert got.tolist() == _gap_bound_oracle(x, lo, hi, t, strict=False)
 
 
 @given(samples, samples)
@@ -587,6 +670,16 @@ def test_epps_singleton_small_sample_unavailable():
         out = two_sample_test("epps_singleton", [1.0, 2.0, 1.5], [2.0, 3.0, 2.5])
     assert out.p_value is None or math.isnan(out.statistic)
     assert any("inapplicable" in str(w.message) or "unavailable" in str(w.message) for w in caught)
+
+
+def test_epps_singleton_when_scipy_fails_is_a_nan_statistic_with_a_warning():
+    # SciPy raises "SVD did not converge" on two constant samples
+    with pytest.warns(MetricWarning, match="epps_singleton inapplicable") as caught:
+        out = two_sample_test("epps_singleton", np.ones(30), np.ones(30))
+    assert math.isnan(out.statistic)
+    assert out.p_value is None
+    assert (out.n_a, out.n_b) == (30, 30)
+    assert sum("inapplicable" in str(w.message) for w in caught) == 1
 
 
 def test_epps_singleton_warns_below_25():
