@@ -366,10 +366,33 @@ class Codes:
         return np.bincount(self.codes[self.codes >= 0], minlength=len(self.categories)).astype(float)
 
 
+def _missing_strs(categories: Sequence[str], spec: ColumnSpec) -> np.ndarray:
+    """Which str categories are missing tokens once stripped, in one pass."""
+    return np.fromiter(map(spec.missing_tokens.__contains__, map(str.strip, categories)), bool, len(categories))
+
+
+def _str_numbers(categories: Sequence[Any], spec: ColumnSpec) -> np.ndarray | None:
+    """The values of a numerical column's categories, as _normalize_cell
+    decodes them, in one float pass: missing tokens and every NaN spelling
+    ("NAN", "-nan") give the plain NaN that MISSING is stored as. None when
+    a category is not a str or float rejects one; the per-cell loop then
+    decodes them and names the first bad cell."""
+    if not {*map(type, categories)} <= {str}:
+        return None
+    missing = _missing_strs(categories, spec)
+    values = np.full(len(categories), np.nan)
+    try:
+        values[~missing] = np.fromiter(map(float, compress(categories, ~missing)), float)
+    except ValueError:
+        return None
+    values[np.isnan(values)] = np.nan
+    return values
+
+
 def _label_codes(raw: Codes, spec: ColumnSpec) -> Codes:
     """Codes with the categories that are missing cells dropped to -1."""
     if {*map(type, raw.categories)} <= {str}:
-        missing = np.fromiter(map(spec.missing_tokens.__contains__, map(str.strip, raw.categories)), bool)
+        missing = _missing_strs(raw.categories, spec)
     else:
         missing = np.array([_normalize_cell(v, spec) is MISSING for v in raw.categories], bool)
     if not missing.any():
@@ -382,8 +405,9 @@ def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
     """A column as stored: float64 values, NaN for missing, for numerical and
     datetime columns; Codes for the others. Each distinct cell is decoded
     once, in order of first appearance, so an error names the first bad cell;
-    a datetime column whose cells are all in the `YYYY-MM-DD HH:MM:SS` layout
-    is decoded in one pass to the same doubles (_layout_seconds).
+    a datetime column whose cells are all in the `YYYY-MM-DD HH:MM:SS` layout,
+    or a numerical column of str cells that float accepts, is decoded in one
+    pass to the same doubles (_layout_seconds, _str_numbers).
 
     A float array given for a numerical or datetime column is taken as
     decoded values.
@@ -397,7 +421,7 @@ def _typed(cells: Any, spec: ColumnSpec) -> np.ndarray | Codes:
         raw = cells if isinstance(cells, Codes) else Codes.factorize(cells)
         if not numeric:
             return _label_codes(raw, spec)
-        decoded = _layout_seconds(raw.categories, spec) if spec.vtype == "datetime" else None
+        decoded = (_layout_seconds if spec.vtype == "datetime" else _str_numbers)(raw.categories, spec)
         if decoded is None:
             decoded = np.array([_normalize_cell(v, spec) for v in raw.categories], dtype=float)
         values = np.append(decoded, np.nan)[raw.codes]

@@ -18,6 +18,7 @@ from dqeval.datamodel import (
     SignalBlock,
     _layout_seconds,
     _normalize_cell,
+    _str_numbers,
     _typed,
     column_sample,
     group_by,
@@ -451,7 +452,7 @@ def test_typed_columns_match_the_per_cell_reference(table):
 
 
 def _typed_by_category(cells, spec):
-    """A datetime column decoded one category at a time: the reference."""
+    """A numerical or datetime column decoded one category at a time: the reference."""
     raw = Codes.factorize(cells)
     return np.array([*(_normalize_cell(v, spec) for v in raw.categories), MISSING], dtype=float)[raw.codes]
 
@@ -528,3 +529,39 @@ def test_datetime_columns_in_the_layout_skip_the_loop():
     zero_date = ColumnSpec("d", vtype="datetime", missing_tokens={"1970-01-01 00:00:00"})
     got = _layout_seconds(["1970-01-01 00:00:00", "1970-01-01 00:00:01"], zero_date)
     assert np.isnan(got).tolist() == [True, False]
+
+
+# --- numerical columns of str cells ---------------------------------------------
+
+_NUMBER_CELLS = [
+    " 2 ", "1_000", "0.2_5", "NAN", "-nan", "nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "1e-400",
+    "-0.0", "0.0", "0", " NA ", "NA", "", "null ", "4.9e-324", "0.1", "+7", "\u0663", "\t1.5\n", "-999",
+]
+_NUMBER_SPECS = [ColumnSpec("v"), ColumnSpec("v", missing_tokens=ColumnSpec("v").missing_tokens | {"-999", "0"})]
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.lists(st.sampled_from(_NUMBER_CELLS) | st.floats().map(repr) | st.integers().map(str), max_size=12),
+    st.sampled_from(_NUMBER_SPECS),
+)
+def test_numerical_str_columns_decode_as_the_per_category_loop(cells, spec):
+    assert _str_numbers(Codes.factorize(cells).categories, spec) is not None
+    assert _decoded(_typed, cells, spec) == _decoded(_typed_by_category, cells, spec)
+
+
+@pytest.mark.parametrize("bad", ["0x10", "abc", "1,5", "--1", "1e"])
+def test_a_cell_float_rejects_names_the_first_bad_category(bad):
+    spec = ColumnSpec("v")
+    cells = ["1.5", " NA ", bad, "2", "abc", bad]
+    assert _str_numbers(Codes.factorize(cells).categories, spec) is None
+    with pytest.raises(DataModelError) as info:
+        _typed(cells, spec)
+    assert str(info.value) == f"column 'v' (numerical) got non-numeric cell {bad!r}"
+    assert str(info.value) == _decoded(_typed_by_category, cells, spec)
+
+
+def test_every_nan_spelling_is_stored_as_the_plain_nan():
+    got = _typed(["NAN", "-nan", "nan", " NA ", "1"], ColumnSpec("v"))
+    assert got.view(np.uint64).tolist()[:4] == [np.float64(np.nan).view(np.uint64)] * 4
+    assert _str_numbers(("1", 2.0), ColumnSpec("v")) is None  # not all str: the per-category loop
