@@ -399,6 +399,11 @@ def test_lod_loq_custom_multipliers():
     assert out["loq"] == pytest.approx(8.0)
 
 
+def test_lod_loq_on_constant_blanks_collapses_to_the_mean():
+    with pytest.warns(MetricWarning, match="zero blank spread"):
+        assert lod_loq([0.25, 0.25, 0.25, 0.25]) == {"lod": 0.25, "loq": 0.25}
+
+
 def test_instrument_error_frozen():
     out = instrument_error([1.0, 3.0, 5.0], [2.0, 3.0, 4.0])
     assert out["systematic"] == pytest.approx(0.0)

@@ -357,6 +357,57 @@ def test_tables_from_the_size_threshold_up_bypass_csv(table_dir, monkeypatch):
         load_dataset(desc)
 
 
+def _declined_table(kind, n_rows):
+    """A table the byte reader declines, of about 20 bytes per row: a cell
+    with an invalid UTF-8 byte in the last row, or the delimiter 'é'."""
+    rows = [f"r{i},{20 + i % 50},{'mf'[i % 2]}" for i in range(n_rows)]
+    if kind == "invalid-utf8":
+        return ("rid,age,sex\n" + "\n".join(rows) + "\n").encode()[:-2] + b"\xff\n", ","
+    return "\n".join(["ridéageésex", *rows]).replace(",", "é").encode() + b"\n", "é"
+
+
+def _loaded(desc):
+    """A Dataset's columns and signals, or the DataLoadError text."""
+    try:
+        ds = load_dataset(desc)
+    except DataLoadError as exc:
+        return str(exc)
+    return {name: cells_of(ds, name) for name in ("rid", "age", "sex")}, ds.signals
+
+
+@pytest.mark.parametrize("kind", ["invalid-utf8", "non-ascii-delimiter"])
+@pytest.mark.parametrize("n_rows", [100, 12000], ids=["below-threshold", "above-threshold"])
+def test_tables_the_byte_reader_declines_load_as_csv_reads_them(tmp_path, monkeypatch, kind, n_rows):
+    table, delimiter = _declined_table(kind, n_rows)
+    assert (len(table) >= report_module._BYTE_TABLE_MIN) == (n_rows == 12000)
+    (tmp_path / "table.csv").write_bytes(table)
+    doc = {"table": {"path": "table.csv", "delimiter": delimiter},
+           "columns": [{"name": "rid", "vtype": "identifier"}, {"name": "age"}, {"name": "sex", "vtype": "categorical"}]}
+    desc = read_descriptor(_write_descriptor(tmp_path, doc))
+    with open(desc.table_path, "rb") as fh:
+        assert report_module._read_columns_bytes(fh, delimiter, ["rid", "age", "sex"]) is None
+    got = _loaded(desc)
+    monkeypatch.setattr(report_module, "_BYTE_TABLE_MIN", 1 << 62)
+    assert got == _loaded(desc)
+    if kind == "invalid-utf8":
+        assert got.startswith(f"cannot read table {desc.table_path}: 'utf-8' codec can't decode byte 0xff")
+    else:
+        assert got[0]["rid"][-1] == f"r{n_rows - 1}"
+
+
+def test_an_empty_signal_file_cell_is_a_record_without_a_signal(tmp_path):
+    (tmp_path / "table.csv").write_text("rid,age,sex\nr1,30,m\n,40,f\nr3,50,m\n", encoding="utf-8")
+    sig_dir = tmp_path / "sig"
+    sig_dir.mkdir()
+    for name in ("r1", "", "r3"):  # an empty cell would name ".f32"
+        _write_f32(sig_dir / f"{name}.f32", [[1.0, 10.0]])
+    doc = {"table": {"path": "table.csv"}, "signals": F32_SIGNALS,
+           "columns": [{"name": "rid", "vtype": "identifier"}, {"name": "age"}, {"name": "sex", "vtype": "categorical"}]}
+    cells, signals = _loaded(read_descriptor(_write_descriptor(tmp_path, doc)))
+    assert cells["rid"] == ("r1", MISSING, "r3")
+    assert [blk is None for blk in signals] == [False, True, False]
+
+
 @st.composite
 def _parity_tables(draw):
     """A table as text, either drawn freely or written by csv.writer, its
