@@ -234,7 +234,7 @@ def _gap_order_statistics(x: np.ndarray, r_lo: int, r_hi: int) -> tuple[float, f
     below = 0  # gaps ranked before every candidate in the windows
     while (total := int((width := hi - lo).sum())) > 4 * n:
         ends = np.cumsum(width)
-        picks = rng.integers(total, size=_PIVOT_SAMPLE)
+        picks = np.sort(rng.integers(total, size=_PIVOT_SAMPLE))  # sorted: a faster searchsorted
         rows = np.searchsorted(ends, picks, side="right")
         sample = np.sort(_gap(x[rows], x[hi[rows] - ends[rows] + picks]))
         aim = int((r_lo - below) * _PIVOT_SAMPLE / total)
