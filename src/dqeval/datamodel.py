@@ -379,10 +379,10 @@ def _str_numbers(categories: Sequence[Any], spec: ColumnSpec) -> np.ndarray | No
     decodes them and names the first bad cell."""
     if not {*map(type, categories)} <= {str}:
         return None
-    missing = _missing_strs(categories, spec)
+    present = ~_missing_strs(categories, spec)
     values = np.full(len(categories), np.nan)
     try:
-        values[~missing] = np.fromiter(map(float, compress(categories, ~missing)), float)
+        values[present] = np.fromiter(map(float, compress(categories, present)), float)
     except ValueError:
         return None
     values[np.isnan(values)] = np.nan
