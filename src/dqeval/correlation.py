@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .datamodel import Codes
-from .distribution import MetricInputError
+from .distribution import MetricInputError, _average_ranks, _pearson_chi2
 from .measurement import _floats
 
 
@@ -90,9 +90,7 @@ def correlation(kind: str, x: np.ndarray, y: np.ndarray) -> float:
     if kind == "pearson":
         return _pearson(vx, vy)
     if kind == "spearman":
-        from scipy.stats import rankdata
-
-        return _pearson(rankdata(vx), rankdata(vy))
+        return _pearson(_average_ranks(vx)[0], _average_ranks(vy)[0])
     if kind in ("kendall_tau", "goodman_kruskal_gamma"):
         c_minus_d, tx, ty, both, n0 = _concordance_counts(vx, vy)
         if kind == "kendall_tau":
@@ -172,9 +170,7 @@ def cramers_v(a: Codes, b: Codes, bias_correction: bool = False) -> float:
     if r < 2 or c < 2:
         raise MetricInputError("cramers_v requires >= 2 categories per variable")
     table = np.bincount(ia * c + ib, minlength=r * c).reshape(r, c).astype(float)
-    from scipy.stats import chi2_contingency
-
-    chi2, _, _, _ = chi2_contingency(table, correction=False)
+    chi2, _ = _pearson_chi2(table)
     n = table.sum()
     if bias_correction:
         phi2 = max(0.0, chi2 / n - (r - 1) * (c - 1) / (n - 1))

@@ -482,6 +482,11 @@ def mmd(
             bandwidth = median_heuristic_bandwidth(ma, mb)
         if not bandwidth > 0:
             raise MetricInputError("rbf bandwidth must be > 0")
+        if bandwidth == math.inf:
+            raise MetricInputError(
+                "rbf bandwidth must be finite; a median-heuristic bandwidth overflows to inf "
+                "when the pooled points lie more than about 1.3e154 apart"
+            )
         if ma.shape[1] == 1:
             t = _rbf_sums_1d(ma, mb, bandwidth)
         else:
@@ -582,6 +587,299 @@ def divergence(kind: str, p: np.ndarray, q: np.ndarray, smoothing: str = "defaul
 # --- hypothesis tests --------------------------------------------------------
 
 
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties given their mean rank, and the size of each
+    run of equal values in ascending order.
+
+    The same doubles as scipy.stats.rankdata: a stable sort, then rank
+    start + 1 + (count - 1) / 2 for each run. The ranks are half-integers,
+    so exact.
+    """
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    counts = np.diff(np.r_[starts, y.size])
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks, counts
+
+
+def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
+    """Pearson's chi-square statistic of a table of counts with no empty row
+    or column, and its p-value on (r - 1)(c - 1) degrees of freedom.
+
+    The same doubles as scipy.stats.chi2_contingency(correction=False),
+    which also gives a table of one row or one column statistic 0, p 1.
+    """
+    from scipy import special
+
+    dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
+    if dof == 0:
+        return 0.0, 1.0
+    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
+    stat = ((obs - expected) ** 2 / expected).sum()
+    return float(stat), float(special.chdtrc(dof, stat))
+
+
+# The two-sided one-sample Kolmogorov-Smirnov tail P(D_n >= x) below is the
+# survival-function path of scipy/stats/_ksstats.py (_kolmogn and the
+# routines it calls), kept operation for operation, longdouble scaling
+# included, so that it gives the doubles of scipy.stats.kstwo.sf. SciPy is
+# distributed under the BSD 3-Clause licence: Copyright (c) 2001-2002
+# Enthought, Inc. 2003, SciPy Developers. Method: Simard & L'Ecuyer, J. Stat.
+# Softw. 39(11), 2011; Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18), 2003
+# (Durbin matrix); Pomeranz, CACM 17(12), 1974; Pelz & Good, JRSS B 38(2),
+# 1976.
+
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_MIN_LOG = -708
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi**2
+_PI_FOUR = np.pi**4
+_PI_SIX = np.pi**6
+# Stirling coefficients B_2j / (2j) / (2j - 1) for j = 8, ..., 1
+_STIRLING_COEFFS = [
+    -2.955065359477124183e-2, 6.4102564102564102564e-3,
+    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+    -2.7777777777777777778e-3, 8.3333333333333333333e-2,
+]
+
+
+def _log_nfactorial_div_n_pow_n(n: int) -> float:
+    """log(n! / n^n) by Stirling, with n log n taken out up front."""
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _kolmogn_dmtw(n: int, d: float) -> float:
+    """P(D_n <= d) for 1/n < d < 1/2 by the Durbin matrix algorithm as
+    Marsaglia, Tsang & Wang evaluate it: a power of a (2k-1)^2 matrix."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    H = np.zeros([m, m])
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h**intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j  # may underflow harmlessly
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h**m
+    v[-1] = (1.0 + tt) * fac
+    for i in range(1, m):
+        H[i - 1 :, i] = w[: m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(np.shape(H)[0])
+    nn = n
+    expnt = 0
+    Hexpnt = 0
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):  # times n! / n^n
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return np.clip(p, 0.0, 1.0)
+
+
+def _pomeranz_j1j2(i: int, n: int, ll: int, ceilf: int, roundf: int) -> tuple[int, int]:
+    """The endpoints of the nonzero interval of row i."""
+    if i == 0:
+        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
+    else:
+        ip1div2, ip1mod2 = divmod(i + 1, 2)
+        if ip1mod2 == 0:  # i is odd
+            if ip1div2 == n + 1:
+                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
+            else:
+                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
+        else:
+            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
+    return max(j1 + 2, 0), min(j2, n)
+
+
+def _kolmogn_pomeranz(n: int, x: float) -> float:
+    """P(D_n <= x) by the Pomeranz recursion: 2n + 1 convolutions of a row
+    with Poisson-like weights, two rows kept, scaled against underflow."""
+    t = n * x
+    ll = int(np.floor(t))
+    f = 1.0 * (t - ll)
+    g = min(f, 1.0 - f)
+    ceilf = 1 if f > 0 else 0
+    roundf = 1 if f > 0.5 else 0
+    npwrs = 2 * (ll + 1)
+    gpower = np.empty(npwrs)  # (g/n)^m / m!
+    twogpower = np.empty(npwrs)  # (2g/n)^m / m!
+    onem2gpower = np.empty(npwrs)  # ((1-2g)/n)^m / m!
+    gpower[0] = 1.0
+    twogpower[0] = 1.0
+    onem2gpower[0] = 1.0
+    expnt = 0
+    g_over_n, two_g_over_n, one_minus_two_g_over_n = g / n, 2 * g / n, (1 - 2 * g) / n
+    for m in range(1, npwrs):
+        gpower[m] = gpower[m - 1] * g_over_n / m
+        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
+        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
+
+    V0 = np.zeros([npwrs])
+    V1 = np.zeros([npwrs])
+    V1[0] = 1
+    V0s, V1s = 0, 0
+    j1, j2 = _pomeranz_j1j2(0, n, ll, ceilf, roundf)
+    for i in range(1, 2 * n + 2):
+        k1 = j1
+        V0, V1 = V1, V0
+        V0s, V1s = V1s, V0s
+        V1.fill(0.0)
+        j1, j2 = _pomeranz_j1j2(i, n, ll, ceilf, roundf)
+        if i == 1 or i == 2 * n + 1:
+            pwrs = gpower
+        else:
+            pwrs = twogpower if i % 2 else onem2gpower
+        ln2 = j2 - k1 + 1
+        if ln2 > 0:
+            conv = np.convolve(V0[k1 - V0s : k1 - V0s + ln2], pwrs[:ln2])
+            conv_start = j1 - k1
+            conv_len = j2 - j1 + 1
+            V1[:conv_len] = conv[conv_start : conv_start + conv_len]
+            if 0 < np.max(V1) < _EM128:
+                V1 *= _EP128
+                expnt -= _E128
+            V1s = V0s + j1 - k1
+    ans = V1[n - V1s]
+    for m in range(1, n + 1):  # times n!
+        if np.abs(ans) > _EP128:
+            ans *= _EM128
+            expnt += _E128
+        ans *= m
+    if expnt != 0:
+        ans = np.ldexp(ans, expnt)
+    return np.clip(ans, 0.0, 1.0)
+
+
+def _kolmogn_pelz_good(n: int, x: float) -> float:
+    """Pelz & Good's approximation of P(D_n <= x): the Li-Chien/Korolyuk
+    series K0 + K1/sqrt(n) + K2/n + K3/n^1.5 in theta-function form."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z below about 0.0417
+        return 0.0
+    q = np.exp(qlog)
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+    K0to3 = np.zeros(4)
+    # Horner in q over the odd integers
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([
+            1.0,
+            k1a + k1b * msquared,
+            k2a + k2b * msquared + k2c * mfour,
+            k3a + k3b * msquared + k3c * mfour + k3d * msix,
+        ])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+    # the remaining terms of K2 and K3, over all integers k
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks**2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q**ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI / (216 * zsix)
+    K0to3[3] += k3extra
+    powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    K0to3 /= powers_of_n
+    return sum(K0to3)
+
+
+def _kolmogn_sf(n: int, x: float) -> float:
+    """P(D_n >= x) for 1/(2n) < x < 1 by Simard & L'Ecuyer's choice of method."""
+    from scipy.special import smirnov
+
+    t = n * x
+    if t <= 1.0:  # Ruben-Gambino
+        if t <= 0.5:
+            return 1.0
+        if n <= 140:
+            prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        return np.clip(1.0 - prob, 0.0, 1.0)
+    if t >= n - 1:  # Ruben-Gambino
+        return np.clip(2 * (1.0 - x) ** n, 0.0, 1.0)
+    if x >= 0.5:  # exact: 2 * smirnov
+        return np.clip(2 * smirnov(n, x), 0.0, 1.0)
+    nxsquared = t * x
+    if n <= 140:
+        if nxsquared <= 0.754693:
+            return np.clip(1.0 - _kolmogn_dmtw(n, x), 0.0, 1.0)
+        if nxsquared <= 4:
+            return np.clip(1.0 - _kolmogn_pomeranz(n, x), 0.0, 1.0)
+        return np.clip(2 * smirnov(n, x), 0.0, 1.0)  # Miller's approximation
+    if nxsquared >= 370.0:
+        return 0.0
+    if nxsquared >= 2.2:
+        return np.clip(2 * smirnov(n, x), 0.0, 1.0)
+    if n <= 100000 and n * x**1.5 <= 1.4:
+        cdfprob = _kolmogn_dmtw(n, x)
+    else:
+        cdfprob = _kolmogn_pelz_good(n, x)
+    return np.clip(1.0 - cdfprob, 0.0, 1.0)
+
+
+def _kstwo_sf(x: float, n: int) -> float:
+    """scipy.stats.kstwo.sf(x, n): NaN unless n >= 1, 1 up to x = 1/(2n),
+    0 from x = 1."""
+    if n < 1 or math.isnan(x):
+        return math.nan
+    if x <= 0.5 / n:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    return float(np.float64(_kolmogn_sf(n, np.float64(x))))
+
+
 def _mwu_exact(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
     """U of the first sample and its exact two-sided permutation p-value.
 
@@ -623,10 +921,15 @@ def two_sample_test(
     kinds: ks, epps_singleton, anderson_darling_k (accepts extra samples via
     others), mann_whitney_u, chi_squared (two count vectors over the same
     categories). p-values come from the standard asymptotics, except the
-    small Mann-Whitney case which is enumerated exactly.
+    small Mann-Whitney case which is enumerated exactly. The KS tail
+    (_kstwo_sf, SciPy's kstwo.sf ported onto scipy.special.smirnov), the
+    chi-square tail (scipy.special.chdtrc) and the normal tail of
+    Mann-Whitney (scipy.special.ndtr) give the doubles of SciPy's
+    ks_2samp(method="asymp"), chi2_contingency(correction=False) and
+    mannwhitneyu(method="asymptotic"); epps_singleton and
+    anderson_darling_k call scipy.stats itself. ks and mann_whitney_u
+    reject a NaN.
     """
-    from scipy import stats
-
     if kind == "chi_squared":
         obs = np.array([a, b], dtype=float)
         if obs.ndim != 2 or (obs < 0).any() or not (obs.sum(axis=1) > 0).all():
@@ -634,27 +937,49 @@ def two_sample_test(
         col_tot = obs.sum(axis=0)
         if (col_tot == 0).any():
             raise MetricInputError("chi_squared: category with expected count 0")
-        stat, p, _, _ = stats.chi2_contingency(obs, correction=False)
-        return TestOutcome(float(stat), float(p), "chi_squared", int(obs[0].sum()), int(obs[1].sum()))
+        stat, p = _pearson_chi2(obs)
+        return TestOutcome(stat, p, "chi_squared", int(obs[0].sum()), int(obs[1].sum()))
 
     va, vb = _values(a), _values(b)
     if va.size < 1 or vb.size < 1:
         raise MetricInputError("two_sample_test requires non-empty samples")
+    if kind in ("ks", "mann_whitney_u") and (np.isnan(va).any() or np.isnan(vb).any()):
+        raise MetricInputError(f"{kind} needs samples without NaN")
 
     if kind == "ks":
-        res = stats.ks_2samp(va, vb, method="asymp")
-        return TestOutcome(float(res.statistic), float(res.pvalue), "ks", va.size, vb.size)
+        # ks_2samp's statistic: the largest gap between the two empirical CDFs
+        sa, sb = np.sort(va), np.sort(vb)
+        pooled = np.concatenate([sa, sb])
+        gaps = np.searchsorted(sa, pooled, side="right") / sa.size
+        gaps -= np.searchsorted(sb, pooled, side="right") / sb.size
+        below, above = np.clip(-gaps.min(), 0, 1), gaps.max()
+        d = float(below if below > above else above)
+        m, n = float(va.size), float(vb.size)
+        return TestOutcome(d, _kstwo_sf(d, round(m * n / (m + n))), "ks", va.size, vb.size)
 
     if kind == "mann_whitney_u":
         if va.size + vb.size <= 16:
             u, p = _mwu_exact(va, vb)
             return TestOutcome(u, p, "mann_whitney_u(exact)", va.size, vb.size)
-        res = stats.mannwhitneyu(va, vb, alternative="two-sided", method="asymptotic")
-        return TestOutcome(
-            float(res.statistic), float(res.pvalue), "mann_whitney_u(asymptotic)", va.size, vb.size
-        )
+        from scipy import special
+
+        # mannwhitneyu's normal approximation, tie-corrected, with a 0.5
+        # continuity step
+        n1, n2 = va.size, vb.size
+        ranks, counts = _average_ranks(np.concatenate([va, vb]))
+        u1 = ranks[:n1].sum() - n1 * (n1 + 1) / 2
+        ties = np.zeros(ranks.size)  # run sizes at the run starts, as SciPy sums them
+        ties[np.cumsum(counts) - counts] = counts
+        n = n1 + n2
+        s = np.sqrt(n1 * n2 / 12 * ((n + 1) - np.sum(ties**3 - ties) / (n * (n - 1))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (max(u1, n1 * n2 - u1) - n1 * n2 / 2 - 0.5) / s
+        p = float(np.clip(2 * special.ndtr(-z), 0.0, 1.0))
+        return TestOutcome(float(u1), p, "mann_whitney_u(asymptotic)", n1, n2)
 
     if kind == "epps_singleton":
+        from scipy import stats
+
         if va.size < 25 or vb.size < 25:
             _warn("epps_singleton asymptotic p-value unreliable below 25 points per sample")
         failure = None
@@ -673,6 +998,8 @@ def two_sample_test(
         return TestOutcome(stat, p, "epps_singleton", va.size, vb.size)
 
     if kind == "anderson_darling_k":
+        from scipy import stats
+
         samples = [va, vb] + [_values(o) for o in others]
         with _pywarnings.catch_warnings(record=True) as caught:
             _pywarnings.simplefilter("always")

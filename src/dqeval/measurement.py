@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import Codes, Dataset, proportions
-from .distribution import MetricInputError, _values, _warn
+from .distribution import MetricInputError, _average_ranks, _values, _warn
 
 
 @dataclass(frozen=True)
@@ -481,8 +481,6 @@ def kendalls_w(m: Codes) -> float:
     Each rater column is converted to average ranks over the items;
     W = 12 S / (k^2 (n^3 - n) - k T) with T the per-rater tie correction.
     """
-    from scipy.stats import rankdata
-
     n, k = m.codes.shape
     if n < 2:
         raise MetricInputError("kendalls_w requires at least 2 items")
@@ -492,9 +490,7 @@ def kendalls_w(m: Codes) -> float:
         col = m.codes[:, j]
         if (col < 0).any():
             raise MetricInputError("kendalls_w requires complete rankings")
-        vals = _floats(m, col)
-        ranks[:, j] = rankdata(vals)
-        _, counts = np.unique(vals, return_counts=True)
+        ranks[:, j], counts = _average_ranks(_floats(m, col))
         tie_term += float(sum(t**3 - t for t in counts))
     totals = ranks.sum(axis=1)
     s = float(np.sum((totals - totals.mean()) ** 2))

@@ -528,12 +528,12 @@ def littles_mcar_test(
         df += len(o)
     if df <= 0:
         raise MetricInputError("littles_mcar_test has no degrees of freedom")
-    from scipy.stats import chi2
+    from scipy import special
 
     return McarTestResult(
         statistic=float(d2),
         df=int(df),
-        p_value=float(chi2.sf(d2, df)),
+        p_value=float(special.chdtrc(df, max(d2, 0.0))),  # chi2.sf: 1 at and below 0
         n_patterns=len(patterns),
         converged=converged,
     )

@@ -218,6 +218,31 @@ def _label_pairs(table):
     return Codes.factorize(a), Codes.factorize(b)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: correlation("pearson", [1.0, 2.0, 3.0], [1.0, 2.0]), "correlation inputs must have equal length"),
+        # every pair is tied on x, so none is concordant or discordant
+        (lambda: correlation("goodman_kruskal_gamma", [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+         "gamma undefined: all pairs tied"),
+        (lambda: concordance_cc([1.0, MISSING], [2.0, 3.0]), "concordance_cc requires at least 2 complete pairs"),
+        (lambda: concordance_cc([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]),
+         "concordance_cc undefined: no variance and no mean gap"),
+        (lambda: cramers_v(Codes.factorize(["a", "b"]), Codes.factorize(["a"])),
+         "cramers_v inputs must have equal length"),
+        (lambda: cramers_v(Codes(np.array([0, -1], np.int32), ("a",)), Codes(np.array([-1, 0], np.int32), ("x",))),
+         "no complete pairs after pairwise deletion"),
+        (lambda: cramers_v(Codes.factorize(["a", "a", "a"]), Codes.factorize(["x", "y", "x"])),
+         "cramers_v requires >= 2 categories per variable"),
+    ],
+    ids=["unequal-lengths", "gamma-all-tied", "ccc-one-pair", "ccc-constant-equal",
+         "cramers-unequal-lengths", "cramers-no-complete-pair", "cramers-one-category"],
+)
+def test_correlation_input_checks(call, message):
+    with pytest.raises(MetricInputError, match=f"^{message}$"):
+        call()
+
+
 def test_cramers_v_frozen_value():
     a, b = _label_pairs([[10, 20], [20, 10]])
     v = cramers_v(a, b)

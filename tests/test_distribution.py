@@ -34,6 +34,7 @@ from dqeval.distribution import (
     two_sample_test,
     wasserstein_1d,
 )
+from dqeval.distribution import _average_ranks, _kstwo_sf, _pearson_chi2
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 samples = st.lists(finite_floats, min_size=2, max_size=30).map(tuple)
@@ -152,15 +153,26 @@ def test_vector_rbf_mmd_keeps_kernel_one_at_zero_distance_for_a_tiny_bandwidth(b
          "mmd inputs must share their dimension"),
         (lambda: mmd([1.0, 2.0], [2.0, 3.0], bandwidth=0.0), "rbf bandwidth must be > 0"),
         (lambda: mmd([1.0, 2.0], [2.0, 3.0], bandwidth=-1.0), "rbf bandwidth must be > 0"),
+        (lambda: mmd([1.0, 2.0], [2.0, 3.0], bandwidth=math.inf), "rbf bandwidth must be finite"),
         (lambda: energy_distance([[0.0, 1.0]], [[0.0, 1.0, 2.0]]), "energy_distance inputs must share their dimension"),
         (lambda: cohens_d([2.0, 2.0, 2.0], [5.0, 5.0]), "cohens_d is undefined for zero pooled variance"),
     ],
     ids=["mmd-one-point", "mmd-dimensions", "rbf-zero-bandwidth", "rbf-negative-bandwidth",
-         "energy-dimensions", "cohens-d-constant"],
+         "rbf-infinite-bandwidth", "energy-dimensions", "cohens-d-constant"],
 )
 def test_distance_input_checks(call, message):
     with pytest.raises(MetricInputError, match=message):
         call()
+
+
+def test_mmd_rejects_a_median_heuristic_bandwidth_that_overflows():
+    # the median gap of points 2e200 apart overflows in sqrt(d*d), as cdist's
+    # does; an infinite bandwidth made every kernel value 1 and the MMD 0
+    a, b = np.array([-1e200, 1e200, 0.0]), np.array([1.0, 2.0])
+    with np.errstate(over="ignore"):
+        assert median_heuristic_bandwidth(a, b) == math.inf
+        with pytest.raises(MetricInputError, match="rbf bandwidth must be finite"):
+            mmd(a, b)
 
 
 def test_mmd_median_heuristic_used_when_bandwidth_absent():
@@ -692,6 +704,144 @@ def test_epps_singleton_warns_below_25():
 def test_unknown_test_kind_rejected():
     with pytest.raises(MetricInputError):
         two_sample_test("t_test", [1.0, 2.0], [3.0, 4.0])
+
+
+@pytest.mark.parametrize("kind", ["ks", "mann_whitney_u"])
+def test_rank_tests_reject_nan(kind):
+    with pytest.raises(MetricInputError, match=f"^{kind} needs samples without NaN$"):
+        two_sample_test(kind, [1.0, math.nan], [2.0, 3.0])
+
+
+# --- SciPy's statistics and tails, bit for bit --------------------------------
+
+
+def _same_double(got, want) -> bool:
+    """Equal float64 bits, or both NaN."""
+    got, want = np.float64(got), np.float64(want)
+    return got.tobytes() == want.tobytes() or bool(np.isnan(got) and np.isnan(want))
+
+
+# small integers force ties; -0.0 and 0.0 tie with each other
+_tied_values = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0), finite_floats)
+
+
+@given(st.lists(st.one_of(_tied_values, st.sampled_from([-math.inf, math.inf])), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_average_ranks_equal_rankdata(values):
+    x = np.array(values)
+    ranks, counts = _average_ranks(x)
+    assert ranks.tobytes() == scipy.stats.rankdata(x).tobytes()
+    assert counts.tolist() == np.unique(x, return_counts=True)[1].tolist()
+
+
+@st.composite
+def _count_tables(draw):
+    """r x c tables of counts with no empty row or column, one row or one
+    column included (no degrees of freedom)."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    big = draw(st.booleans())
+    cells = st.integers(0, 10**6 if big else 40)
+    table = np.array(draw(st.lists(cells, min_size=r * c, max_size=r * c)), dtype=float).reshape(r, c)
+    table[np.arange(r), np.arange(r) % c] += 1  # every row nonempty
+    table[np.arange(c) % r, np.arange(c)] += 1  # every column nonempty
+    return table
+
+
+@given(_count_tables())
+@settings(max_examples=300, deadline=None)
+def test_pearson_chi2_equals_chi2_contingency(table):
+    stat, p = _pearson_chi2(table)
+    ref = scipy.stats.chi2_contingency(table, correction=False)
+    assert _same_double(stat, ref.statistic) and _same_double(p, ref.pvalue)
+
+
+def _kstwo_grid():
+    """(x, n) pairs that reach every branch of the KS tail: Ruben-Gambino at
+    both ends, 2 * smirnov from x = 1/2, Durbin (DMTW) and Pomeranz up to
+    n = 140, then 0 from n x^2 = 370, smirnov from 2.2, DMTW while
+    n x^1.5 <= 1.4 and n <= 100 000, Pelz-Good beyond (a z below 0.0417 included)."""
+    for n in (1, 2, 3, 5, 10, 39, 100, 140, 141, 1000, 100_000, 150_000):
+        xs = [0.5 / n, np.nextafter(0.5 / n, 1.0), 0.75 / n, 1.0 / n, np.nextafter(1.0 / n, 1.0), 1.5 / n,
+              (n - 1) / n, np.nextafter((n - 1) / n, 0.0), 0.49, 0.5, 0.6, 0.999]
+        xs += [math.sqrt(c / n) for c in (1e-4, 0.5, 0.754693, 0.76, 2.0, 2.2, 4.0, 4.1, 18.0, 370.0, 400.0)]
+        xs += [(c / n) ** (2 / 3) for c in (1.0, 1.4, 1.5, 3.0)]
+        if n > 100_000:  # DMTW at this n is not on SciPy's path; keep the grid quick
+            xs = [x for x in xs if x < 1e-3 or n * x * x >= 2.2]
+        yield from ((float(x), n) for x in xs)
+    yield from ((x, 7) for x in (-0.1, 0.0, 1.0, 1.5, math.nan))
+    yield from ((0.5, n) for n in (0, -1))
+
+
+def test_kstwo_sf_equals_scipy_kstwo_on_every_branch():
+    with np.errstate(divide="ignore"):  # SciPy's support 0.5/n at n = 0
+        for x, n in _kstwo_grid():
+            assert _same_double(_kstwo_sf(x, n), scipy.stats.kstwo.sf(x, float(n))), (x, n)
+
+
+_two_samples = st.tuples(
+    st.lists(_tied_values, min_size=1, max_size=40), st.lists(_tied_values, min_size=1, max_size=40)
+)
+
+
+@given(_two_samples)
+@settings(max_examples=300, deadline=None)
+def test_ks_equals_ks_2samp_asymp(pair):
+    a, b = pair
+    out = two_sample_test("ks", a, b)
+    with np.errstate(divide="ignore"):  # SciPy's support 0.5/n at n = 0
+        ref = scipy.stats.ks_2samp(a, b, method="asymp")
+    assert _same_double(out.statistic, ref.statistic) and _same_double(out.p_value, ref.pvalue)
+
+
+@pytest.mark.parametrize("na, nb, shift", [(200, 300, 0.0), (200, 300, 0.4), (3000, 2000, 0.0), (3000, 2000, 0.1)])
+def test_ks_on_large_samples_equals_ks_2samp_asymp(na, nb, shift):
+    rng = np.random.default_rng(na + nb)
+    a, b = np.round(rng.normal(size=na), 2), np.round(rng.normal(shift, size=nb), 2)
+    out = two_sample_test("ks", a, b)
+    ref = scipy.stats.ks_2samp(a, b, method="asymp")
+    assert _same_double(out.statistic, ref.statistic) and _same_double(out.p_value, ref.pvalue)
+
+
+@st.composite
+def _asymptotic_pairs(draw):
+    """Two tied samples of more than 16 points between them."""
+    n1 = draw(st.integers(1, 40))
+    a = draw(st.lists(_tied_values, min_size=n1, max_size=n1))
+    b = draw(st.lists(_tied_values, min_size=max(1, 17 - n1), max_size=40))
+    return a, b
+
+
+@given(_asymptotic_pairs())
+@settings(max_examples=300, deadline=None)
+def test_mann_whitney_equals_mannwhitneyu_asymptotic(pair):
+    a, b = pair
+    out = two_sample_test("mann_whitney_u", a, b)
+    ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
+    assert out.method == "mann_whitney_u(asymptotic)"
+    assert _same_double(out.statistic, ref.statistic) and _same_double(out.p_value, ref.pvalue)
+
+
+def test_ks_of_one_point_each_has_no_p_value():
+    # m n / (m + n) = 0.5 rounds to 0, and kstwo at n = 0 is NaN
+    out = two_sample_test("ks", [0.0], [1.0])
+    with np.errstate(divide="ignore"):
+        ref = scipy.stats.ks_2samp([0.0], [1.0], method="asymp")
+    assert out.statistic == ref.statistic == 1.0
+    assert math.isnan(out.p_value) and math.isnan(ref.pvalue)
+
+
+def test_chi_squared_over_one_category_has_no_degrees_of_freedom():
+    out = two_sample_test("chi_squared", [5], [7])
+    ref = scipy.stats.chi2_contingency([[5], [7]], correction=False)
+    assert (out.statistic, out.p_value) == (ref.statistic, ref.pvalue) == (0.0, 1.0)
+
+
+def test_mann_whitney_with_every_value_tied_has_p_one():
+    # the tie-corrected variance is 0, so z = -0.5 / 0 = -inf
+    a, b = [2.0] * 9, [2.0] * 8
+    out = two_sample_test("mann_whitney_u", a, b)
+    ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
+    assert (out.statistic, out.p_value) == (ref.statistic, ref.pvalue) == (36.0, 1.0)
 
 
 # --- Wasserstein -------------------------------------------------------------

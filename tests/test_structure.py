@@ -620,6 +620,25 @@ def test_littles_matches_the_per_row_oracle(table):
         assert not (~np.isnan(x)).all(axis=1).any()
 
 
+@given(_incomplete_tables())
+@settings(max_examples=60, deadline=None)
+def test_littles_p_value_is_scipy_chi2_sf(table):
+    x, _ = table
+    try:
+        res, _ = captured(lambda: littles_mcar_test(x))
+    except EvaluationError:
+        return
+    want = scipy.stats.chi2.sf(res.statistic, res.df)
+    assert np.float64(res.p_value).tobytes() == np.float64(want).tobytes()
+
+
+def test_littles_on_an_entirely_missing_column_keeps_its_error():
+    x = np.array([[1.0, 2.0, np.nan], [2.0, np.nan, np.nan], [3.0, 1.0, np.nan], [4.0, 5.0, np.nan]])
+    with pytest.raises(EvaluationError, match="^a column is entirely missing$") as caught:
+        captured(lambda: littles_mcar_test(x))  # also swallows numpy's empty-slice warnings
+    assert isinstance(caught.value.__cause__, MetricInputError)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_em_on_pattern_sums_matches_the_per_row_em(seed):
     # integer columns with three-way missingness, the shape of a metadata table
