@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping, Sequence
 
@@ -31,6 +30,8 @@ from .report import (
     evaluate_row,
     load_dataset,
     parse_descriptor,
+    report_table,
+    result_cell,
     result_entry,
 )
 
@@ -100,26 +101,6 @@ class PtbxlNotFound(DataLoadError):
     """The root holds no PTB-XL table or no scp_statements.csv."""
 
 
-@dataclass(frozen=True)
-class PtbxlBundle:
-    """A loaded PTB-XL-shaped dataset plus its diagnostic superclass sets."""
-
-    dataset: Dataset
-    superclasses: tuple[frozenset, ...]
-
-    def counts(self) -> dict[str, float]:
-        """Occurrences per superclass; a record counts toward each of its own."""
-        acc: dict[str, float] = {}
-        for classes in self.superclasses:
-            for cls in classes:
-                acc[cls] = acc.get(cls, 0.0) + 1.0
-        return acc
-
-    def subset(self, indices: Sequence[int], dataset_id: str) -> "PtbxlBundle":
-        ds = take_records(self.dataset, indices, dataset_id=dataset_id)
-        return PtbxlBundle(ds, tuple(self.superclasses[int(i)] for i in indices))
-
-
 def _read_superclass_map(root: str) -> dict[str, str]:
     path = os.path.join(root, "scp_statements.csv")
     try:
@@ -153,12 +134,13 @@ def _parse_scp_codes(text: Any) -> dict[str, float]:
     return parsed if isinstance(parsed, dict) else {}
 
 
-def load_ptbxl(root: str) -> PtbxlBundle:
+def load_ptbxl(root: str) -> Dataset:
     """Load PTB-XL (or a synthetic stand-in with the same layout) from root.
 
-    Adds an is_norm indicator column (1.0 when the record carries the NORM
-    diagnostic superclass) used for the class-imbalance recipe and the
-    default age-to-target correlation.
+    Adds an is_norm target column (1.0 when the record carries the NORM
+    diagnostic superclass), used for the class-imbalance recipe and the
+    default age-to-target correlation, and a superclasses annotation column
+    holding each record's diagnostic superclasses as a sorted tuple.
     """
     table = os.path.join(root, "ptbxl_database.csv")
     if not os.path.isfile(table):
@@ -183,19 +165,30 @@ def load_ptbxl(root: str) -> PtbxlBundle:
 
     class_map = _read_superclass_map(root)
     scp = ds.codes("scp_codes")  # each distinct statement string is parsed once
-    per_code = [frozenset(class_map[c] for c in _parse_scp_codes(text) if c in class_map) for text in scp.categories]
-    classes = [per_code[k] if k >= 0 else frozenset() for k in scp.codes.tolist()]
-    is_norm = np.array([1.0 if "NORM" in cl else 0.0 for cl in classes])
+    per_code = [tuple(sorted({class_map[c] for c in _parse_scp_codes(text) if c in class_map}))
+                for text in scp.categories]
+    is_norm = np.array([*("NORM" in classes for classes in per_code), False], float)[scp.codes]
 
-    columns = ds.columns + (ColumnSpec("is_norm", "numerical", role="target"),)
-    full = Dataset(
-        columns=columns,
-        cells={**ds.cells, "is_norm": is_norm},
+    return Dataset(
+        columns=ds.columns + (
+            ColumnSpec("is_norm", "numerical", role="target"),
+            ColumnSpec("superclasses", "categorical", role="annotation"),
+        ),
+        cells={**ds.cells, "is_norm": is_norm, "superclasses": Codes(scp.codes, tuple(per_code)).by_value()},
         signals=ds.signals,
         dataset_id=ds.dataset_id,
         dictionaries=ds.dictionaries,
     )
-    return PtbxlBundle(full, tuple(classes))
+
+
+def superclass_counts(ds: Dataset) -> dict[str, float]:
+    """Occurrences per diagnostic superclass; a record counts toward each of its own."""
+    sets = ds.codes("superclasses")
+    acc: dict[str, float] = {}
+    for classes, n in zip(sets.categories, sets.counts().tolist()):
+        for cls in classes:
+            acc[cls] = acc.get(cls, 0.0) + n
+    return acc
 
 
 # --- stratified subset recipes ------------------------------------------------
@@ -262,9 +255,8 @@ def apply_recipe(ds: Dataset, recipe: Mapping[str, Any]) -> list[int]:
     raise HarnessError(f"unknown recipe kind {kind!r}")
 
 
-def default_recipes(bundle: PtbxlBundle, seed: int | None) -> list[dict[str, Any]]:
+def default_recipes(ds: Dataset, seed: int | None) -> list[dict[str, Any]]:
     """The three case-study recipes, scaled down for miniature datasets."""
-    ds = bundle.dataset
     n = ds.n_records
     half = 5000 if n >= 10000 else max(20, n // 2)
     devices = ds.codes("device")
@@ -291,14 +283,13 @@ def default_recipes(bundle: PtbxlBundle, seed: int | None) -> list[dict[str, Any
 
 
 def harness_rows(
-    bundle: PtbxlBundle,
+    ds: Dataset,
     seed: int | None = None,
     now: float | None = None,
     entropy_max_records: int = 100,
     entropy_max_samples: int = 500,
 ) -> list[dict[str, Any]]:
     """The 16 result rows of the case-study table, in its dimension order."""
-    ds = bundle.dataset
     meta_cols = list(ds.feature_columns())
     has_signals = ds.signals is not None
     rows: list[dict[str, Any]] = []
@@ -333,9 +324,9 @@ def harness_rows(
     )
 
     # the published ratio uses superclass occurrence counts (a record with
-    # two superclasses counts toward both), so this row bypasses a column
+    # two superclasses counts toward both), so this row bypasses the registry
     try:
-        gir, warns = _registry.captured(lambda: _struct.imbalance_ratio(list(bundle.counts().values())))
+        gir, warns = _registry.captured(lambda: _struct.imbalance_ratio(list(superclass_counts(ds).values())))
         err = None
     except _registry.EvaluationError as exc:
         gir, warns, err = None, (), str(exc)
@@ -428,20 +419,20 @@ def run_harness(
     original = load_ptbxl(root)
     recipes = default_recipes(original, seed)
     names = ("original", "subset_sex_imbalance", "subset_device_filter", "subset_class_imbalance")
-    bundles = [original]
+    datasets = [original]
     subset_indices = []
     for name, recipe in zip(names[1:], recipes):
-        idx = apply_recipe(original.dataset, recipe)
+        idx = apply_recipe(original, recipe)
         subset_indices.append(idx)
-        bundles.append(original.subset(idx, name))
+        datasets.append(take_records(original, idx, dataset_id=name))
 
     sel = _selection.select_all(PTBXL_PROFILE)
     rationale = _selection.rationale_document(sel, params={"seed": seed})
     reports = []
     all_rows = []
-    for name, bundle in zip(names, bundles):
+    for name, ds in zip(names, datasets):
         rows = harness_rows(
-            bundle,
+            ds,
             seed=seed,
             now=now,
             entropy_max_records=entropy_max_records,
@@ -450,7 +441,7 @@ def run_harness(
         all_rows.append(rows)
         reports.append(build_report(name, PTBXL_PROFILE, rationale, rows, seed=seed))
 
-    is_real = original.dataset.n_records == _REAL_SIZE
+    is_real = original.n_records == _REAL_SIZE
     return {
         "reports": reports,
         "checks": harness_checks(all_rows, is_real),
@@ -462,21 +453,8 @@ def run_harness(
 
 def render_harness_markdown(reports: list[Mapping[str, Any]]) -> str:
     """One grid: 16 metric rows, one value column per dataset."""
-    from .report import _round2
-
-    names = [r["dataset_id"] for r in reports]
-    lines = ["| Dimension | Metric | Scope | " + " | ".join(names) + " |"]
-    lines.append("| --- | --- | --- |" + " --- |" * len(names))
-    first = reports[0]["results"]
-    for i, row in enumerate(first):
-        cells = []
-        for rep in reports:
-            r = rep["results"][i]
-            cells.append(f"error: {r['error']}" if "error" in r else _round2(r["value"]))
-        lines.append(
-            f"| {row['dimension']} | {row['metric_id']} | {row['scope']} | " + " | ".join(cells) + " |"
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(*(rep["results"] for rep in reports))
+    return report_table([r["dataset_id"] for r in reports], ((same[0], map(result_cell, same)) for same in rows))
 
 
 # --- synthetic miniature stand-in ----------------------------------------------

@@ -497,12 +497,6 @@ def report_json(report: Mapping[str, Any]) -> str:
 def _round2(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -518,28 +512,26 @@ def _round2(value: Any) -> str:
     return str(value)
 
 
+def result_cell(row: Mapping[str, Any]) -> str:
+    """A result row's table cell: its error, or its value rounded by _round2."""
+    return f"error: {row['error']}" if "error" in row else _round2(row["value"])
+
+
+def report_table(heads: Sequence[str], lines: Iterable[tuple[Mapping[str, Any], Iterable[str]]]) -> str:
+    """A Markdown table: Dimension, Metric and Scope of each row, then its cells under heads."""
+    rows = [["Dimension", "Metric", "Scope", *heads], ["---"] * (3 + len(heads))]
+    rows += [[row["dimension"], row["metric_id"], row["scope"], *cells] for row, cells in lines]
+    return "".join("| " + " | ".join(map(str, r)) + " |\n" for r in rows)
+
+
 def render_report_markdown(report: Mapping[str, Any]) -> str:
     """Dimension-grouped result table, values rounded to two decimals."""
-    lines = [f"# Data quality report: {report['dataset_id']}", ""]
-    lines.append("| Dimension | Metric | Scope | Value |")
-    lines.append("| --- | --- | --- | --- |")
-    for row in report["results"]:
-        if "error" in row:
-            value = f"error: {row['error']}"
-        else:
-            value = _round2(row["value"])
-            if row.get("warnings"):
-                value += " (*)"
-        lines.append(
-            f"| {row['dimension']} | {row['metric_id']} | {row['scope']} | {value} |"
-        )
-    if any(r.get("warnings") for r in report["results"]):
-        lines.append("")
-        lines.append("(*) result carries warnings; see the JSON report.")
+    results = report["results"]
+    marks = [" (*)" if row.get("warnings") and "error" not in row else "" for row in results]
+    table = report_table(["Value"], ((row, [result_cell(row) + mark]) for row, mark in zip(results, marks)))
+    note = "\n(*) result carries warnings; see the JSON report.\n" if any(r.get("warnings") for r in results) else ""
     seed = report.get("environment", {}).get("seed")
-    lines.append("")
-    lines.append(f"Seed: {seed}")
-    return "\n".join(lines) + "\n"
+    return f"# Data quality report: {report['dataset_id']}\n\n{table}{note}\nSeed: {seed}\n"
 
 
 def check_same_schema(a: Dataset, b: Dataset) -> None:
@@ -587,14 +579,7 @@ def compare_results(rows_a: list[dict], rows_b: list[dict]) -> list[dict[str, An
 
 
 def render_comparison_markdown(pairs: list[dict], id_a: str, id_b: str) -> str:
-    lines = [
-        f"| Dimension | Metric | Scope | {id_a} | {id_b} | Delta |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for p in pairs:
-        delta = _round2(p["delta"]) if "delta" in p else ""
-        lines.append(
-            f"| {p['dimension']} | {p['metric_id']} | {p['scope']} "
-            f"| {_round2(p['value_a'])} | {_round2(p['value_b'])} | {delta} |"
-        )
-    return "\n".join(lines) + "\n"
+    return report_table(
+        [id_a, id_b, "Delta"],
+        ((p, [_round2(p["value_a"]), _round2(p["value_b"]), _round2(p.get("delta"))]) for p in pairs),
+    )

@@ -456,12 +456,12 @@ def test_harness_reads_an_scp_codes_cell_with_an_unhashable_key_as_no_superclass
 
     _rewrite_csv(root / "ptbxl_database.csv", corrupt)
     assert main(["ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 0
-    assert load_ptbxl(str(root)).superclasses[0] == frozenset()
+    assert cells_of(load_ptbxl(str(root)), "superclasses")[0] == ()
 
 
 def test_harness_check_failure_names_the_check_once(tmp_path, demo_root, capsys, monkeypatch):
     # taken for the real table, the demo root misses the published Hill(device)
-    monkeypatch.setattr("dqeval.harness._REAL_SIZE", load_ptbxl(demo_root).dataset.n_records)
+    monkeypatch.setattr("dqeval.harness._REAL_SIZE", load_ptbxl(demo_root).n_records)
     out_dir = tmp_path / "harness"
     argv = ["--seed", "1", "ptbxl-harness", "--root", demo_root, "--now", "2e9", *HARNESS_CAPS, "--out", str(out_dir)]
     assert main(argv) == 1
@@ -737,11 +737,11 @@ def test_malformed_inputs_end_in_their_exit_code_or_an_error_row(
 
 
 def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
-    bundle = load_ptbxl(demo_root)
+    ptbxl = load_ptbxl(demo_root)
     names = ("sex", "device", "is_norm")
     lines = [",".join(names)]
     lines += [",".join("" if v is None else str(v) for v in row)
-              for row in zip(*(cells_of(bundle.dataset, n) for n in names))]
+              for row in zip(*(cells_of(ptbxl, n) for n in names))]
     (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     doc = {
         "table": {"path": "table.csv"},
@@ -752,7 +752,7 @@ def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
         ],
     }
     (tmp_path / "descriptor.json").write_text(json.dumps(doc), encoding="utf-8")
-    recipes = default_recipes(bundle, seed=3)
+    recipes = default_recipes(ptbxl, seed=3)
     assert [r["kind"] for r in recipes] == ["sex_imbalance", "device_filter", "class_imbalance"]
     for recipe in recipes:
         out = tmp_path / recipe["kind"]
@@ -760,7 +760,7 @@ def test_subset_draws_the_indices_of_the_harness_engine(tmp_path, demo_root):
                 "--out", str(out)]
         assert main(argv) == 0
         drawn = json.loads((out / "indices.json").read_text(encoding="utf-8"))
-        assert drawn == apply_recipe(bundle.dataset, recipe)
+        assert drawn == apply_recipe(ptbxl, recipe)
         assert drawn  # a draw that finds nothing would pass vacuously
 
 

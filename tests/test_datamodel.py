@@ -379,7 +379,7 @@ def test_missing_counts_are_held_by_every_build(demo_root):
     sub = take_records(ds, [2, 2, 0])
     _assert_missing_counts_held(sub)
     assert sub.missing_count("age") == 2
-    full = load_ptbxl(demo_root).dataset
+    full = load_ptbxl(demo_root)
     _assert_missing_counts_held(full)
     assert sum(map(full.missing_count, full.column_names)) > 0
     with pytest.raises(DataModelError, match="unknown column"):

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from dqeval import measurement
-from dqeval.datamodel import ColumnSpec, Dataset, F32Record
+from dqeval.datamodel import ColumnSpec, Dataset, F32Record, take_records
 from dqeval.harness import (
     SUPERCLASSES,
     HarnessError,
-    PtbxlBundle,
     apply_recipe,
     default_recipes,
     harness_checks,
@@ -24,9 +23,11 @@ from dqeval.harness import (
     load_ptbxl,
     render_harness_markdown,
     run_harness,
+    superclass_counts,
     write_demo_root,
 )
 from dqeval.report import DataLoadError, evaluate_row, report_json
+from tests.conftest import cells_of
 
 HARNESS_SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "demo_harness_snapshot.json")
 
@@ -52,7 +53,7 @@ TABLE_PLAN = (
 
 
 @pytest.fixture(scope="module")
-def bundle(demo_root):
+def ptbxl(demo_root):
     return load_ptbxl(demo_root)
 
 
@@ -72,15 +73,18 @@ def test_demo_root_is_seed_deterministic(tmp_path):
     assert (a / "signals_f32" / "7.f32").read_bytes() == (b / "signals_f32" / "7.f32").read_bytes()
 
 
-def test_load_ptbxl_builds_dataset_and_superclasses(bundle):
-    ds = bundle.dataset
+def test_load_ptbxl_builds_dataset_and_superclasses(ptbxl):
+    ds = ptbxl
     assert ds.n_records == 300
-    assert len(ds.columns) == 29
+    assert len(ds.columns) == 30
     assert ds.role_column("target") == "is_norm"
     assert ds.role_column("patient_id") == "patient_id"
-    assert len(bundle.superclasses) == 300
-    for classes, flag in zip(bundle.superclasses, ds.array("is_norm").tolist()):
-        assert classes <= set(SUPERCLASSES)
+    assert ds.role_column("annotation") == "superclasses"
+    superclasses = cells_of(ds, "superclasses")
+    assert len(superclasses) == 300
+    for classes, flag in zip(superclasses, ds.array("is_norm").tolist()):
+        assert set(classes) <= set(SUPERCLASSES)
+        assert classes == tuple(sorted(classes))
         assert flag == (1.0 if "NORM" in classes else 0.0)
     assert all(blk is not None and blk.sampling_hz == 500.0 for blk in ds.signals)
 
@@ -95,54 +99,52 @@ def test_load_ptbxl_requires_both_source_files(tmp_path):
 
 def test_counts_use_superclass_occurrences_not_records():
     ds = Dataset(
-        columns=(ColumnSpec("x"),), cells={"x": (1.0, 2.0, 3.0)}, dataset_id="t"
+        columns=(ColumnSpec("superclasses", "categorical", role="annotation"),),
+        cells={"superclasses": [("NORM",), ("MI", "NORM"), ("MI",)]},
+        dataset_id="t",
     )
-    bundle = PtbxlBundle(
-        ds,
-        (frozenset({"NORM"}), frozenset({"NORM", "MI"}), frozenset({"MI"})),
-    )
-    assert bundle.counts() == {"NORM": 2.0, "MI": 2.0}
+    assert superclass_counts(ds) == {"NORM": 2.0, "MI": 2.0}
 
 
-def test_sex_imbalance_recipe_draws_exact_strata(bundle):
+def test_sex_imbalance_recipe_draws_exact_strata(ptbxl):
     recipe = {"kind": "sex_imbalance", "n_male": 40, "n_female": 10, "seed": 3}
-    idx = apply_recipe(bundle.dataset, recipe)
+    idx = apply_recipe(ptbxl, recipe)
     assert len(idx) == len(set(idx)) == 50
     assert idx == sorted(idx)
-    sub = bundle.subset(idx, "s1")
-    sex = sub.dataset.codes("sex")
+    sub = take_records(ptbxl, idx, dataset_id="s1")
+    sex = sub.codes("sex")
     assert dict(zip(sex.categories, sex.counts())) == {"0": 40, "1": 10}
-    assert apply_recipe(bundle.dataset, recipe) == idx
-    assert apply_recipe(bundle.dataset, {**recipe, "seed": 4}) != idx
+    assert apply_recipe(ptbxl, recipe) == idx
+    assert apply_recipe(ptbxl, {**recipe, "seed": 4}) != idx
 
 
-def test_device_filter_recipe_keeps_only_that_device(bundle):
-    idx = apply_recipe(bundle.dataset, {"kind": "device_filter", "device_id": "CS-12"})
-    sub = bundle.subset(idx, "s2")
-    assert sub.dataset.array("device").categories == ("CS-12",)
-    assert not sub.dataset.missing("device").any()
+def test_device_filter_recipe_keeps_only_that_device(ptbxl):
+    idx = apply_recipe(ptbxl, {"kind": "device_filter", "device_id": "CS-12"})
+    sub = take_records(ptbxl, idx, dataset_id="s2")
+    assert sub.array("device").categories == ("CS-12",)
+    assert not sub.missing("device").any()
     with pytest.raises(HarnessError, match="matches no records"):
-        apply_recipe(bundle.dataset, {"kind": "device_filter", "device_id": "XX-99"})
+        apply_recipe(ptbxl, {"kind": "device_filter", "device_id": "XX-99"})
 
 
-def test_class_imbalance_recipe_counts_norm_records(bundle):
+def test_class_imbalance_recipe_counts_norm_records(ptbxl):
     # the default column is the target-role column, is_norm
     recipe = {"kind": "class_imbalance", "norm_label": 1.0, "n_norm": 5, "n_other": 45, "seed": 0}
-    idx = apply_recipe(bundle.dataset, recipe)
-    sub = bundle.subset(idx, "s3")
-    norm = [1.0 if "NORM" in cl else 0.0 for cl in sub.superclasses]
+    idx = apply_recipe(ptbxl, recipe)
+    sub = take_records(ptbxl, idx, dataset_id="s3")
+    norm = [1.0 if "NORM" in cl else 0.0 for cl in cells_of(sub, "superclasses")]
     assert sum(norm) == 5 and len(norm) == 50
 
 
-def test_recipe_errors(bundle):
+def test_recipe_errors(ptbxl):
     with pytest.raises(HarnessError, match="only"):
-        apply_recipe(bundle.dataset, {"kind": "sex_imbalance", "n_male": 100000, "n_female": 1, "seed": 0})
+        apply_recipe(ptbxl, {"kind": "sex_imbalance", "n_male": 100000, "n_female": 1, "seed": 0})
     with pytest.raises(HarnessError, match="unknown recipe kind"):
-        apply_recipe(bundle.dataset, {"kind": "upsample"})
+        apply_recipe(ptbxl, {"kind": "upsample"})
 
 
-def test_default_recipes_scale_to_the_dataset(bundle):
-    recipes = default_recipes(bundle, seed=3)
+def test_default_recipes_scale_to_the_dataset(ptbxl):
+    recipes = default_recipes(ptbxl, seed=3)
     assert [r["kind"] for r in recipes] == ["sex_imbalance", "device_filter", "class_imbalance"]
     assert recipes[0]["n_male"] == 120 and recipes[0]["n_female"] == 30
     assert recipes[1]["device_id"] == "CS-12"
@@ -150,8 +152,8 @@ def test_default_recipes_scale_to_the_dataset(bundle):
     assert recipes[0]["n_male"] / recipes[0]["n_female"] == 4.0
 
 
-def test_harness_rows_follow_the_table_plan(bundle):
-    rows = harness_rows(bundle, seed=0, now=2e9, entropy_max_records=5, entropy_max_samples=60)
+def test_harness_rows_follow_the_table_plan(ptbxl):
+    rows = harness_rows(ptbxl, seed=0, now=2e9, entropy_max_records=5, entropy_max_samples=60)
     assert [(r["metric_id"], r["scope"]) for r in rows] == list(TABLE_PLAN)
     by_plan = {(r["metric_id"], r["scope"]): r for r in rows}
     assert by_plan[("dataset_size", "global")]["value"] == 300
@@ -382,7 +384,7 @@ def _overwrite_lead(root: str, record: int, lead: int, value: float) -> None:
 def _shared_record(root: str, seed: int) -> int:
     """A record index of the original that the device subset also holds."""
     original = load_ptbxl(root)
-    return int(apply_recipe(original.dataset, default_recipes(original, seed)[1])[0])
+    return int(apply_recipe(original, default_recipes(original, seed)[1])[0])
 
 
 def _reports_holding(out: dict, record: int) -> list[bool]:
@@ -400,13 +402,13 @@ def test_sample_entropy_runs_once_per_record_and_lead(memo_root, monkeypatch):
 def test_shared_entropy_rows_equal_a_direct_computation(memo_root):
     out = run_harness(memo_root, seed=2, now=2e9, **MEMO_CAPS)
     fresh = load_ptbxl(memo_root)
-    subsets = [range(fresh.dataset.n_records)] + out["subset_indices"]
+    subsets = [range(fresh.n_records)] + out["subset_indices"]
     for report, idx in zip(out["reports"], subsets):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             per_record = []
             for j in idx:
-                chans = [measurement.sample_entropy(s[:60]) for s in fresh.dataset.signals[j].samples]
+                chans = [measurement.sample_entropy(s[:60]) for s in fresh.signals[j].samples]
                 chans = [v for v in chans if not math.isnan(v)]
                 if chans:
                     per_record.append(float(np.mean(chans)))
@@ -448,13 +450,13 @@ def test_separate_loads_share_no_entropy(memo_root, monkeypatch):
     calls = _count_sample_entropy(monkeypatch)
     params = {"max_samples": 60}
     first = load_ptbxl(memo_root)
-    row = evaluate_row(first.dataset, "entropy", "accuracy", params)
+    row = evaluate_row(first, "entropy", "accuracy", params)
     n = len(calls)
-    assert n == 2 * first.dataset.n_records
-    assert evaluate_row(first.dataset, "entropy", "accuracy", params) == row
+    assert n == 2 * first.n_records
+    assert evaluate_row(first, "entropy", "accuracy", params) == row
     assert len(calls) == n  # same blocks: nothing recomputed
     second = load_ptbxl(memo_root)
-    assert evaluate_row(second.dataset, "entropy", "accuracy", params) == row
+    assert evaluate_row(second, "entropy", "accuracy", params) == row
     assert len(calls) == 2 * n  # new blocks of the same content: all recomputed
 
 
@@ -463,9 +465,9 @@ def test_separate_loads_share_no_entropy(memo_root, monkeypatch):
     [{"max_records": -1}, {"max_records": 0}, {"max_samples": -200}, {"max_samples": 0}],
     ids=["records-negative", "records-zero", "samples-negative", "samples-zero"],
 )
-def test_entropy_caps_below_one_are_error_rows(bundle, params):
+def test_entropy_caps_below_one_are_error_rows(ptbxl, params):
     (name, cap), = params.items()
-    row = evaluate_row(bundle.dataset, "entropy", "accuracy", params)
+    row = evaluate_row(ptbxl, "entropy", "accuracy", params)
     assert row["scope"] == "unresolved"
     assert row["error"] == f"entropy: {name} must be >= 1, got {cap}"
     assert row["value"] is None

@@ -550,7 +550,7 @@ def test_loaded_and_evaluated_records_hold_no_file_descriptor(tmp_path):
     root = str(tmp_path / "root")
     write_demo_root(root, n_records=40, seed=2)
     before = _open_fds()
-    ds = load_ptbxl(root).dataset
+    ds = load_ptbxl(root)
     assert _open_fds() == before
     row = evaluate_row(ds, "entropy", "accuracy", {"max_samples": 60})
     assert "error" not in row
@@ -563,7 +563,7 @@ soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
 from dqeval.harness import load_ptbxl
 from dqeval.report import evaluate_row
-ds = load_ptbxl(sys.argv[1]).dataset
+ds = load_ptbxl(sys.argv[1])
 rows = [
     evaluate_row(ds, "entropy", "accuracy", {"max_samples": 60}),
     evaluate_row(ds, "completeness", "completeness", {"target": "signals"}),
@@ -588,7 +588,7 @@ def test_a_root_of_more_records_than_file_descriptors_loads_and_evaluates(tmp_pa
 def test_a_record_that_changes_after_load_is_an_error_row_naming_it(tmp_path, change):
     root = str(tmp_path / "root")
     write_demo_root(root, n_records=5, seed=1)
-    ds = load_ptbxl(root).dataset
+    ds = load_ptbxl(root)
     path = os.path.join(root, "signals_f32", "3.f32")
     if change == "truncate":
         os.truncate(path, os.path.getsize(path) - 8)
