@@ -604,9 +604,16 @@ def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, counts
 
 
-def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
+def pearson_chi2_statistic(obs: np.ndarray) -> float:
     """Pearson's chi-square statistic of a table of counts with no empty row
-    or column, and its p-value on (r - 1)(c - 1) degrees of freedom.
+    or column; no scipy is needed for it."""
+    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
+    return float(((obs - expected) ** 2 / expected).sum())
+
+
+def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
+    """pearson_chi2_statistic and its p-value on (r - 1)(c - 1) degrees of
+    freedom.
 
     The same doubles as scipy.stats.chi2_contingency(correction=False),
     which also gives a table of one row or one column statistic 0, p 1.
@@ -616,9 +623,8 @@ def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
     if dof == 0:
         return 0.0, 1.0
-    expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
-    stat = ((obs - expected) ** 2 / expected).sum()
-    return float(stat), float(special.chdtrc(dof, stat))
+    stat = pearson_chi2_statistic(obs)
+    return stat, float(special.chdtrc(dof, stat))
 
 
 # The two-sided one-sample Kolmogorov-Smirnov tail P(D_n >= x) below is the
@@ -1001,6 +1007,11 @@ def two_sample_test(
         from scipy import stats
 
         samples = [va, vb] + [_values(o) for o in others]
+        pooled = np.concatenate(samples)
+        if pooled.size < 3:
+            raise MetricInputError("anderson_darling_k needs at least 3 observations in total")
+        if pooled.min() == pooled.max():
+            raise MetricInputError("anderson_darling_k needs more than one distinct value")
         with _pywarnings.catch_warnings(record=True) as caught:
             _pywarnings.simplefilter("always")
             res = stats.anderson_ksamp(samples, variant="midrank")

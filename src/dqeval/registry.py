@@ -379,9 +379,17 @@ def _instrument(measured: np.ndarray, reference: np.ndarray) -> dict[str, float]
     return _meas.instrument_error(present_sample(measured), present_sample(reference))
 
 
+def _foreground(category: Any) -> bool:
+    try:
+        return float(category) != 0
+    except (TypeError, ValueError):
+        raise MetricInputError(f"mask category {category!r} is not a number") from None
+
+
 def _mask(labels: Codes) -> np.ndarray:
+    """Foreground where the cell's category, read as a number, is nonzero."""
     _require(bool((labels.codes >= 0).all()), "mask columns must be complete")
-    return np.array([bool(v) for v in labels.categories], dtype=bool)[labels.codes]
+    return np.array([*map(_foreground, labels.categories)], dtype=bool)[labels.codes]
 
 
 def _resolution(widths: np.ndarray, heights: np.ndarray) -> dict[str, list]:
@@ -588,6 +596,7 @@ def _ev_completeness(metric, ds, params, ds_b, seed):
     label = params.get("scope_label")
     if params.get("target") == "signals":
         _require(ds.signals is not None, "completeness of signals needs a signal payload")
+        _require(ds.n_records > 0, "completeness of signals needs at least one record")
         present = sum(1 for blk in ds.signals if blk is not None and math.prod(blk.shape) > 0)
         scope = f"columns:{label}" if label else "signals"
         return present / ds.n_records, scope, {"target": "signals"}

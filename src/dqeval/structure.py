@@ -410,10 +410,12 @@ def _em_normal(
     work per iteration depends on the patterns, not on the rows.
     """
     n, p = x.shape
+    if np.isnan(x).all(axis=0).any():
+        raise MetricInputError("a column is entirely missing")
     mu = np.nanmean(x, axis=0)
     var = np.nanvar(x, axis=0)
-    if np.any(~np.isfinite(mu)) or np.any(~np.isfinite(var)):
-        raise MetricInputError("a column is entirely missing")
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise MetricInputError("a column mean or variance overflows")
     sigma = np.diag(np.maximum(var, 1e-12))
     # per pattern: its missing columns, the index tuples, the augmented
     # moments [[x_o^T x_o, sum x_o], [sum x_o^T, k]] and the fill map, which

@@ -12,7 +12,14 @@ import pytest
 from click.testing import CliRunner
 
 from dqeval.cli import cli, main
-from dqeval.harness import PTBXL_PROFILE, apply_recipe, default_recipes, load_ptbxl, write_demo_root
+from dqeval.harness import (
+    PTBXL_PROFILE,
+    apply_recipe,
+    default_recipes,
+    harness_rows,
+    load_ptbxl,
+    write_demo_root,
+)
 from dqeval.registry import render_card
 from dqeval.report import load_dataset, read_descriptor
 from tests.conftest import cells_of
@@ -242,6 +249,39 @@ def test_evaluate_records_an_unknown_column_as_an_error_row(tmp_path, descriptor
     assert "nope" in row["error"]
 
 
+@pytest.mark.parametrize(
+    "lines, dimension, metric_id, params, message",
+    [
+        (["x,g", "3,a", "3,b", "3,a"], "homogeneity", "anderson_darling_k", {"column": "x", "group_column": "g"},
+         "anderson_darling_k needs more than one distinct value"),
+        (["x,g", "1,a", "2,b"], "homogeneity", "anderson_darling_k", {"column": "x", "group_column": "g"},
+         "anderson_darling_k needs at least 3 observations in total"),
+        (["x,g"], "completeness", "completeness", {"target": "signals"}, "completeness of signals needs at least one record"),
+    ],
+    ids=["anderson-constant", "anderson-two-observations", "signal-completeness-no-record"],
+)
+def test_evaluate_records_a_degenerate_input_as_an_error_row(
+    tmp_path, capsys, lines, dimension, metric_id, params, message
+):
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "sig").mkdir()
+    descriptor = tmp_path / "descriptor.json"
+    descriptor.write_text(json.dumps({
+        "table": {"path": "table.csv"},
+        "columns": [{"name": "x", "vtype": "numerical"}, {"name": "g", "vtype": "categorical"}],
+        "signals": {"dir": "sig", "format": "f32le", "file_column": "x", "pattern": "{value}.f32"},
+    }), encoding="utf-8")
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps({metric_id: params}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    sel = _selection_doc(tmp_path, [{"dimension": dimension, "metrics": [metric_id]}])
+    argv = ["evaluate", "--data", str(descriptor), "--selection", sel, "--params", str(params_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert (row["metric_id"], row["error"]) == (metric_id, message)
+
+
 def test_evaluate_missing_data_is_a_load_error(tmp_path, capsys):
     sel = _selection_doc(tmp_path, [])
     code = main(["evaluate", "--data", str(tmp_path / "none.json"), "--selection", sel,
@@ -422,6 +462,59 @@ def _rewrite_csv(path, edit) -> None:
 
 
 HARNESS_CAPS = ["--entropy-records", "5", "--entropy-samples", "60"]
+
+
+def test_harness_on_an_empty_statements_file_is_a_load_error(tmp_path, capsys):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 30)
+    (root / "scp_statements.csv").write_bytes(b"")
+    assert main(["ptbxl-harness", "--root", str(root), "--now", "2e9", *HARNESS_CAPS]) == 2
+    assert "scp_statements.csv: empty file" in capsys.readouterr().err.partition("data load error: ")[2]
+
+
+def test_harness_skips_a_statements_row_shorter_than_its_header(tmp_path):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 30)
+    before = cells_of(load_ptbxl(str(root)), "superclasses")
+    _rewrite_csv(root / "scp_statements.csv", lambda rows: rows.insert(1, ["NORM", "demo NORM", "1.0"]))
+    assert cells_of(load_ptbxl(str(root)), "superclasses") == before
+
+
+def test_harness_device_filter_without_cs12_takes_the_most_frequent_device(tmp_path):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 30)
+
+    def no_cs12(rows):
+        column = rows[0].index("device")
+        for i, row in enumerate(rows[1:]):
+            row[column] = "EC-10" if i % 3 == 0 else "AT-60"
+
+    _rewrite_csv(root / "ptbxl_database.csv", no_cs12)
+    assert default_recipes(load_ptbxl(str(root)), seed=0)[1] == {"kind": "device_filter", "device_id": "AT-60"}
+
+
+def test_harness_imbalance_ratio_without_any_diagnostic_superclass_is_an_error_row(tmp_path):
+    root = tmp_path / "root"
+    write_demo_root(str(root), 30)
+
+    def not_diagnostic(rows):
+        for row in rows[1:]:
+            row[rows[0].index("diagnostic")] = "0.0"
+
+    _rewrite_csv(root / "scp_statements.csv", not_diagnostic)
+    ds = load_ptbxl(str(root))
+    assert set(cells_of(ds, "superclasses")) == {()}
+    rows = harness_rows(ds, seed=0, now=2e9, entropy_max_records=2, entropy_max_samples=60)
+    (row,) = [r for r in rows if r["metric_id"] == "generalized_imbalance_ratio"]
+    assert row == {
+        "metric_id": "generalized_imbalance_ratio",
+        "dimension": "target_class_balance",
+        "scope": "column:scp_codes",
+        "params": {"labeling": "diagnostic superclass occurrence counts"},
+        "value": None,
+        "warnings": [],
+        "error": "imbalance_ratio requires at least one class",
+    }
 
 
 def test_harness_on_statements_without_a_diagnostic_column_is_a_load_error(tmp_path, capsys):

@@ -766,6 +766,43 @@ def test_fractional_or_negative_pixel_dimensions_are_resolution_error_rows(width
     assert f"positive whole pixel dimensions, got {width}" in row["error"]
 
 
+@pytest.mark.parametrize(
+    "x, g, message",
+    [
+        ((3.0, 3.0, 3.0, 3.0), ("a", "b", "a", "b"), "anderson_darling_k needs more than one distinct value"),
+        ((1.0, 2.0), ("a", "b"), "anderson_darling_k needs at least 3 observations in total"),
+    ],
+    ids=["constant", "two-observations"],
+)
+def test_anderson_darling_k_inputs_scipy_rejects_are_error_rows(x, g, message):
+    ds = Dataset(columns=(ColumnSpec("x", "numerical"), ColumnSpec("g", "categorical")), cells={"x": x, "g": g})
+    row = evaluate_row(ds, "anderson_darling_k", "homogeneity", {"column": "x", "group_column": "g"})
+    assert (row["scope"], row["error"]) == ("unresolved", message)
+
+
+def test_signal_completeness_of_a_table_of_no_record_is_an_error_row():
+    ds = Dataset(columns=(ColumnSpec("x", "numerical"),), cells={"x": ()}, signals=())
+    row = evaluate_row(ds, "completeness", "completeness", {"target": "signals"})
+    assert (row["scope"], row["error"]) == ("unresolved", "completeness of signals needs at least one record")
+
+
+@pytest.mark.parametrize("metric_id, expected", [("dice_score", 2 / 3), ("intersection_over_union", 0.5)])
+@pytest.mark.parametrize("vtype", ["categorical", "numerical"])
+def test_masks_read_their_categories_as_numbers(metric_id, expected, vtype):
+    ds = Dataset(
+        columns=(ColumnSpec("a", vtype), ColumnSpec("b", vtype)),
+        cells={"a": ("0", "1", "1", "0"), "b": ("0", "0", "1", "0")},
+    )
+    row = evaluate_row(ds, metric_id, "accuracy", {"column_a": "a", "column_b": "b"})
+    assert row["value"] == expected
+
+
+def test_a_mask_category_that_is_not_a_number_is_an_error_row_naming_it():
+    ds = _labels(a=("0", "yes", "1"), b=("0", "1", "1"))
+    row = evaluate_row(ds, "dice_score", "accuracy", {"column_a": "a", "column_b": "b"})
+    assert (row["scope"], row["error"]) == ("unresolved", "mask category 'yes' is not a number")
+
+
 ORDER = ("low", "mid", "high")
 RANK = {label: float(i) for i, label in enumerate(ORDER)}
 
@@ -895,3 +932,60 @@ def test_only_evaluation_errors_escape_evaluate():
         expected = json.load(fh)
     assert {k: v for k, v in digests.items() if v != expected.get(k)} == {}
     assert list(digests) == list(expected)
+
+
+# --- degenerate tables: no record, one record, two records ------------------------
+
+# One column of each kind, two annotation columns and a weight column. The
+# tables hold the first 0, 1 or 2 of these records, with and without signals.
+DEGENERATE_COLUMNS = (
+    ColumnSpec("num", "numerical"),
+    ColumnSpec("cat", "categorical"),
+    ColumnSpec("ord", "ordinal", ordinal_order=ORDER),
+    ColumnSpec("when", "datetime"),
+    ColumnSpec("pid", "identifier"),
+    ColumnSpec("r1", "ordinal", role="annotation", ordinal_order=ORDER),
+    ColumnSpec("r2", "categorical", role="annotation"),
+    ColumnSpec("w", "numerical", role="weight"),
+)
+DEGENERATE_RECORDS = (
+    (1.0, "a", "low", "2020-01-01", "p0", "mid", "x", 2.0),
+    (2.0, "b", "high", "2020-01-02", "p1", "low", "y", 1.0),
+)
+DEGENERATE_TABLES = {
+    f"{n}-records{'-signals' * signals}": (n, signals)
+    for n, signals in ((0, False), (0, True), (1, False), (1, True), (2, True))
+}
+
+
+def _degenerate_table(n_records: int, signals: bool) -> Dataset:
+    records = DEGENERATE_RECORDS[:n_records]
+    return Dataset(
+        columns=DEGENERATE_COLUMNS,
+        cells={c.name: tuple(r[i] for r in records) for i, c in enumerate(DEGENERATE_COLUMNS)},
+        signals=tuple(SignalBlock([[0.0, 1.0, 0.5]], 500.0) for _ in records) if signals else None,
+    )
+
+
+@pytest.mark.parametrize("n_records, signals", DEGENERATE_TABLES.values(), ids=DEGENERATE_TABLES)
+def test_only_evaluation_errors_escape_evaluate_on_degenerate_tables(n_records, signals):
+    ds = _degenerate_table(n_records, signals)
+    names = ds.column_names
+    params = [{}, {"target": "signals"}]
+    params += [{key: col} for key in COLUMN_KEYS for col in names]
+    params += [{a: col, b: col} for a, b in PAIRED_KEYS for col in names]
+    # a group split shrinks the samples further: every column by every column
+    params += [{"column": col, "group_column": by} for col in names for by in names if col != by]
+    params += [{key: list(names)} for key in LIST_KEYS]
+    # the second dataset is read through "column" and "columns" only
+    calls = [(p, None) for p in params] + [(p, ds) for p in params if set(p) <= {"column", "columns"}]
+    escapes = {}
+    for c in all_cards():
+        for p, ds_b in calls:
+            try:
+                evaluate(c.id, ds, p, ds_b=ds_b, seed=0)
+            except EvaluationError:
+                pass
+            except Exception as exc:  # noqa: BLE001  (any other escape is the finding)
+                escapes.setdefault(c.id, f"{p}, ds_b={ds_b is not None}: {exc!r}")
+    assert escapes == {}

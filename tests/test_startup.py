@@ -112,3 +112,28 @@ def test_rank_and_chi_square_rows_run_without_scipy_stats(tmp_path):
     ]
     assert rows[5]["params"]["method"] == "mann_whitney_u(asymptotic)"
     assert _scipy(modules, "scipy.stats") == []
+
+
+def test_cramers_v_alone_loads_no_scipy(tmp_path):
+    lines = ["sex,device"] + [f"{'mf'[i % 2]},{'abc'[i % 3] if i % 2 else 'a'}" for i in range(12)]
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    descriptor = tmp_path / "descriptor.json"
+    descriptor.write_text(json.dumps({
+        "dataset_id": "labels",
+        "table": {"path": "table.csv"},
+        "columns": [{"name": c, "vtype": "categorical"} for c in ("sex", "device")],
+    }), encoding="utf-8")
+    selection = tmp_path / "selection.json"
+    selection.write_text(json.dumps({"profile": {}, "selections": []}), encoding="utf-8")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"rows": [
+        {"metric_id": "cramers_v", "dimension": "feature_importance",
+         "params": {"column_a": "sex", "column_b": "device"}},
+    ]}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--data", str(descriptor), "--selection", str(selection),
+            "--params", str(params), "--out", str(out)]
+    modules = _modules_after(f"import dqeval.cli\nassert dqeval.cli.main({argv!r}) == 0")
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert "error" not in row and row["value"] > 0
+    assert _scipy(modules, "scipy") == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -635,8 +636,24 @@ def test_littles_p_value_is_scipy_chi2_sf(table):
 def test_littles_on_an_entirely_missing_column_keeps_its_error():
     x = np.array([[1.0, 2.0, np.nan], [2.0, np.nan, np.nan], [3.0, 1.0, np.nan], [4.0, 5.0, np.nan]])
     with pytest.raises(EvaluationError, match="^a column is entirely missing$") as caught:
-        captured(lambda: littles_mcar_test(x))  # also swallows numpy's empty-slice warnings
+        captured(lambda: littles_mcar_test(x))
     assert isinstance(caught.value.__cause__, MetricInputError)
+
+
+def test_littles_on_an_entirely_missing_column_lets_no_numpy_warning_out():
+    x = np.array([[1.0, 2.0, np.nan], [2.0, np.nan, np.nan], [3.0, 1.0, np.nan], [4.0, 5.0, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MetricInputError, match="^a column is entirely missing$"):
+            littles_mcar_test(x)
+
+
+def test_littles_on_a_variance_that_overflows_is_an_input_error():
+    x = np.array([[1e200, 2.0], [2e200, np.nan], [3.0, 1.0], [np.nan, 5.0], [4.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(EvaluationError, match="^a column mean or variance overflows$"):
+            captured(lambda: littles_mcar_test(x))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
