@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .datamodel import Codes
-from .distribution import MetricInputError, _average_ranks, pearson_chi2_statistic
+from .distribution import MetricInputError, _average_ranks, _chi2_statistic
 from .measurement import _floats
 
 
@@ -170,7 +170,7 @@ def cramers_v(a: Codes, b: Codes, bias_correction: bool = False) -> float:
     if r < 2 or c < 2:
         raise MetricInputError("cramers_v requires >= 2 categories per variable")
     table = np.bincount(ia * c + ib, minlength=r * c).reshape(r, c).astype(float)
-    chi2 = pearson_chi2_statistic(table)
+    chi2 = _chi2_statistic(table)
     n = table.sum()
     if bias_correction:
         phi2 = max(0.0, chi2 / n - (r - 1) * (c - 1) / (n - 1))

@@ -604,16 +604,16 @@ def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, counts
 
 
-def pearson_chi2_statistic(obs: np.ndarray) -> float:
+def _chi2_statistic(obs: np.ndarray) -> float:
     """Pearson's chi-square statistic of a table of counts with no empty row
-    or column; no scipy is needed for it."""
+    or column, from numpy alone (cramers_v needs no p-value)."""
     expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
     return float(((obs - expected) ** 2 / expected).sum())
 
 
 def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
-    """pearson_chi2_statistic and its p-value on (r - 1)(c - 1) degrees of
-    freedom.
+    """Pearson's chi-square statistic (_chi2_statistic) and its p-value on
+    (r - 1)(c - 1) degrees of freedom.
 
     The same doubles as scipy.stats.chi2_contingency(correction=False),
     which also gives a table of one row or one column statistic 0, p 1.
@@ -623,7 +623,7 @@ def _pearson_chi2(obs: np.ndarray) -> tuple[float, float]:
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
     if dof == 0:
         return 0.0, 1.0
-    stat = pearson_chi2_statistic(obs)
+    stat = _chi2_statistic(obs)
     return stat, float(special.chdtrc(dof, stat))
 
 

@@ -167,6 +167,7 @@ def load_ptbxl(root: str) -> Dataset:
     scp = ds.codes("scp_codes")  # each distinct statement string is parsed once
     per_code = [tuple(sorted({class_map[c] for c in _parse_scp_codes(text) if c in class_map}))
                 for text in scp.categories]
+    # a missing scp_codes cell (code -1) reads the appended False
     is_norm = np.array([*("NORM" in classes for classes in per_code), False], float)[scp.codes]
 
     return Dataset(
@@ -453,7 +454,7 @@ def run_harness(
 
 def render_harness_markdown(reports: list[Mapping[str, Any]]) -> str:
     """One grid: 16 metric rows, one value column per dataset."""
-    rows = zip(*(rep["results"] for rep in reports))
+    rows = zip(*(rep["results"] for rep in reports))  # one metric row of every report at a time
     return report_table([r["dataset_id"] for r in reports], ((same[0], map(result_cell, same)) for same in rows))
 
 
